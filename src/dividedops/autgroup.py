@@ -1,22 +1,25 @@
 """The group of order preserving automorphisms of the operator ring.
 
-Two kinds of building blocks appear:
+With theta_i = x_i d_i, every divided power is d^[beta] = x^{-beta}
+C(theta, beta), and C(theta, j) = x^j d^[j].  The two kinds of building
+blocks act on theta in closed form:
 
 * shift automorphisms, parameterized by a vector s of truncated p-adic
-  integers; they fix every Laurent polynomial and send d_i to
-  d_i + s_i x_i^{-1}.  The image of a divided power d_i^[k] is the
-  binomial operator expansion
+  integers, fix every Laurent polynomial and send theta to theta + s, so
+  d_i^[k] goes to sum_{j=0}^{k} C(s_i, k - j) x_i^{j-k} d_i^[j], whose
+  action on x^m is C(m + s_i, k) x^{m-k} (certified in the tests);
 
-      sum_{j=0}^{k} C(s_i, k - j) x_i^{j-k} d_i^[j],
+* monomial automorphisms x_j -> lambda_j x^{A e_j}, with A an integer
+  matrix of determinant +-1, act by conjugation and send theta to
+  A^{-1} theta.
 
-  whose action on x^m is C(m + s_i, k) x^{m-k} (certified in the tests);
-
-* monomial automorphisms x_j -> lambda_j x^{A e_j} with A an integer
-  matrix of determinant +-1, acting on operators by conjugation.
-
-Every order preserving automorphism factors uniquely as a shift times a
-monomial automorphism; `extract_digits` recovers the p-adic digits one
-level at a time and `factorize` produces the full factorization.
+`GeneratorImages` presents an automorphism by finitely many images; one
+helper maps an automorphism's operator action over them, which composes
+automorphisms and builds the images of shifts and monomial automorphisms
+from the identity.  Every order preserving automorphism factors uniquely
+as a shift times a monomial automorphism; `extract_digits` recovers the
+p-adic digits one level at a time and `factorize` produces the full
+factorization.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iproduct
+from math import prod
 
-from .diffop import DiffOp, divided_image_from_levels, normal_form_from_action
+from .diffop import DiffOp, divided_image_from_levels
 from .errors import (
     InsufficientPrecision,
     MismatchError,
@@ -42,6 +46,7 @@ from .scalars import (
     PadicInt,
     Prime,
     _digit_binom_table,
+    _lucas,
     as_prime,
     padic_length,
 )
@@ -289,10 +294,7 @@ class MonomialAut:
         return cls(eye, tuple(FpScalar(1, p) for _ in range(n)))
 
     def is_identity(self) -> bool:
-        n = self.n
-        return all(
-            self.matrix[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        ) and all(lam.value == 1 for lam in self.scalars)
+        return self == MonomialAut.identity(self.p, self.n)
 
     def apply_exponents(self, gamma) -> tuple[int, tuple[int, ...]]:
         """Image of the monomial x^gamma as (coefficient, exponent vector)."""
@@ -310,15 +312,11 @@ class MonomialAut:
     def apply_laurent(self, f: LaurentPoly) -> LaurentPoly:
         if f.p != self.p or f.n != self.n:
             raise MismatchError("operand mismatch in monomial automorphism")
+        # A is invertible, so distinct monomials keep distinct images
         out: dict[tuple[int, ...], int] = {}
-        pp = self.p.p
         for gamma, c in f.terms.items():
             coeff, exps = self.apply_exponents(gamma)
-            v = (out.get(exps, 0) + c * coeff) % pp
-            if v:
-                out[exps] = v
-            elif exps in out:
-                del out[exps]
+            out[exps] = c * coeff % self.p.p
         return LaurentPoly.zero(self.p, self.n)._wrap(out)
 
     def compose(self, other: "MonomialAut") -> "MonomialAut":
@@ -328,56 +326,78 @@ class MonomialAut:
         n = self.n
         pp = self.p.p
         a, b = self.matrix, other.matrix
-        prod = tuple(
+        matrix = tuple(
             tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
             for i in range(n)
         )
-        scal = []
-        for j in range(n):
-            v = other.scalars[j].value
-            for k in range(n):
-                v = v * pow(self.scalars[k].value, b[k][j], pp) % pp
-            scal.append(FpScalar(v % pp, self.p))
-        return MonomialAut(prod, tuple(scal))
+        scal = tuple(
+            FpScalar(lam.value * self.apply_exponents(col)[0] % pp, self.p)
+            for lam, col in zip(other.scalars, zip(*b))
+        )
+        return MonomialAut(matrix, scal)
 
     def inverse(self) -> "MonomialAut":
-        n = self.n
-        pp = self.p.p
         binv = int_inverse_unimodular(self.matrix)
-        scal = []
-        for j in range(n):
-            v = 1
-            for k in range(n):
-                v = v * pow(self.scalars[k].value, -binv[k][j], pp) % pp
-            scal.append(FpScalar(v, self.p))
-        return MonomialAut(binv, tuple(scal))
+        scal = tuple(
+            FpScalar(self.apply_exponents([-e for e in col])[0], self.p) for col in zip(*binv)
+        )
+        return MonomialAut(binv, scal)
 
 
-def monomial_apply(tau: MonomialAut, op: DiffOp, *, bound: int | None = None,
-                   extra_probes: int = 8, seed: int = 0) -> DiffOp:
-    """Conjugate an operator by a monomial automorphism.
+@lru_cache(maxsize=512)
+def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...],
+                     p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i, beta_i) equal to
+    sum_j c_j C(m, j) as functions of m in Z^n.
 
-    Goes through the generic normal-form recovery with the oracle
-    f -> tau(op * tau^{-1}(f)); conjugation preserves the order, so the
-    recovery bound defaults to the order of `op`.
+    The left side is an integer-valued polynomial of total degree |beta|
+    whose degree in m_k is at most the sum of the beta_i with ainv[i][k]
+    nonzero, so its Mahler coefficients c_j are the forward differences
+    of its values on the points h within those degree bounds.
+    """
+    total = sum(beta)
+    bounds = [sum(b for b, row in zip(beta, ainv) if row[k]) for k in range(len(beta))]
+    points = [()]  # lexicographic, so each line along an axis comes out in order
+    for bound in bounds:
+        points = [h + (t,) for h in points for t in range(min(bound, total - sum(h)) + 1)]
+    vals = {}
+    for h in points:
+        m = [sum(a * t for a, t in zip(row, h)) for row in ainv]
+        vals[h] = prod(_lucas(mi, b, p) for mi, b in zip(m, beta) if b) % p
+    # Newton's forward differences along one axis at a time; the point set
+    # is closed downwards, so every line starts at 0 on its axis
+    for axis in range(len(beta)):
+        lines: dict[tuple[int, ...], list] = {}
+        for h in points:
+            lines.setdefault(h[:axis] + h[axis + 1:], []).append(h)
+        for line in lines.values():
+            seq = [vals[h] for h in line]
+            for r in range(1, len(seq)):
+                seq[r:] = [(u - v) % p for u, v in zip(seq[r:], seq[r - 1:-1])]
+            vals.update(zip(line, seq))
+    return tuple((j, c) for j, c in vals.items() if c)
+
+
+def monomial_apply(tau: MonomialAut, op: DiffOp) -> DiffOp:
+    """Conjugate an operator by a monomial automorphism, in closed form:
+
+        tau(x^gamma d^[beta]) = lambda^(gamma - beta) x^(A(gamma - beta))
+                                * prod_i C((A^{-1} theta)_i, beta_i),
+
+    with the product expanded as sum_j c_j x^j d^[j].  The tests check this
+    against the operator recovered from its action f -> tau(op * tau^{-1}(f)).
     """
     if op.p != tau.p or op.n != tau.n:
         raise MismatchError("operand mismatch in conjugation")
-    if op.is_zero():
-        return op
     if tau.is_identity():
         return op
-    inv = tau.inverse()
-    if bound is None:
-        bound = op.order()
-
-    def oracle(exps):
-        probe = inv.apply_laurent(LaurentPoly.monomial(op.p, op.n, exps))
-        return tau.apply_laurent(op.act(probe))
-
-    return normal_form_from_action(
-        oracle, op.p, op.n, bound, extra_probes=extra_probes, seed=seed
-    )
+    ainv = int_inverse_unimodular(tau.matrix)
+    parts = []
+    for beta, f in op.parts.items():
+        coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
+        expansion = _theta_expansion(ainv, beta, tau.p.p)
+        parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion]
+    return DiffOp(tau.p, tau.n, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -449,51 +469,35 @@ class GeneratorImages:
         return MonomialAut(matrix, tuple(scal))
 
     def fixes_variables(self) -> bool:
-        for i in range(1, self.n + 1):
-            if self.x_images[i - 1] != DiffOp.from_laurent(LaurentPoly.variable(self.p, self.n, i)):
-                return False
-            if self.xinv_images[i - 1] != DiffOp.from_laurent(
-                LaurentPoly.variable(self.p, self.n, i, -1)
-            ):
-                return False
-        return True
+        ident = GeneratorImages.identity(self.p, self.n, 1)
+        return self.x_images == ident.x_images and self.xinv_images == ident.xinv_images
 
 
 def shift_generator_images(s: ShiftVector) -> GeneratorImages:
     """Generator images of the shift automorphism with parameter s."""
-    p, n, prec = s.p, s.n, s.precision
-    return GeneratorImages(
-        p,
-        n,
-        prec,
-        tuple(DiffOp.from_laurent(LaurentPoly.variable(p, n, i)) for i in range(1, n + 1)),
-        tuple(DiffOp.from_laurent(LaurentPoly.variable(p, n, i, -1)) for i in range(1, n + 1)),
-        tuple(
-            tuple(shift_divided_image(s, i, p.p ** k) for k in range(prec))
-            for i in range(1, n + 1)
-        ),
-    )
+    return shift_compose_images(s, GeneratorImages.identity(s.p, s.n, s.precision))
 
 
 def monomial_generator_images(tau: MonomialAut, precision: int) -> GeneratorImages:
     """Generator images of a monomial automorphism acting by conjugation."""
-    p, n = tau.p, tau.n
+    return monomial_compose_images(tau, GeneratorImages.identity(tau.p, tau.n, precision))
+
+
+def _map_images(fn, h: GeneratorImages, p: Prime, n: int,
+                precision: int | None = None) -> GeneratorImages:
+    """Images of phi after h, where fn applies the automorphism phi (on
+    `p`, `n` and, when given, `precision`) to one operator."""
+    if p != h.p or n != h.n:
+        raise MismatchError("automorphism mismatch")
+    if precision is not None and precision != h.precision:
+        raise PrecisionMismatch(f"precision mismatch: {precision} vs {h.precision}")
     return GeneratorImages(
-        p,
-        n,
-        precision,
-        tuple(
-            DiffOp.from_laurent(tau.apply_laurent(LaurentPoly.variable(p, n, i)))
-            for i in range(1, n + 1)
-        ),
-        tuple(
-            DiffOp.from_laurent(tau.apply_laurent(LaurentPoly.variable(p, n, i, -1)))
-            for i in range(1, n + 1)
-        ),
-        tuple(
-            tuple(monomial_apply(tau, DiffOp.partial(p, n, i, p.p ** k)) for k in range(precision))
-            for i in range(1, n + 1)
-        ),
+        h.p,
+        h.n,
+        h.precision,
+        tuple(fn(img) for img in h.x_images),
+        tuple(fn(img) for img in h.xinv_images),
+        tuple(tuple(fn(img) for img in row) for row in h.d_images),
     )
 
 
@@ -507,7 +511,6 @@ def apply_images(g: GeneratorImages, op: DiffOp) -> DiffOp:
     if op.p != g.p or op.n != g.n:
         raise MismatchError("operand mismatch")
     tau = g.restriction()
-    ident = tau.is_identity()
     cache: dict[tuple[int, int], DiffOp] = {}
     result = DiffOp.zero(g.p, g.n)
     for beta, f in op.parts.items():
@@ -518,61 +521,24 @@ def apply_images(g: GeneratorImages, op: DiffOp) -> DiffOp:
                 if key not in cache:
                     cache[key] = g.divided_image(i + 1, beta[i])
                 img = cache[key] if img is None else img * cache[key]
-        coeff = DiffOp.from_laurent(f if ident else tau.apply_laurent(f))
+        coeff = DiffOp.from_laurent(tau.apply_laurent(f))
         result = result + (coeff if img is None else coeff * img)
     return result
 
 
 def compose_images(g: GeneratorImages, h: GeneratorImages) -> GeneratorImages:
     """Images of the composite automorphism g after h."""
-    if g.p != h.p or g.n != h.n:
-        raise MismatchError("automorphism mismatch")
-    if g.precision != h.precision:
-        raise PrecisionMismatch(f"precision mismatch: {g.precision} vs {h.precision}")
-    return GeneratorImages(
-        g.p,
-        g.n,
-        g.precision,
-        tuple(apply_images(g, img) for img in h.x_images),
-        tuple(apply_images(g, img) for img in h.xinv_images),
-        tuple(tuple(apply_images(g, img) for img in row) for row in h.d_images),
-    )
+    return _map_images(lambda img: apply_images(g, img), h, g.p, g.n, g.precision)
 
 
 def shift_compose_images(s: ShiftVector, h: GeneratorImages) -> GeneratorImages:
     """Images of (shift s) after h, using the closed-form shift action."""
-    if s.p != h.p or s.n != h.n:
-        raise MismatchError("automorphism mismatch")
-    if s.precision != h.precision:
-        raise PrecisionMismatch("precision mismatch")
-    return GeneratorImages(
-        h.p,
-        h.n,
-        h.precision,
-        tuple(shift_apply(s, img) for img in h.x_images),
-        tuple(shift_apply(s, img) for img in h.xinv_images),
-        tuple(tuple(shift_apply(s, img) for img in row) for row in h.d_images),
-    )
+    return _map_images(lambda img: shift_apply(s, img), h, s.p, s.n, s.precision)
 
 
 def monomial_compose_images(tau: MonomialAut, h: GeneratorImages) -> GeneratorImages:
     """Images of tau after h, conjugating every image of h."""
-    if tau.p != h.p or tau.n != h.n:
-        raise MismatchError("automorphism mismatch")
-
-    def push(img: DiffOp) -> DiffOp:
-        if img.is_laurent():
-            return DiffOp.from_laurent(tau.apply_laurent(img.to_laurent()))
-        return monomial_apply(tau, img)
-
-    return GeneratorImages(
-        h.p,
-        h.n,
-        h.precision,
-        tuple(push(img) for img in h.x_images),
-        tuple(push(img) for img in h.xinv_images),
-        tuple(tuple(push(img) for img in row) for row in h.d_images),
-    )
+    return _map_images(lambda img: monomial_apply(tau, img), h, tau.p, tau.n)
 
 
 def validate_generator_images(g: GeneratorImages) -> CheckReport:
@@ -732,12 +698,12 @@ class FactoredAut:
 def factorize(g: GeneratorImages) -> FactoredAut:
     """Factor generator images into a shift and a monomial automorphism.
 
-    The monomial factor is read off from the x images; composing with its
-    inverse lands in the stabilizer of the variables and digit extraction
-    finishes the job.
+    The monomial factor tau is read off from the x images.  If g is the
+    shift s after tau, then tau^{-1} after g is the shift A^{-1} s, so
+    conjugating every image of g by tau^{-1} lands in the stabilizer of
+    the variables, digit extraction recovers A^{-1} s, and the matrix A
+    twists it back to s.
     """
     tau = g.restriction()
-    if tau.is_identity():
-        return FactoredAut(extract_digits(g), tau)
-    residual = compose_images(g, monomial_generator_images(tau.inverse(), g.precision))
-    return FactoredAut(extract_digits(residual), tau)
+    twisted = extract_digits(monomial_compose_images(tau.inverse(), g))
+    return FactoredAut(matrix_shift(tau.matrix, twisted), tau)

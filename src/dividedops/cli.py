@@ -266,21 +266,18 @@ def relations_report(session: Session) -> CheckReport:
     return relation_suite(session.p, session.n, max_index, trials=40, seed=session.seed)
 
 
+SUITE_REPORTS = {
+    "relations": relations_report,
+    "kernel": kernel_report,
+    "corollary": corollary_report,
+    "grouplaw": grouplaw_report,
+    "roundtrip": roundtrip_report,
+}
+
+
 def run_suites(name: str, session: Session) -> list[CheckReport]:
     chosen = SUITES[:-1] if name == "all" else (name,)
-    out = []
-    for suite in chosen:
-        if suite == "relations":
-            out.append(relations_report(session))
-        elif suite == "kernel":
-            out.append(kernel_report(session))
-        elif suite == "corollary":
-            out.append(corollary_report(session))
-        elif suite == "grouplaw":
-            out.append(grouplaw_report(session))
-        elif suite == "roundtrip":
-            out.append(roundtrip_report(session))
-    return out
+    return [SUITE_REPORTS[suite](session) for suite in chosen]
 
 
 # ---------------------------------------------------------------------------

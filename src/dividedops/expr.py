@@ -8,17 +8,23 @@ Grammar (whitespace insensitive, explicit '*' between factors):
     atom   := nat | 'x'idx('^'int)? | 'd'idx'['nat']' | '(' expr ')'
 
 Multiplication is noncommutative and evaluated in written order.  Syntax
-errors report the byte offset of the first offending character.
+errors report the byte offset of the first offending character, and so
+do parentheses nested deeper than MAX_NESTING.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .diffop import DiffOp
 from .errors import MismatchError, ParseError
 from .laurent import LaurentPoly
 from .scalars import Prime, as_prime
+
+# Each level of parentheses costs a few parser and evaluator stack frames,
+# so this keeps both well inside the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -128,10 +135,14 @@ class _Parser:
         self._skip_ws()
         c = self._peek()
         if c == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             node = self._expr()
             self._skip_ws()
             self._expect(")")
+            self.depth -= 1
             return node
         if c.isdigit():
             return Num(self._nat())
@@ -161,6 +172,9 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
     """Evaluate a syntax tree to the unique normal form."""
     p = as_prime(p)
@@ -175,13 +189,16 @@ def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
             raise MismatchError(f"variable d{node.index} out of range 1..{n}")
         return DiffOp.partial(p, n, node.index, node.order)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, p, n)
-        right = eval_expr(node.right, p, n)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
+        # walk the left spine of a long sum or product in a loop, not by
+        # recursion: only parentheses nest the right operands
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = eval_expr(node, p, n)
+        for step in reversed(spine):
+            acc = _BINARY[step.op](acc, eval_expr(step.right, p, n))
+        return acc
     if isinstance(node, Pow):
         return eval_expr(node.base, p, n) ** node.power
     raise TypeError(f"not a syntax node: {node!r}")

@@ -12,15 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .diffop import DiffOp
 from .errors import MismatchError, WindowTooLarge
 from .laurent import LaurentPoly
 from .report import CheckReport
 from .scalars import as_prime, binom_nat_mod_p
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_WINDOW_MONOMIALS = 10_000
 
@@ -70,6 +71,7 @@ def nullspace_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
     canonical one read off the reduced row echelon form (one vector per
     free column, deterministic).
     """
+    import numpy as np  # only the kernel oracle needs numpy; keep it off the import path
     a = np.array(matrix, dtype=np.int64) % p
     rows, cols = a.shape
     pivots: list[int] = []
@@ -129,6 +131,7 @@ def kernel_bruteforce(i: int, window: ExponentWindow, p, n: int) -> list[Laurent
         for e in image.exponents():
             if e not in row_index:
                 row_index[e] = len(row_index)
+    import numpy as np
     mat = np.zeros((max(len(row_index), 1), len(columns)), dtype=np.int64)
     for c, image in enumerate(images):
         for e, v in image.terms.items():

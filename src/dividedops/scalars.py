@@ -169,15 +169,15 @@ def binom_nat_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
     """C(m, k) mod p for naturals m, k >= 0, digit by digit."""
     if m < 0 or k < 0:
         raise ValueError("binom_nat_mod_p expects naturals")
-    p = as_prime(p)
-    return FpScalar(_lucas(m, k, p.p), p)
+    return binom_int_mod_p(m, k, p)
 
 
 def binom_int_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
     """The integer binomial C(m, k) = m(m-1)...(m-k+1)/k! reduced mod p.
 
-    m may be negative; it is reduced to its truncated p-adic digit string
-    of length padic_length(k) before applying Lucas' theorem.
+    m may be negative: Lucas' theorem runs over the digits of m's infinite
+    p-adic expansion (see _lucas), of which only the first padic_length(k)
+    affect the value.
     """
     if k < 0:
         raise ValueError("lower index must be a natural")
@@ -265,13 +265,4 @@ def binom_padic(s: PadicInt, k: int) -> FpScalar:
         raise InsufficientPrecision(
             f"C(s, {k}) needs {padic_length(k, p)} digits, have {s.precision}"
         )
-    table = _digit_binom_table(p)
-    r = 1
-    i = 0
-    while k:
-        r = r * table[s.digits[i]][k % p] % p
-        if r == 0:
-            return FpScalar(0, s.p)
-        k //= p
-        i += 1
-    return FpScalar(r, s.p)
+    return FpScalar(_lucas(s.to_int(), k, p), s.p)

@@ -4,7 +4,9 @@ Everything takes an explicit random.Random so suites stay deterministic
 under a seed.
 """
 
+import os
 import random
+from pathlib import Path
 
 from dividedops.diffop import DiffOp
 from dividedops.laurent import LaurentPoly
@@ -61,3 +63,12 @@ def rand_gl(rng: random.Random, n, lo=-2, hi=2) -> tuple[tuple[int, ...], ...]:
         a = tuple(tuple(rng.randint(lo, hi) for _ in range(n)) for _ in range(n))
         if int_det(a) in (1, -1):
             return a
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env() -> dict:
+    """Environment for a child Python that imports this checkout's sources."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))

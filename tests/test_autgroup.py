@@ -25,7 +25,7 @@ from dividedops.autgroup import (
     shift_generator_images,
     validate_generator_images,
 )
-from dividedops.diffop import DiffOp
+from dividedops.diffop import DiffOp, normal_form_from_action
 from dividedops.errors import (
     InsufficientPrecision,
     NotGL,
@@ -284,6 +284,40 @@ def test_monomial_apply_is_homomorphism():
             a = rand_op(rng, p, n, max_parts=2, max_order=2, span=2)
             b = rand_op(rng, p, n, max_parts=2, max_order=2, span=2)
             assert monomial_apply(tau, a * b) == monomial_apply(tau, a) * monomial_apply(tau, b)
+
+
+def conjugate_by_probing(tau, op):
+    """tau(op) recovered from its action f -> tau(op * tau^{-1}(f)): the
+    generic path, independent of the closed form in monomial_apply."""
+    inv = tau.inverse()
+
+    def action(exps):
+        probe = inv.apply_laurent(LaurentPoly.monomial(op.p, op.n, exps))
+        return tau.apply_laurent(op.act(probe))
+
+    return normal_form_from_action(action, op.p, op.n, op.order())
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
+def test_monomial_apply_matches_probing(p, n):
+    rng = random.Random(100 * p + n)
+    for _ in range(12):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        op = rand_op(rng, p, n, max_parts=3, max_order=4 if n < 3 else 3, span=3, max_terms=3)
+        if op.is_zero():
+            continue
+        assert monomial_apply(tau, op) == conjugate_by_probing(tau, op)
+
+
+def test_monomial_apply_matches_probing_on_level_images():
+    rng = random.Random(101)
+    p, n, prec = 2, 2, 5
+    for _ in range(4):
+        tau = MonomialAut.create(rand_gl(rng, n), [1, 1], p)
+        for i in range(1, n + 1):
+            for k in range(prec):
+                level = d(p, n, i, p ** k)
+                assert monomial_apply(tau, level) == conjugate_by_probing(tau, level)
 
 
 def test_monomial_compose_inverse():

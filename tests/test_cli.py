@@ -1,10 +1,22 @@
 """Command line interface: output conventions, exit codes, interchange."""
 
+import copy
 import json
+import subprocess
+import sys
 
-from dividedops.autgroup import MonomialAut, ShiftVector, monomial_generator_images, shift_generator_images
+import pytest
+
+from dividedops.autgroup import (
+    MonomialAut,
+    ShiftVector,
+    monomial_generator_images,
+    shift_compose_images,
+    shift_generator_images,
+)
 from dividedops.cli import main
-from dividedops.expr import eval_operator
+from dividedops.errors import DividedOpsError
+from dividedops.expr import MAX_NESTING, eval_operator
 from dividedops.interchange import (
     dumps,
     images_from_dict,
@@ -12,6 +24,8 @@ from dividedops.interchange import (
     op_from_dict,
     op_to_dict,
 )
+
+from helpers import subprocess_env
 
 
 def run(capsys, *argv):
@@ -44,6 +58,22 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run(capsys, "normalize", "d1[2]*", "--p", "3")
     assert code == 1
     assert "offset 6" in err
+
+
+def test_normalize_long_flat_sum(capsys):
+    text = " + ".join(f"x1^{k}" for k in range(1, 1200))
+    code, out, _ = run(capsys, "normalize", text)
+    assert code == 0
+    assert len(out.strip().split(" + ")) == 1199
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    code, _, err = run(capsys, "normalize", "(" * 5000 + "x1" + ")" * 5000)
+    assert code == 1
+    assert f"offset {MAX_NESTING}" in err
+    code, out, _ = run(capsys, "normalize", "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING)
+    assert code == 0
+    assert out.strip() == "x1"
 
 
 def test_usage_error_exit_code(capsys):
@@ -170,3 +200,67 @@ def test_images_file_round_trip(tmp_path):
 def test_operator_dict_round_trip():
     op = eval_operator("d1[3]*x1^-2 + 2*x2*d2[1] + 1", 5, 2)
     assert op_from_dict(op_to_dict(op)) == op
+
+
+def _set(path, value):
+    def mutate(data):
+        *head, last = path
+        for key in head:
+            data = data[key]
+        data[last] = value
+    return mutate
+
+
+def _duplicate_first_term(data):
+    terms = data["d_images"][0][0]["terms"]
+    terms.append(copy.deepcopy(terms[0]))
+
+
+FIRST_TERM = ("d_images", 0, 0, "terms", 0)
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(FIRST_TERM + ("coeff",), 1.7),
+    _set(FIRST_TERM + ("coeff",), True),
+    _set(FIRST_TERM + ("x_exp", 0), 1.9),
+    _set(FIRST_TERM + ("d_exp", 0), True),
+    _set(("p",), 2.0),
+    _set(("n",), True),
+    _set(("precision",), 2.0),
+    _set(("p",), 4),
+    _set(("precision",), 0),
+    _duplicate_first_term,
+    lambda data: data.pop("d_images"),
+    lambda data: data["x_images"][0].pop("terms"),
+    lambda data: data["d_images"][0][0]["terms"][0].pop("coeff"),
+    _set(("d_images",), "levels"),
+    _set(("d_images", 0), 7),
+    _set(("x_images",), {"0": 1}),
+    _set(FIRST_TERM + ("x_exp",), [0, 0, 0]),
+    _set(FIRST_TERM + ("d_exp",), 1),
+    _set(FIRST_TERM, [1, [0], [1]]),
+], ids=[
+    "float-coeff", "bool-coeff", "float-exponent", "bool-d-exponent", "float-p", "bool-n",
+    "float-precision", "non-prime-p", "zero-precision", "repeated-term", "missing-d_images",
+    "missing-terms", "missing-coeff", "string-d_images", "int-row", "object-x_images",
+    "long-x_exp", "int-d_exp", "list-term",
+])
+def test_images_reader_rejects_malformed_files(tmp_path, capsys, mutate):
+    s = ShiftVector.from_digits([[1, 0], [0, 1]], 2)
+    tau = MonomialAut.create(((0, 1), (1, 0)), (1, 1), 2)
+    data = images_to_dict(shift_compose_images(s, monomial_generator_images(tau, 2)))
+    mutate(data)
+    with pytest.raises(DividedOpsError):
+        images_from_dict(data)
+    path = tmp_path / "aut.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "factor", str(path), "--p", "2", "--n", "2")
+    assert code == 1
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, dividedops.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=subprocess_env())
+    assert out.stdout.strip() == "False"
