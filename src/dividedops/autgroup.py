@@ -45,8 +45,8 @@ from .scalars import (
     FpScalar,
     PadicInt,
     Prime,
-    _digit_binom_table,
     _lucas,
+    _nonzero_binoms,
     as_prime,
     padic_length,
 )
@@ -124,28 +124,6 @@ def matrix_shift(matrix, s: ShiftVector) -> ShiftVector:
     return ShiftVector.from_ints(out, s.p, s.precision)
 
 
-@lru_cache(maxsize=4096)
-def _shift_expansion(digits: tuple[int, ...], p: int, k: int) -> tuple[tuple[int, int], ...]:
-    """Nonzero pairs (w, C(s, k - w) mod p) for w in [0, k].
-
-    `digits` must be the first padic_length(k) digits of s.  Candidates
-    m = k - w are enumerated by digit domination (m_r <= s_r for every
-    position), which visits exactly the nonzero binomials.
-    """
-    table = _digit_binom_table(p)
-    partial = [(0, 1)]
-    pw = 1
-    for dr in digits:
-        row = table[dr]
-        partial = [
-            (m + mr * pw, c * row[mr] % p)
-            for m, c in partial
-            for mr in range(dr + 1)
-        ]
-        pw *= p
-    return tuple((k - m, c) for m, c in partial if m <= k)
-
-
 def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     """Apply the shift automorphism with parameter s to an operator.
 
@@ -158,6 +136,7 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     pp = s.p.p
     n = s.n
     prec = s.precision
+    svals = [c.to_int() for c in s.components]
     acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for beta, f in op.parts.items():
         expansions = []
@@ -167,19 +146,17 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
                 raise InsufficientPrecision(
                     f"index {beta[i]} needs {length} digits, precision is {prec}"
                 )
-            expansions.append(
-                _shift_expansion(s.components[i].digits[:length], pp, beta[i])
-            )
+            # C(s_i, j <= beta_i) reads only `length` digits; reducing shares cache entries
+            expansions.append(_nonzero_binoms(svals[i] % pp**length, beta[i], pp))
         fterms = f.terms
         for combo in iproduct(*expansions):
             coeff = 1
             for _, c in combo:
                 coeff = coeff * c % pp
-            w = tuple(pair[0] for pair in combo)
-            shift = tuple(w[i] - beta[i] for i in range(n))
-            bucket = acc.setdefault(w, {})
+            j = tuple(pair[0] for pair in combo)
+            bucket = acc.setdefault(tuple(beta[i] - j[i] for i in range(n)), {})
             for gam, cf in fterms.items():
-                key = tuple(gam[i] + shift[i] for i in range(n))
+                key = tuple(gam[i] - j[i] for i in range(n))
                 v = (bucket.get(key, 0) + cf * coeff) % pp
                 if v:
                     bucket[key] = v

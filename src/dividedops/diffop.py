@@ -18,26 +18,21 @@ against the module action, which is the ground truth.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
 from .errors import InconsistentAction, InsufficientPrecision, MismatchError
 from .laurent import LaurentPoly, term_string
-from .scalars import Prime, _lucas, as_prime, padic_length
+from .scalars import (
+    Prime,
+    _inverse_factorial,
+    _lucas,
+    _nonzero_binoms,
+    as_prime,
+    padic_length,
+)
 
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
-
-
-@lru_cache(maxsize=65536)
-def _nonzero_binoms(delta: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (j, C(delta, j) mod p) for j in [0, bound] with nonzero value."""
-    out = []
-    for j in range(bound + 1):
-        c = _lucas(delta, j, p)
-        if c:
-            out.append((j, c))
-    return tuple(out)
 
 
 class DiffOp:
@@ -326,15 +321,6 @@ def divided_image_from_levels(levels: Sequence[DiffOp], j: int) -> DiffOp:
         j //= p.p
         k += 1
     return result
-
-
-@lru_cache(maxsize=None)
-def _inverse_factorial(k: int, p: int) -> int:
-    """(k!)^{-1} mod p for 0 <= k < p."""
-    f = 1
-    for i in range(2, k + 1):
-        f = f * i % p
-    return pow(f, -1, p)
 
 
 def normal_form_from_action(

@@ -18,7 +18,7 @@ from .diffop import DiffOp
 from .errors import MismatchError, WindowTooLarge
 from .laurent import LaurentPoly
 from .report import CheckReport
-from .scalars import as_prime, binom_nat_mod_p
+from .scalars import Prime, as_prime, binom_nat_mod_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,8 +260,21 @@ def relation_suite(
             bad = bad or f"d^{alpha} d^{beta}"
     report.add("multi-index composition", bad is None, bad or f"{count} instances")
 
-    # (d_i + f)^p = d_i^{p-1} f + f^p, a Weyl algebra identity
-    count, bad = 0, None
+    bad = pth_power_failure(p, n, rng, trials, mul)
+    report.add("binomial p-th power", bad is None, bad or f"{trials} instances")
+
+    return report
+
+
+def pth_power_failure(
+    p: Prime, n: int, rng: random.Random, trials: int,
+    product: Callable[[DiffOp, DiffOp], DiffOp],
+) -> str | None:
+    """Check (d_i + f)^p = d_i^{p-1} f + f^p, a Weyl algebra identity, on
+    `trials` random i and Laurent polynomials f drawn from `rng`, with
+    `product` as the ring multiplication; the first failing instance, or
+    None when all hold."""
+    bad = None
     for _ in range(trials):
         i = rng.randint(1, n)
         terms = {}
@@ -269,14 +282,11 @@ def relation_suite(
             exps = tuple(rng.randint(-2, 2) for _ in range(n))
             terms[exps] = rng.randint(1, p.p - 1)
         f = LaurentPoly(p, n, terms)
-        count += 1
-        base = dd(i, 1) + DiffOp.from_laurent(f)
-        power = one
+        base = DiffOp.partial(p, n, i) + DiffOp.from_laurent(f)
+        power = DiffOp.one(p, n)
         for _ in range(p.p):
-            power = mul(power, base)
+            power = product(power, base)
         rhs = DiffOp.from_laurent((-f.divided_partial(i, p.p - 1)) + f.frobenius())
         if power != rhs:
             bad = bad or f"(d{i} + {f})^{p.p}"
-    report.add("binomial p-th power", bad is None, bad or f"{count} instances")
-
-    return report
+    return bad

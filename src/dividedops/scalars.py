@@ -106,19 +106,24 @@ class FpScalar:
         return f"{self.value} (mod {self.p.p})"
 
 
-@lru_cache(maxsize=64)
-def _digit_binom_table(p: int) -> tuple[tuple[int, ...], ...]:
-    """C(a, b) mod p for all 0 <= a, b < p, zero when b > a."""
-    rows = []
-    row = [1] + [0] * (p - 1)
-    rows.append(tuple(row))
-    for _ in range(p - 1):
-        new = [1] * p
-        for b in range(1, p):
-            new[b] = (row[b] + row[b - 1]) % p
-        rows.append(tuple(new))
-        row = new
-    return tuple(rows)
+@lru_cache(maxsize=8)
+def _digit_binom_table(p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Factorials and inverse factorials of 0..p-1 mod p, so that for digits
+    a >= b the binomial C(a, b) is fact[a] * inv[b] * inv[a - b] mod p.
+
+    A table costs about 5 MB at p near 2^16; the cache keeps eight."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv = [p - 1] * p  # (p-1)! = -1 mod p (Wilson)
+    for i in range(p - 1, 0, -1):
+        inv[i - 1] = inv[i] * i % p
+    return tuple(fact), tuple(inv)
+
+
+def _inverse_factorial(k: int, p: int) -> int:
+    """(k!)^{-1} mod p for 0 <= k < p."""
+    return _digit_binom_table(p)[1][k]
 
 
 def padic_length(k: int, p: int) -> int:
@@ -154,15 +159,42 @@ def _lucas(m: int, k: int, p: int) -> int:
     """
     if k < 0:
         return 0
-    table = _digit_binom_table(p)
+    fact, inv = _digit_binom_table(p)
     r = 1
     while k:
-        r = r * table[m % p][k % p] % p
-        if r == 0:
-            return 0
+        b = k % p
+        if b:
+            a = m % p
+            if a < b:
+                return 0
+            r = r * fact[a] * inv[b] * inv[a - b] % p
         m //= p
         k //= p
     return r
+
+
+@lru_cache(maxsize=65536)
+def _nonzero_binoms(m: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (j, C(m, j) mod p) for the j in [0, bound] with C(m, j) nonzero,
+    j increasing; m may be negative.
+
+    By Lucas' theorem these are the j whose every base-p digit is at most
+    the matching digit of m (for negative m, of its infinite expansion), so
+    the digits are chosen from the top down and no zero binomial is visited.
+    """
+    if bound < 0:
+        return ()
+    fact, inv = _digit_binom_table(p)
+    pairs = [(0, 1)]
+    for r in reversed(range(padic_length(bound, p))):
+        a = m // p**r % p
+        top = bound // p**r
+        pairs = [
+            (j * p + b, c * fact[a] * inv[b] * inv[a - b] % p)
+            for j, c in pairs
+            for b in range(min(a, top - j * p) + 1)
+        ]
+    return tuple(pairs)
 
 
 def binom_nat_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:

@@ -2,6 +2,8 @@
 
 import copy
 import json
+import math
+import resource
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from dividedops.interchange import (
     op_from_dict,
     op_to_dict,
 )
+from dividedops.laurent import term_string
 
 from helpers import subprocess_env
 
@@ -86,6 +89,12 @@ def test_out_of_range_variable_is_usage_error(capsys):
     assert code == 1
 
 
+def test_inverted_window_is_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "kernel", "--window", "5:1")
+    assert code == 1
+    assert "LO <= HI" in err
+
+
 def test_act(capsys):
     code, out, _ = run(capsys, "act", "d1[2]", "x1^5", "--p", "3")
     assert code == 0
@@ -117,6 +126,13 @@ def test_build_sigma_extract_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "extract", str(path), "--p", "2", "--precision", "2")
     assert code == 0
     assert out.strip() == "s[1] = 1 + 1*2"
+
+
+def test_build_sigma_unwritable_output_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "x.json"
+    code, _, err = run(capsys, "build-sigma", "--digits", "1,0", "--out", str(out))
+    assert code == 1
+    assert "cannot write" in err
 
 
 def test_extract_rejects_malformed_images(tmp_path, capsys):
@@ -264,3 +280,29 @@ def test_cli_import_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=subprocess_env())
     assert out.stdout.strip() == "False"
+
+
+BIG_P = 65521  # the largest prime below 2^16
+S_BIG = 65520 + 1 * BIG_P  # the shift digits 65520, 1
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["normalize", "d1[3]*x1"],
+     [(1, (1,), (3,)), (math.comb(1, 1), (0,), (2,))]),
+    (["act", "d1[40000]", "x1^60000"],
+     [(math.comb(60000, 40000), (20000,), None)]),
+    (["sigma", "--digits", "65520,1", "apply", "d1[3]", "--precision", "2"],
+     [(math.comb(S_BIG, 3 - j), (j - 3,), (j,)) for j in (3, 2, 1, 0)]),
+])
+def test_largest_prime_within_memory_cap(argv, expected):
+    cap = 600 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run([sys.executable, "-m", "dividedops.cli", *argv, "--p", str(BIG_P)],
+                          capture_output=True, text=True, env=subprocess_env(),
+                          preexec_fn=limit, timeout=120)
+    assert done.returncode == 0, done.stderr
+    terms = [term_string(c % BIG_P, x, d) for c, x, d in expected if c % BIG_P]
+    assert done.stdout.strip() == (" + ".join(terms) or "0")

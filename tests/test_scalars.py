@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,14 @@ from dividedops.scalars import (
     FpScalar,
     PadicInt,
     Prime,
+    _nonzero_binoms,
     binom_int_mod_p,
     binom_nat_mod_p,
     binom_padic,
     padic_length,
 )
+
+from helpers import subprocess_env
 
 
 def int_binom(m: int, k: int) -> int:
@@ -63,7 +68,7 @@ def test_lucas_consistency_small_exhaustive():
 
 def test_lucas_consistency_sampled_to_2000():
     rng = random.Random(7)
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 2039, 65521):
         for _ in range(400):
             m = rng.randint(0, 2000)
             k = rng.randint(0, 2000)
@@ -77,10 +82,53 @@ def test_binom_int_examples():
 
 
 def test_binom_int_matches_falling_factorial_oracle():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 2039, 65521):
         for m in range(-60, 61):
             for k in range(0, 12):
                 assert binom_int_mod_p(m, k, p).value == int_binom(m, k) % p
+
+
+def falling_binoms(m: int, bound: int):
+    # the oracle's values C(m, 0), ..., C(m, bound), one exact step at a time
+    c = 1
+    for j in range(bound + 1):
+        yield c
+        c = c * (m - j) // (j + 1)
+
+
+@pytest.mark.parametrize("p, uppers", [
+    (2, range(-40, 41)),
+    (3, range(-40, 41)),
+    (5, [*range(-30, 31), 124, 126, 131, -126]),
+    (65521, [-3, -1, 0, 2, 7]),
+])
+def test_nonzero_binoms_match_brute_force(p, uppers):
+    # bounds on both sides of each power of p the uppers reach
+    top = 3 if p < 65521 else 1
+    bounds = sorted({-1, 0} | {p**k + d for k in range(top + 1) for d in (-1, 0, 1)})
+    for m in uppers:
+        values = list(falling_binoms(m, bounds[-1]))
+        for bound in bounds:
+            expected = tuple((j, c % p) for j, c in enumerate(values[:bound + 1]) if c % p)
+            assert _nonzero_binoms(m, bound, p) == expected, (m, bound)
+
+
+def test_table_cache_stays_small_across_large_primes():
+    # one process taking binomials at the 64 largest primes below 2^16
+    code = (
+        "import resource\n"
+        "from dividedops.scalars import _is_prime, binom_int_mod_p\n"
+        "rss = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
+        "before = rss()\n"
+        "primes = [q for q in range(1 << 16, 2, -1) if _is_prime(q)][:64]\n"
+        "for q in primes:\n"
+        "    assert binom_int_mod_p(q + 3, 2, q).value == 3\n"
+        "print(rss() - before)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) < 100  # MB; one table is about 5 MB
 
 
 def test_pascal_identity():
