@@ -7,7 +7,9 @@ blocks act on theta in closed form:
 * shift automorphisms, parameterized by a vector s of truncated p-adic
   integers, fix every Laurent polynomial and send theta to theta + s, so
   d_i^[k] goes to sum_{j=0}^{k} C(s_i, k - j) x_i^{j-k} d_i^[j], whose
-  action on x^m is C(m + s_i, k) x^{m-k} (certified in the tests);
+  action on x^m is C(m + s_i, k) x^{m-k} (certified in the tests).  That
+  is conjugation by the unit x^s, D -> x^{-s} D x^s, for any integer
+  representative of s, so `shift_apply` is two operator products;
 
 * monomial automorphisms x_j -> lambda_j x^{A e_j}, with A an integer
   matrix of determinant +-1, act by conjugation and send theta to
@@ -18,15 +20,14 @@ helper maps an automorphism's operator action over them, which composes
 automorphisms and builds the images of shifts and monomial automorphisms
 from the identity.  Every order preserving automorphism factors uniquely
 as a shift times a monomial automorphism; `extract_digits` recovers the
-p-adic digits one level at a time and `factorize` produces the full
-factorization.
+p-adic digits one level at a time, undoing the digits already read with
+one running shift, and `factorize` produces the full factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iproduct
 from math import prod
 
 from .diffop import DiffOp, divided_image_from_levels
@@ -46,7 +47,6 @@ from .scalars import (
     PadicInt,
     Prime,
     _lucas,
-    _nonzero_binoms,
     as_prime,
     padic_length,
 )
@@ -127,44 +127,26 @@ def matrix_shift(matrix, s: ShiftVector) -> ShiftVector:
 def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     """Apply the shift automorphism with parameter s to an operator.
 
-    Laurent coefficients are fixed; each d^[beta] becomes the product of
-    the per-variable binomial operator expansions.  Requires the precision
-    of s to cover the p-adic length of every divided index in `op`.
+    The shift is conjugation by the unit x^t, for t the integer
+    representative of s: x^{-t} d^[beta] x^t sends x^m to
+    C(m + t, beta) x^{m - beta}, and by Lucas' theorem C(m + t, beta) mod p
+    reads only the digits of t below the p-adic length of beta, so any
+    representative gives the same operator.  Requires the precision of s
+    to cover the p-adic length of every divided index in `op`.
     """
     if op.p != s.p or op.n != s.n:
         raise MismatchError("operand mismatch in shift application")
-    pp = s.p.p
-    n = s.n
-    prec = s.precision
-    svals = [c.to_int() for c in s.components]
-    acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for beta, f in op.parts.items():
-        expansions = []
-        for i in range(n):
-            length = padic_length(beta[i], pp)
-            if length > prec:
+    for beta in op.parts:
+        for b in beta:
+            length = padic_length(b, s.p.p)
+            if length > s.precision:
                 raise InsufficientPrecision(
-                    f"index {beta[i]} needs {length} digits, precision is {prec}"
+                    f"index {b} needs {length} digits, precision is {s.precision}"
                 )
-            # C(s_i, j <= beta_i) reads only `length` digits; reducing shares cache entries
-            expansions.append(_nonzero_binoms(svals[i] % pp**length, beta[i], pp))
-        fterms = f.terms
-        for combo in iproduct(*expansions):
-            coeff = 1
-            for _, c in combo:
-                coeff = coeff * c % pp
-            j = tuple(pair[0] for pair in combo)
-            bucket = acc.setdefault(tuple(beta[i] - j[i] for i in range(n)), {})
-            for gam, cf in fterms.items():
-                key = tuple(gam[i] - j[i] for i in range(n))
-                v = (bucket.get(key, 0) + cf * coeff) % pp
-                if v:
-                    bucket[key] = v
-                elif key in bucket:
-                    del bucket[key]
-    proto = LaurentPoly.zero(s.p, n)
-    parts = {w: proto._wrap(terms) for w, terms in acc.items() if terms}
-    return DiffOp(s.p, n, parts)
+    t = [c.to_int() for c in s.components]
+    # the short left factor meets the input; the right product expands once
+    left = DiffOp.monomial(s.p, s.n, [-v for v in t]) * op
+    return left * DiffOp.monomial(s.p, s.n, t)
 
 
 def shift_divided_image(s: ShiftVector, i: int, k: int) -> DiffOp:
@@ -435,8 +417,8 @@ class GeneratorImages:
             if not xi.is_laurent():
                 raise NotAUnit(f"image of x{i + 1} has positive order")
             lam, exps = xi.to_laurent().unit_decompose()
-            prod = (xi * self.xinv_images[i]).to_laurent() if self.xinv_images[i].is_laurent() else None
-            if prod is None or not prod.is_one():
+            unit = (xi * self.xinv_images[i]).to_laurent() if self.xinv_images[i].is_laurent() else None
+            if unit is None or not unit.is_one():
                 raise NotAUnit(f"x{i + 1} image and its declared inverse do not multiply to 1")
             cols.append(exps)
             scal.append(lam)
@@ -575,22 +557,22 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 def extract_digits(g: GeneratorImages) -> ShiftVector:
     """Recover the shift parameter from images that fix every variable.
 
-    Level by level: the difference between the residual image of
+    Level by level, with found_i = sum_{j<k} digit_j p^j the part of s_i
+    read so far: the shift by -found undoes it (shifts compose by adding
+    their parameters), and the difference between that residual image of
     d_i^[p^k] and d_i^[p^k] itself must be a scalar multiple of
-    x_i^{-p^k}; that scalar is digit k of s_i.  Composing with the shift
-    by -p^k (digit vector) then fixes the level exactly, and the residual
-    images of higher levels are updated for the next round.
+    x_i^{-p^k}; that scalar is digit k of s_i.
     """
     p, n, prec = g.p, g.n, g.precision
     if not g.fixes_variables():
         raise NotInStabilizer("images do not fix the variables pointwise")
-    levels = [list(row) for row in g.d_images]
-    digits: list[list[int]] = [[0] * prec for _ in range(n)]
+    found = [0] * n
     for k in range(prec):
         target = p.p ** k
-        found = [0] * n
+        undo = ShiftVector.from_ints([-v for v in found], p, prec) if any(found) else None
         for i in range(n):
-            b = levels[i][k] - DiffOp.partial(p, n, i + 1, target)
+            residual = g.d_images[i][k] if undo is None else shift_apply(undo, g.d_images[i][k])
+            b = residual - DiffOp.partial(p, n, i + 1, target)
             if b.is_zero():
                 continue
             if not b.is_laurent():
@@ -609,16 +591,8 @@ def extract_digits(g: GeneratorImages) -> ShiftVector:
                     f"perturbation of d{i + 1}^[{target}] sits on x^{exps}, "
                     f"expected x^{expected}"
                 )
-            found[i] = c.value
-            digits[i][k] = c.value
-        if any(found):
-            corrector = ShiftVector.from_ints(
-                [-target * found[i] for i in range(n)], p, prec
-            )
-            for i in range(n):
-                for u in range(k, prec):
-                    levels[i][u] = shift_apply(corrector, levels[i][u])
-    return ShiftVector.from_digits(digits, p)
+            found[i] += target * c.value
+    return ShiftVector.from_ints(found, p, prec)
 
 
 @dataclass(frozen=True)

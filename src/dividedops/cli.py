@@ -13,6 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .autgroup import (
+    GeneratorImages,
     ShiftVector,
     extract_digits,
     factorize,
@@ -26,6 +27,7 @@ from .errors import (
     InsufficientPrecision,
     InvalidAutomorphism,
     MismatchError,
+    NotSigmaForm,
     ParseError,
     WindowTooLarge,
 )
@@ -226,8 +228,6 @@ def roundtrip_report(session: Session, cases: int = 5) -> CheckReport:
         if extract_digits(shift_generator_images(s)) != s:
             bad = bad or f"s={s.digit_rows()}"
     rep.add("extract(build(s)) = s", bad is None, bad or f"{cases} random vectors")
-    from .errors import NotSigmaForm
-    from .autgroup import GeneratorImages
 
     ident = GeneratorImages.identity(p, n, prec)
     corrupted_rows = list(list(row) for row in ident.d_images)

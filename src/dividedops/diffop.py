@@ -227,7 +227,8 @@ class DiffOp:
                         comp = 1
                         for i in range(n):
                             bi = beta[i] - combo[i][0] + eps[i]
-                            comp = comp * _lucas(bi, eps[i], pp) % pp
+                            if eps[i]:
+                                comp = comp * _lucas(bi, eps[i], pp) % pp
                             newbeta.append(bi)
                         if comp == 0:
                             continue

@@ -87,6 +87,24 @@ def test_shift_image_action_identity():
             assert got == expect
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_shift_apply_is_conjugation_by_any_representative(p):
+    # the module action does not go through the product: for every integer
+    # r = s + p^prec t, shift_apply(s, D) sends x^m to x^-r D(x^(m + r))
+    rng = random.Random(25 + p)
+    prec = 3
+    for n in (1, 2, 3):
+        for _ in range(8):
+            s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+            op = rand_op(rng, p, n, max_parts=3, max_order=5, span=3)
+            img = shift_apply(s, op)
+            for _ in range(6):
+                r = tuple(c.to_int() + p ** prec * rng.randint(-3, 3) for c in s.components)
+                m = tuple(rng.randint(-6, 6) for _ in range(n))
+                shifted = op.act_monomial(tuple(a + b for a, b in zip(m, r)))
+                assert img.act_monomial(m) == shifted.times_monomial(1, tuple(-b for b in r))
+
+
 def test_shift_apply_fixes_laurent():
     rng = random.Random(8)
     s = ShiftVector((rand_padic(rng, 3, 4), rand_padic(rng, 3, 4)))
@@ -231,6 +249,33 @@ def test_extract_rejects_positive_order_perturbation():
     bad = GeneratorImages(g.p, g.n, g.precision, g.x_images, g.xinv_images, rows)
     with pytest.raises(NotSigmaForm):
         extract_digits(bad)
+
+
+@pytest.mark.parametrize("p, n, digits", [
+    (2, 1, [[1, 1, 0]]),
+    (3, 2, [[2, 1, 0], [1, 0, 2]]),
+    (5, 1, [[0, 4, 0]]),
+])
+def test_extract_rejects_perturbation_above_level_zero(p, n, digits):
+    # the top level is read only after the lower digits have been undone
+    g = shift_generator_images(sv(digits, p))
+    prec = g.precision
+    target = p ** (prec - 1)
+    top = tuple(-target if i == 0 else 0 for i in range(n))
+    off = tuple(1 - target if i == 0 else 0 for i in range(n))
+    cases = [
+        (d(p, n, 1), "has positive order"),
+        (mono(p, n, top) * mono(p, n, off) + mono(p, n, off), "is not a monomial"),
+        (mono(p, n, off), f"sits on x^{off}, expected x^{top}"),
+    ]
+    for perturbation, reason in cases:
+        rows = [list(row) for row in g.d_images]
+        rows[0][prec - 1] = rows[0][prec - 1] + perturbation
+        bad = GeneratorImages(g.p, g.n, prec, g.x_images, g.xinv_images,
+                              tuple(map(tuple, rows)))
+        with pytest.raises(NotSigmaForm) as exc:
+            extract_digits(bad)
+        assert str(exc.value) == f"perturbation of d1^[{target}] {reason}"
 
 
 # -- monomial automorphisms --------------------------------------------------

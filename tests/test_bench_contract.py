@@ -3,14 +3,14 @@ a rename in the library must fail here, not only in a benchmark run."""
 
 import sys
 
-from dividedops import scalars
+from dividedops import autgroup, scalars
 from dividedops.diffop import DiffOp
 
 from helpers import ROOT
 
 sys.path.insert(0, str(ROOT))
 
-from perfbench.tracer import Tracer, _library_modules, instrument  # noqa: E402
+from perfbench.tracer import INDEX, NAME, PARENT, Tracer, _library_modules, instrument  # noqa: E402
 
 
 def library_names():
@@ -44,3 +44,22 @@ def test_tracer_instruments_and_restores_the_library():
     after = library_names()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_shift_apply_multiplies_through_diffop_mul():
+    # shift_apply is conjugation by x^s: its product work is the library's
+    # one product engine, traced as two child spans
+    s = autgroup.ShiftVector.from_ints([3, 1], 5, 2)
+    op = DiffOp.partial(5, 2, 1, 7) * DiffOp.partial(5, 2, 2, 2)
+    tracer = Tracer()
+    instrument(tracer)
+    try:
+        tracer.active = True
+        autgroup.shift_apply(s, op)
+        tracer.active = False
+    finally:
+        tracer.uninstall()
+    top = [rec for rec in tracer.spans if rec[NAME] == "autgroup.shift_apply"]
+    assert len(top) == 1
+    children = [rec[NAME] for rec in tracer.spans if rec[PARENT] == top[0][INDEX]]
+    assert children == ["diffop.mul", "diffop.mul"]
