@@ -19,9 +19,12 @@ blocks act on theta in closed form:
 helper maps an automorphism's operator action over them, which composes
 automorphisms and builds the images of shifts and monomial automorphisms
 from the identity.  Every order preserving automorphism factors uniquely
-as a shift times a monomial automorphism; `extract_digits` recovers the
-p-adic digits one level at a time, undoing the digits already read with
-one running shift, and `factorize` produces the full factorization.
+as a shift s after a monomial automorphism tau, given by the x images.
+The order-0 part of the image of d_i^[p^k] under the shift t is
+C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of t_i by Lucas'
+theorem; tau keeps order-0 parts, so `extract_digits` (tau = 1) and
+`factorize` read the digits of t = A^{-1} s off them, then certify the
+reading by rebuilding every level image.
 """
 
 from __future__ import annotations
@@ -554,47 +557,6 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def extract_digits(g: GeneratorImages) -> ShiftVector:
-    """Recover the shift parameter from images that fix every variable.
-
-    Level by level, with found_i = sum_{j<k} digit_j p^j the part of s_i
-    read so far: the shift by -found undoes it (shifts compose by adding
-    their parameters), and the difference between that residual image of
-    d_i^[p^k] and d_i^[p^k] itself must be a scalar multiple of
-    x_i^{-p^k}; that scalar is digit k of s_i.
-    """
-    p, n, prec = g.p, g.n, g.precision
-    if not g.fixes_variables():
-        raise NotInStabilizer("images do not fix the variables pointwise")
-    found = [0] * n
-    for k in range(prec):
-        target = p.p ** k
-        undo = ShiftVector.from_ints([-v for v in found], p, prec) if any(found) else None
-        for i in range(n):
-            residual = g.d_images[i][k] if undo is None else shift_apply(undo, g.d_images[i][k])
-            b = residual - DiffOp.partial(p, n, i + 1, target)
-            if b.is_zero():
-                continue
-            if not b.is_laurent():
-                raise NotSigmaForm(
-                    f"perturbation of d{i + 1}^[{target}] has positive order"
-                )
-            try:
-                c, exps = b.to_laurent().unit_decompose()
-            except NotAUnit as exc:
-                raise NotSigmaForm(
-                    f"perturbation of d{i + 1}^[{target}] is not a monomial"
-                ) from exc
-            expected = tuple(-target if j == i else 0 for j in range(n))
-            if exps != expected:
-                raise NotSigmaForm(
-                    f"perturbation of d{i + 1}^[{target}] sits on x^{exps}, "
-                    f"expected x^{expected}"
-                )
-            found[i] += target * c.value
-    return ShiftVector.from_ints(found, p, prec)
-
-
 @dataclass(frozen=True)
 class FactoredAut:
     """An order preserving automorphism in factored form: a shift followed
@@ -646,15 +608,52 @@ class FactoredAut:
         return shift_compose_images(self.shift, base)
 
 
-def factorize(g: GeneratorImages) -> FactoredAut:
-    """Factor generator images into a shift and a monomial automorphism.
+def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
+    """Read g = (shift s) after tau off the order-0 parts of the level
+    images, then certify it by rebuilding them, lowest level first.
 
-    The monomial factor tau is read off from the x images.  If g is the
-    shift s after tau, then tau^{-1} after g is the shift A^{-1} s, so
-    conjugating every image of g by tau^{-1} lands in the stabilizer of
-    the variables, digit extraction recovers A^{-1} s, and the matrix A
-    twists it back to s.
+    g is also tau after the shift t = A^{-1} s, so the order-0 part of the
+    image of d_i^[p^k] is digit k of t_i times tau(x_i^{-p^k}) =
+    lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.
     """
-    tau = g.restriction()
-    twisted = extract_digits(monomial_compose_images(tau.inverse(), g))
-    return FactoredAut(matrix_shift(tau.matrix, twisted), tau)
+    p, n, prec = g.p, g.n, g.precision
+    pp, zero = p.p, (0,) * n
+    levels = [(i, k) for k in range(prec) for i in range(n)]
+    unit = {(i, k): tau.apply_exponents(tuple(-pp ** k if j == i else 0 for j in range(n)))
+            for i, k in levels}  # tau(x_i^{-p^k}) as (scalar, exponent)
+    digits = [[0] * prec for _ in range(n)]
+    for (i, k), (scale, exps) in unit.items():
+        order0 = g.d_images[i][k].parts.get(zero)
+        if order0 is not None:
+            digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
+    shift = matrix_shift(tau.matrix, ShiftVector.from_digits(digits, p))
+    for i, k in levels:
+        image = g.d_images[i][k]
+        level = DiffOp.partial(p, n, i + 1, pp ** k)
+        wrong = image - shift_apply(shift, monomial_apply(tau, level))
+        if wrong.is_zero():
+            continue
+        name = f"perturbation of d{i + 1}^[{pp ** k}]"
+        if not wrong.is_laurent():
+            raise NotSigmaForm(f"{name} has positive order")
+        # the digit was read off this order-0 part, so it is more than a
+        # multiple of tau(x_i^{-p^k})
+        try:
+            _, exps = image.parts[zero].unit_decompose()
+        except NotAUnit as exc:
+            raise NotSigmaForm(f"{name} is not a monomial") from exc
+        raise NotSigmaForm(f"{name} sits on x^{exps}, expected x^{unit[i, k][1]}")
+    return FactoredAut(shift, tau)
+
+
+def extract_digits(g: GeneratorImages) -> ShiftVector:
+    """Recover the shift parameter from images that fix every variable."""
+    if not g.fixes_variables():
+        raise NotInStabilizer("images do not fix the variables pointwise")
+    return _read_shift(g, MonomialAut.identity(g.p, g.n)).shift
+
+
+def factorize(g: GeneratorImages) -> FactoredAut:
+    """Factor generator images into a shift and the monomial automorphism
+    read off from the x images."""
+    return _read_shift(g, g.restriction())

@@ -24,6 +24,7 @@ from dividedops.autgroup import (
     shift_divided_image,
     shift_generator_images,
     validate_generator_images,
+    _theta_expansion,
 )
 from dividedops.diffop import DiffOp, normal_form_from_action
 from dividedops.errors import (
@@ -510,6 +511,20 @@ def test_factorize_composite():
             assert fac.shift == s and fac.tau == tau
             # uniqueness: recomposing reproduces the images exactly
             assert fac.to_images() == g
+
+
+@pytest.mark.parametrize("p, prec, matrix, digits, scalars", [
+    (2, 7, ((2, 1), (1, 1)), [[1, 0, 1, 1, 0, 0, 1], [0, 1, 1, 0, 1, 0, 1]], (1, 1)),
+    (3, 5, ((1, 1), (0, 1)), [[2, 0, 1, 1, 2], [1, 2, 0, 2, 1]], (2, 1)),
+])
+def test_factorize_conjugates_only_the_level_operators(p, prec, matrix, digits, scalars):
+    # the certificate conjugates d_i^[p^k] alone, never the input images,
+    # so each level costs at most one closed-form expansion
+    fac = FactoredAut(sv(digits, p), MonomialAut.create(matrix, scalars, p))
+    g = fac.to_images()
+    _theta_expansion.cache_clear()
+    assert factorize(g) == fac
+    assert _theta_expansion.cache_info().misses <= g.n * prec
 
 
 def test_factored_to_images_matches_generic_composition():

@@ -10,14 +10,19 @@ import sys
 import pytest
 
 from dividedops.autgroup import (
+    FactoredAut,
+    GeneratorImages,
     MonomialAut,
     ShiftVector,
+    factorize,
+    matrix_shift,
     monomial_generator_images,
     shift_compose_images,
     shift_generator_images,
 )
 from dividedops.cli import main
-from dividedops.errors import DividedOpsError
+from dividedops.diffop import DiffOp
+from dividedops.errors import DividedOpsError, NotSigmaForm
 from dividedops.expr import MAX_NESTING, eval_operator
 from dividedops.interchange import (
     dumps,
@@ -146,6 +151,19 @@ def test_extract_rejects_malformed_images(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("digits", [[1, 0], [0, 0]])
+def test_extract_oversized_divided_index_is_not_sigma_form(tmp_path, capsys, digits):
+    # d1^[4] needs three digits at precision 2, whatever the lower digit is
+    g = shift_generator_images(ShiftVector.from_digits([digits], 2))
+    rows = ((g.d_images[0][0], g.d_images[0][1] + DiffOp.partial(2, 1, 1, 4)),)
+    bad = GeneratorImages(g.p, g.n, g.precision, g.x_images, g.xinv_images, rows)
+    path = tmp_path / "bad.json"
+    path.write_text(dumps(images_to_dict(bad)))
+    code, _, err = run(capsys, "extract", str(path))
+    assert code == 4
+    assert "perturbation of d1^[2] has positive order" in err
+
+
 def test_extract_bad_json_is_parse_error(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -173,6 +191,37 @@ def test_factor_command(tmp_path, capsys):
     assert lines[1] == "s[2] = 1*2"
     assert lines[2] == "matrix = [[0, 1], [1, 0]]"
     assert lines[3] == "scalars = [1, 1]"
+
+
+@pytest.mark.parametrize("case", ["positive order", "not a monomial", "sits on"])
+def test_factor_reports_perturbation_in_the_frame_of_the_images(tmp_path, capsys, case):
+    # g = tau after the shift t, whose top digit of t_1 is 0; the top
+    # level image of d1 is read against tau(x1^-9) = lambda_1^-1 x^(-9 A e_1)
+    p, prec, target = 3, 3, 9
+    a = ((2, 1), (1, 1))
+    t = ShiftVector.from_digits([[2, 1, 0], [1, 0, 2]], p)
+    tau = MonomialAut.create(a, (2, 1), p)
+    g = FactoredAut(matrix_shift(a, t), tau).to_images()
+    top = tuple(-target * row[0] for row in a)
+    off = (top[0] + 1, top[1])
+    perturbation, reason = {
+        "positive order": (DiffOp.partial(p, 2, 1), "has positive order"),
+        "not a monomial": (DiffOp.monomial(p, 2, (top[0] + off[0], top[1] + off[1]))
+                           + DiffOp.monomial(p, 2, off), "is not a monomial"),
+        "sits on": (DiffOp.monomial(p, 2, off), f"sits on x^{off}, expected x^{top}"),
+    }[case]
+    rows = [list(row) for row in g.d_images]
+    rows[0][prec - 1] = rows[0][prec - 1] + perturbation
+    bad = GeneratorImages(g.p, g.n, prec, g.x_images, g.xinv_images, tuple(map(tuple, rows)))
+    with pytest.raises(NotSigmaForm) as exc:
+        factorize(bad)
+    assert str(exc.value) == f"perturbation of d1^[{target}] {reason}"
+    path = tmp_path / "aut.json"
+    path.write_text(dumps(images_to_dict(bad)))
+    code, _, err = run(capsys, "factor", str(path))
+    assert code == 4
+    assert "Traceback" not in err
+    assert str(exc.value) in err
 
 
 def test_verify_relations(capsys):

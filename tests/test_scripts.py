@@ -10,7 +10,6 @@ from helpers import ROOT, subprocess_env
 
 @pytest.mark.parametrize("argv", [
     ["scripts/factor_demo.py", "--p", "2", "--n", "2", "--precision", "3"],
-    ["scripts/run_verification.py", "--primes", "2", "--ns", "1"],
 ])
 def test_script_exits_cleanly(argv):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
