@@ -25,6 +25,16 @@ C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of t_i by Lucas'
 theorem; tau keeps order-0 parts, so `extract_digits` (tau = 1) and
 `factorize` read the digits of t = A^{-1} s off them, then certify the
 reading by rebuilding every level image.
+
+`validate_generator_images` checks the defining relations of the level
+images on theta-tables (`theta.ThetaTable`): the operator sum_gamma
+x^gamma c_gamma(theta) as one table of c_gamma per gamma on (Z/p^K)^n,
+K the longest base-p index among the x and level images.  Lucas' theorem
+makes the conversion a unitriangular Pascal matrix, so tables are
+faithful, and a product is a roll and a pointwise product instead of a
+Leibniz expansion.  Above TABLE_CELLS = 2^16 cells (p^(nK)) the same
+checks run on `DiffOp`s, where sparse operators stay cheap; the tables
+are plain lists, since importing numpy costs more than they take.
 """
 
 from __future__ import annotations
@@ -49,10 +59,15 @@ from .scalars import (
     FpScalar,
     PadicInt,
     Prime,
+    _inverse_factorial,
     _lucas,
     as_prime,
     padic_length,
 )
+from .theta import ThetaTable
+
+# largest p^(nK) for which validate_generator_images multiplies theta-tables
+TABLE_CELLS = 2 ** 16
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -508,11 +523,21 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 
     Exactly: x images are two-sided units against their declared inverses;
     x images commute; level images commute; [d_i^[p^k], x_j] equals
-    delta_ij times the assembled image of d_i^[p^k - 1]; and every level
-    image has vanishing p-th power.
+    delta_ij times the image of d_i^[p^k - 1]; and every level image has
+    vanishing p-th power.
+
+    The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
+    level relations run on theta-tables (`theta.ThetaTable`) when every
+    x image and level image has divided indices of at most K base-p digits
+    with p^(nK) <= TABLE_CELLS, and on `DiffOp`s otherwise; the tables are
+    a faithful image of the operators, so both give the same report.  The
+    image of d_i^[p^k - 1] is prod_{l<k} (d_i^[p^l])^{p-1} / (p-1)!, one
+    running product per variable that shares its powers with the p-th
+    power checks.
     """
     report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
+    pp = p.p
     one = DiffOp.one(p, n)
     for i in range(n):
         ok = (
@@ -524,31 +549,39 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
         for j in range(i + 1, n):
             ok = g.x_images[i] * g.x_images[j] == g.x_images[j] * g.x_images[i]
             report.add(f"commute x[{i + 1}] x[{j + 1}]", ok)
+    xs, rows = g.x_images, g.d_images
+    digits = max([1] + [padic_length(b, pp) for op in (*xs, *(d for row in rows for d in row))
+                        for beta in op.parts for b in beta])
+    if pp ** (n * digits) <= TABLE_CELLS:
+        xs = [ThetaTable.from_diffop(x, digits) for x in xs]
+        rows = [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows]
+        one = ThetaTable.from_diffop(one, digits)
+    below, nilpotent = {}, {}  # image of d_i^[p^k - 1]; is (image of d_i^[p^k])^p zero
+    inv_fact = _inverse_factorial(pp - 1, pp)
+    for i in range(n):
+        running = one
+        for k in range(prec):
+            below[i, k] = running
+            top = rows[i][k] ** (pp - 1)
+            nilpotent[i, k] = (top * rows[i][k]).is_zero()
+            if k + 1 < prec:
+                running = running * top.scale(inv_fact)
     levels = [(i, k) for i in range(n) for k in range(prec)]
     for a in range(len(levels)):
         for b in range(a + 1, len(levels)):
             (i, k), (j, l) = levels[a], levels[b]
-            di = g.d_images[i][k]
-            dj = g.d_images[j][l]
+            di = rows[i][k]
+            dj = rows[j][l]
             ok = di * dj == dj * di
             report.add(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", ok)
-    for i in range(n):
-        for k in range(prec):
-            dik = g.d_images[i][k]
-            for j in range(n):
-                com = dik * g.x_images[j] - g.x_images[j] * dik
-                if i == j:
-                    expect = g.divided_image(i + 1, p.p ** k - 1)
-                else:
-                    expect = DiffOp.zero(p, n)
-                report.add(
-                    f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]",
-                    com == expect,
-                )
-    for i in range(n):
-        for k in range(prec):
-            ok = (g.d_images[i][k] ** p.p).is_zero()
-            report.add(f"p-th power d[{i + 1}]^[p^{k}]", ok)
+    for i, k in levels:
+        dik = rows[i][k]
+        for j in range(n):
+            com = dik * xs[j] - xs[j] * dik
+            ok = com == below[i, k] if i == j else com.is_zero()
+            report.add(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", ok)
+    for i, k in levels:
+        report.add(f"p-th power d[{i + 1}]^[p^{k}]", nilpotent[i, k])
     return report
 
 

@@ -197,6 +197,19 @@ def _nonzero_binoms(m: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _lucas_column(b: int, p: int, digits: int) -> list[tuple[int, int]]:
+    """The pairs (t, C(t, b) mod p) with t < p^digits and C(t, b) nonzero,
+    t increasing.  By Lucas' theorem these are the t whose every base-p
+    digit is at least the matching digit of b, chosen from the top down."""
+    fact, inv = _digit_binom_table(p)
+    column = [(0, 1)]
+    for r in reversed(range(digits)):
+        bk = b // p ** r % p
+        column = [(t * p + a, c * fact[a] * inv[bk] * inv[a - bk] % p)
+                  for t, c in column for a in range(bk, p)]
+    return column
+
+
 def binom_nat_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
     """C(m, k) mod p for naturals m, k >= 0, digit by digit."""
     if m < 0 or k < 0:

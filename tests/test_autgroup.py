@@ -246,7 +246,20 @@ def test_extract_rejects_wrong_perturbation():
 
 def test_extract_rejects_positive_order_perturbation():
     g = GeneratorImages.identity(2, 1, 2)
-    rows = ((g.d_images[0][0] + d(2, 1, 1) + mono(2, 1, (-1,)), g.d_images[0][1]),)
+    perturbation = mono(2, 1, (1,)) * d(2, 1, 1)  # x1 d1, order 1
+    rows = ((g.d_images[0][0] + perturbation, g.d_images[0][1]),)
+    bad = GeneratorImages(g.p, g.n, g.precision, g.x_images, g.xinv_images, rows)
+    assert bad.d_images[0][0] - g.d_images[0][0] == perturbation
+    assert not perturbation.is_laurent()
+    with pytest.raises(NotSigmaForm) as exc:
+        extract_digits(bad)
+    assert "has positive order" in str(exc.value)
+
+
+def test_extract_rejects_missing_leading_term():
+    # the level image x1^-1 lacks its leading d1
+    g = GeneratorImages.identity(2, 1, 2)
+    rows = ((mono(2, 1, (-1,)), g.d_images[0][1]),)
     bad = GeneratorImages(g.p, g.n, g.precision, g.x_images, g.xinv_images, rows)
     with pytest.raises(NotSigmaForm):
         extract_digits(bad)

@@ -331,6 +331,18 @@ def test_cli_import_leaves_numpy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_table_validation_leaves_numpy_unloaded():
+    code = ("import sys\n"
+            "from dividedops import autgroup\n"
+            "g = autgroup.shift_generator_images(autgroup.ShiftVector.from_ints([5, 7], 3, 2))\n"
+            "assert 3 ** (2 * 2) <= autgroup.TABLE_CELLS\n"
+            "assert autgroup.validate_generator_images(g).passed\n"
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=subprocess_env())
+    assert out.stdout.strip() == "False"
+
+
 BIG_P = 65521  # the largest prime below 2^16
 S_BIG = 65520 + 1 * BIG_P  # the shift digits 65520, 1
 

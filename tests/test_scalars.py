@@ -14,6 +14,7 @@ from dividedops.scalars import (
     FpScalar,
     PadicInt,
     Prime,
+    _lucas_column,
     _nonzero_binoms,
     binom_int_mod_p,
     binom_nat_mod_p,
@@ -112,6 +113,15 @@ def test_nonzero_binoms_match_brute_force(p, uppers):
             expected = tuple((j, c % p) for j, c in enumerate(values[:bound + 1]) if c % p)
             assert _nonzero_binoms(m, bound, p) == expected, (m, bound)
 
+
+
+@pytest.mark.parametrize("p, digits", [(2, 4), (3, 3), (5, 2), (65521, 1)])
+def test_lucas_column_lists_the_nonzero_binomials(p, digits):
+    size = p ** digits
+    lowers = range(size) if size < 1000 else [0, 1, 2, 65519, 65520]
+    for b in lowers:
+        expected = [(t, math.comb(t, b) % p) for t in range(size) if math.comb(t, b) % p]
+        assert _lucas_column(b, p, digits) == expected, b
 
 def test_table_cache_stays_small_across_large_primes():
     # one process taking binomials at the 64 largest primes below 2^16
