@@ -1,30 +1,28 @@
 """The group of order preserving automorphisms of the operator ring.
 
 With theta_i = x_i d_i, every divided power is d^[beta] = x^{-beta}
-C(theta, beta), and C(theta, j) = x^j d^[j].  The two kinds of building
-blocks act on theta in closed form:
+C(theta, beta), and C(theta, j) = x^j d^[j].  A monomial automorphism
+tau: x_j -> lambda_j x^{A e_j} (det A = +-1) sends theta to A^{-1} theta;
+a shift s fixes every Laurent polynomial and sends theta to theta + s.
+So the shift s after tau acts by one closed form, `FactoredAut.apply`:
 
-* shift automorphisms, parameterized by a vector s of truncated p-adic
-  integers, fix every Laurent polynomial and send theta to theta + s, so
-  d_i^[k] goes to sum_{j=0}^{k} C(s_i, k - j) x_i^{j-k} d_i^[j], whose
-  action on x^m is C(m + s_i, k) x^{m-k} (certified in the tests).  That
-  is conjugation by the unit x^s, D -> x^{-s} D x^s, for any integer
-  representative of s, so `shift_apply` is two operator products;
+    x^gamma d^[beta] -> lambda^(gamma - beta) x^(A(gamma - beta))
+                        * prod_i C((A^{-1} theta)_i + t_i, beta_i),
 
-* monomial automorphisms x_j -> lambda_j x^{A e_j}, with A an integer
-  matrix of determinant +-1, act by conjugation and send theta to
-  A^{-1} theta.
+t = A^{-1} s, the product expanded as sum_j c_j x^j d^[j] by its Mahler
+coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
+conjugation by the unit x^s for any integer representative of s (two
+operator products); `monomial_apply` is the zero shift.
 
 `GeneratorImages` presents an automorphism by finitely many images; one
 helper maps an automorphism's operator action over them, which composes
-automorphisms and builds the images of shifts and monomial automorphisms
-from the identity.  Every order preserving automorphism factors uniquely
-as a shift s after a monomial automorphism tau, given by the x images.
-The order-0 part of the image of d_i^[p^k] under the shift t is
-C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of t_i by Lucas'
-theorem; tau keeps order-0 parts, so `extract_digits` (tau = 1) and
-`factorize` read the digits of t = A^{-1} s off them, then certify the
-reading by rebuilding every level image.
+automorphisms and builds the images of `FactoredAut.to_images` from the
+identity.  The factorization of images is read off the x images (tau)
+and the level images: the order-0 part of the image of d_i^[p^k] under
+the shift t is C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of
+t_i by Lucas' theorem; tau keeps order-0 parts, so `extract_digits`
+(tau = 1) and `factorize` read the digits of t = A^{-1} s off them, then
+certify the reading by rebuilding every level image with the closed form.
 
 `validate_generator_images` checks the defining relations of the level
 images on theta-tables (`theta.ThetaTable`): the operator sum_gamma
@@ -115,7 +113,7 @@ class ShiftVector:
 
     @classmethod
     def zeros(cls, p, n, precision) -> "ShiftVector":
-        return cls.from_ints([0] * n, p, precision)
+        return cls((PadicInt.from_int(0, p, precision),) * n)
 
     def digit_rows(self) -> list[list[int]]:
         return [list(c.digits) for c in self.components]
@@ -142,6 +140,19 @@ def matrix_shift(matrix, s: ShiftVector) -> ShiftVector:
     return ShiftVector.from_ints(out, s.p, s.precision)
 
 
+def _check_shift_operand(s: ShiftVector, op: DiffOp):
+    """A shift by s needs its precision to cover every index of op."""
+    if op.p != s.p or op.n != s.n:
+        raise MismatchError("operand mismatch in shift application")
+    for beta in op.parts:
+        for b in beta:
+            length = padic_length(b, s.p.p)
+            if length > s.precision:
+                raise InsufficientPrecision(
+                    f"index {b} needs {length} digits, precision is {s.precision}"
+                )
+
+
 def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     """Apply the shift automorphism with parameter s to an operator.
 
@@ -152,15 +163,7 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     representative gives the same operator.  Requires the precision of s
     to cover the p-adic length of every divided index in `op`.
     """
-    if op.p != s.p or op.n != s.n:
-        raise MismatchError("operand mismatch in shift application")
-    for beta in op.parts:
-        for b in beta:
-            length = padic_length(b, s.p.p)
-            if length > s.precision:
-                raise InsufficientPrecision(
-                    f"index {b} needs {length} digits, precision is {s.precision}"
-                )
+    _check_shift_operand(s, op)
     t = [c.to_int() for c in s.components]
     # the short left factor meets the input; the right product expands once
     left = DiffOp.monomial(s.p, s.n, [-v for v in t]) * op
@@ -322,10 +325,10 @@ class MonomialAut:
 
 
 @lru_cache(maxsize=512)
-def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...],
-                     p: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i, beta_i) equal to
-    sum_j c_j C(m, j) as functions of m in Z^n.
+def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
+                     t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i + t_i, beta_i)
+    equal to sum_j c_j C(m, j) as functions of m in Z^n.
 
     The left side is an integer-valued polynomial of total degree |beta|
     whose degree in m_k is at most the sum of the beta_i with ainv[i][k]
@@ -336,10 +339,10 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...],
     bounds = [sum(b for b, row in zip(beta, ainv) if row[k]) for k in range(len(beta))]
     points = [()]  # lexicographic, so each line along an axis comes out in order
     for bound in bounds:
-        points = [h + (t,) for h in points for t in range(min(bound, total - sum(h)) + 1)]
+        points = [h + (u,) for h in points for u in range(min(bound, total - sum(h)) + 1)]
     vals = {}
     for h in points:
-        m = [sum(a * t for a, t in zip(row, h)) for row in ainv]
+        m = [sum(a * u for a, u in zip(row, h)) + ti for row, ti in zip(ainv, t)]
         vals[h] = prod(_lucas(mi, b, p) for mi, b in zip(m, beta) if b) % p
     # Newton's forward differences along one axis at a time; the point set
     # is closed downwards, so every line starts at 0 on its axis
@@ -356,25 +359,12 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...],
 
 
 def monomial_apply(tau: MonomialAut, op: DiffOp) -> DiffOp:
-    """Conjugate an operator by a monomial automorphism, in closed form:
-
-        tau(x^gamma d^[beta]) = lambda^(gamma - beta) x^(A(gamma - beta))
-                                * prod_i C((A^{-1} theta)_i, beta_i),
-
-    with the product expanded as sum_j c_j x^j d^[j].  The tests check this
-    against the operator recovered from its action f -> tau(op * tau^{-1}(f)).
-    """
-    if op.p != tau.p or op.n != tau.n:
-        raise MismatchError("operand mismatch in conjugation")
-    if tau.is_identity():
-        return op
-    ainv = int_inverse_unimodular(tau.matrix)
-    parts = []
-    for beta, f in op.parts.items():
-        coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
-        expansion = _theta_expansion(ainv, beta, tau.p.p)
-        parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion]
-    return DiffOp(tau.p, tau.n, parts)
+    """Conjugate an operator by a monomial automorphism: `FactoredAut.apply`
+    with the zero shift, at a precision covering the divided indices of op.
+    The tests check it against the operator recovered from its action
+    f -> tau(op * tau^{-1}(f))."""
+    digits = max([1] + [padic_length(b, tau.p.p) for beta in op.parts for b in beta])
+    return FactoredAut(ShiftVector.zeros(tau.p, tau.n, digits), tau).apply(op)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +442,12 @@ class GeneratorImages:
 
 def shift_generator_images(s: ShiftVector) -> GeneratorImages:
     """Generator images of the shift automorphism with parameter s."""
-    return shift_compose_images(s, GeneratorImages.identity(s.p, s.n, s.precision))
+    return FactoredAut(s, MonomialAut.identity(s.p, s.n)).to_images()
 
 
 def monomial_generator_images(tau: MonomialAut, precision: int) -> GeneratorImages:
     """Generator images of a monomial automorphism acting by conjugation."""
-    return monomial_compose_images(tau, GeneratorImages.identity(tau.p, tau.n, precision))
+    return FactoredAut(ShiftVector.zeros(tau.p, tau.n, precision), tau).to_images()
 
 
 def _map_images(fn, h: GeneratorImages, p: Prime, n: int,
@@ -635,10 +625,33 @@ class FactoredAut:
         tinv = self.tau.inverse()
         return FactoredAut(-matrix_shift(tinv.matrix, self.shift), tinv)
 
+    def apply(self, op: DiffOp) -> DiffOp:
+        """Apply the shift s after tau to an operator in closed form (see
+        the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
+        p^len(beta_i), the key of the cached expansion.  At tau = 1 it is
+        `shift_apply`, whose products write C(theta + s, beta) in time
+        proportional to their output, where Newton differences would cost
+        |beta|^2 per index."""
+        tau = self.tau
+        if tau.is_identity():
+            return shift_apply(self.shift, op)
+        _check_shift_operand(self.shift, op)
+        pp = self.p.p
+        ainv = int_inverse_unimodular(tau.matrix)
+        s = [c.to_int() for c in self.shift.components]
+        t = [sum(a * v for a, v in zip(row, s)) for row in ainv]
+        parts = []
+        for beta, f in op.parts.items():
+            coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
+            residue = tuple(v % pp ** padic_length(b, pp) for v, b in zip(t, beta))
+            expansion = _theta_expansion(ainv, beta, pp, residue)
+            parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion]
+        return DiffOp(self.p, self.n, parts)
+
     def to_images(self) -> GeneratorImages:
         """Truncated generator images of the factored automorphism."""
-        base = monomial_generator_images(self.tau, self.precision)
-        return shift_compose_images(self.shift, base)
+        ident = GeneratorImages.identity(self.p, self.n, self.precision)
+        return _map_images(self.apply, ident, self.p, self.n)
 
 
 def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
@@ -647,7 +660,10 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
 
     g is also tau after the shift t = A^{-1} s, so the order-0 part of the
     image of d_i^[p^k] is digit k of t_i times tau(x_i^{-p^k}) =
-    lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.
+    lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.  The
+    certificate compares each level image with `FactoredAut.apply` on
+    d_i^[p^k], the closed form x^{-p^k A e_i} lambda_i^{-1}
+    C((A^{-1} theta)_i + t_i, p^k); the x images are never conjugated.
     """
     p, n, prec = g.p, g.n, g.precision
     pp, zero = p.p, (0,) * n
@@ -659,11 +675,10 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
         order0 = g.d_images[i][k].parts.get(zero)
         if order0 is not None:
             digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
-    shift = matrix_shift(tau.matrix, ShiftVector.from_digits(digits, p))
+    aut = FactoredAut(matrix_shift(tau.matrix, ShiftVector.from_digits(digits, p)), tau)
     for i, k in levels:
         image = g.d_images[i][k]
-        level = DiffOp.partial(p, n, i + 1, pp ** k)
-        wrong = image - shift_apply(shift, monomial_apply(tau, level))
+        wrong = image - aut.apply(DiffOp.partial(p, n, i + 1, pp ** k))
         if wrong.is_zero():
             continue
         name = f"perturbation of d{i + 1}^[{pp ** k}]"
@@ -676,7 +691,7 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
         except NotAUnit as exc:
             raise NotSigmaForm(f"{name} is not a monomial") from exc
         raise NotSigmaForm(f"{name} sits on x^{exps}, expected x^{unit[i, k][1]}")
-    return FactoredAut(shift, tau)
+    return aut
 
 
 def extract_digits(g: GeneratorImages) -> ShiftVector:

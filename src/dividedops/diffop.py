@@ -251,13 +251,7 @@ class DiffOp:
         return self._wrap(parts)
 
     def __pow__(self, k: int) -> "DiffOp":
-        """Naive repeated multiplication; exponents stay small here."""
-        if k < 0:
-            raise ValueError("operator powers need natural exponents")
-        result = DiffOp.one(self.p, self.n)
-        for _ in range(k):
-            result = result * self
-        return result
+        return power(self, k, lambda: DiffOp.one(self.p, self.n))
 
     # -- module action -------------------------------------------------------
 
@@ -293,6 +287,16 @@ class DiffOp:
     def action(self) -> MonomialAction:
         """The operator as a black-box action on monomial exponent vectors."""
         return lambda exps: self.act_monomial(tuple(exps))
+
+
+def power(base, k: int, one: Callable):
+    """base^k by repeated squaring, at most 2 log2(k) products; one() is base^0."""
+    if k < 0:
+        raise ValueError("operator powers need natural exponents")
+    if k < 2:
+        return base if k else one()
+    half = power(base, k // 2, one)
+    return half * half * base if k & 1 else half * half
 
 
 def divided_image_from_levels(levels: Sequence[DiffOp], j: int) -> DiffOp:

@@ -18,7 +18,7 @@ from .diffop import DiffOp
 from .errors import MismatchError, WindowTooLarge
 from .laurent import LaurentPoly
 from .report import CheckReport
-from .scalars import Prime, as_prime, binom_nat_mod_p
+from .scalars import Prime, as_prime, binom_int_mod_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,7 +200,7 @@ def relation_suite(
             dik = dd(i, k)
             for l in range(1, max_index + 1):
                 count += 1
-                c = binom_nat_mod_p(k + l, k, p)
+                c = binom_int_mod_p(k + l, k, p)
                 if mul(dik, dd(i, l)) != dd(i, k + l).scale(c.value):
                     bad = bad or f"d{i}^[{k}] d{i}^[{l}]"
                     break
@@ -253,7 +253,7 @@ def relation_suite(
         db = DiffOp(p, n, {beta: LaurentPoly.one(p, n)})
         c = 1
         for a, b in zip(alpha, beta):
-            c = c * binom_nat_mod_p(a + b, a, p).value % p.p
+            c = c * binom_int_mod_p(a + b, a, p).value % p.p
         gamma = tuple(a + b for a, b in zip(alpha, beta))
         expect = DiffOp(p, n, {gamma: LaurentPoly.one(p, n)}).scale(c)
         if mul(da, db) != expect:

@@ -210,13 +210,6 @@ def _lucas_column(b: int, p: int, digits: int) -> list[tuple[int, int]]:
     return column
 
 
-def binom_nat_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
-    """C(m, k) mod p for naturals m, k >= 0, digit by digit."""
-    if m < 0 or k < 0:
-        raise ValueError("binom_nat_mod_p expects naturals")
-    return binom_int_mod_p(m, k, p)
-
-
 def binom_int_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
     """The integer binomial C(m, k) = m(m-1)...(m-k+1)/k! reduced mod p.
 

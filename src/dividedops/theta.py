@@ -22,7 +22,7 @@ to import than these small tables take to multiply.
 
 from __future__ import annotations
 
-from .diffop import DiffOp
+from .diffop import DiffOp, power
 from .errors import InsufficientPrecision, MismatchError
 from .scalars import _lucas_column, padic_length
 
@@ -138,17 +138,5 @@ class ThetaTable:
         return ThetaTable(p, self.n, size, out)
 
     def __pow__(self, k: int) -> "ThetaTable":
-        """Square-and-multiply: about 2 log2(k) products."""
-        if k < 0:
-            raise ValueError("operator powers need natural exponents")
-        result, base = None, self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        if result is None:
-            return ThetaTable(self.p, self.n, self.size,
-                              {(0,) * self.n: [1] * self.size ** self.n})
-        return result
+        return power(self, k, lambda: ThetaTable(self.p, self.n, self.size,
+                                                 {(0,) * self.n: [1] * self.size ** self.n}))

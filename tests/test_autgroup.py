@@ -1,5 +1,6 @@
 """Shift and monomial automorphisms, digit extraction, factorization."""
 
+import math
 import random
 
 import pytest
@@ -155,10 +156,10 @@ def test_shift_apply_preserves_defining_relations():
             j = rng.randint(1, n)
             k = rng.randint(1, p ** prec - 1 - p)
             l = rng.randint(1, p ** prec - 1 - k)
-            from dividedops.scalars import binom_nat_mod_p
+            from dividedops.scalars import binom_int_mod_p
 
             dik, dil = d(p, n, i, k), d(p, n, i, l)
-            c = binom_nat_mod_p(k + l, k, p).value
+            c = binom_int_mod_p(k + l, k, p).value
             assert shift_apply(s, dik) * shift_apply(s, dil) == shift_apply(
                 s, d(p, n, i, k + l).scale(c)
             )
@@ -550,3 +551,87 @@ def test_factored_to_images_matches_generic_composition():
         shift_generator_images(s), monomial_generator_images(tau, prec)
     )
     assert fac.to_images() == generic
+
+
+# -- one closed form for the shift after tau -------------------------------------
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (2, 3)])
+def test_factored_apply_is_shift_after_monomial(p, n):
+    rng = random.Random(300 + 10 * p + n)
+    prec = 3
+    for _ in range(12):
+        s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        op = rand_op(rng, p, n, max_parts=3, max_order=min(p ** prec - 1, 6 if n < 3 else 4),
+                     span=3, max_terms=3)
+        assert FactoredAut(s, tau).apply(op) == shift_apply(s, monomial_apply(tau, op))
+
+
+def test_factored_apply_identity_and_diagonal_tau():
+    rng = random.Random(31)
+    p, n, prec = 5, 2, 2
+    ident = MonomialAut.identity(p, n)
+    scaled = MonomialAut.create(((1, 0), (0, 1)), (2, 3), p)  # A = 1, lambda != 1
+    for _ in range(10):
+        s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+        op = rand_op(rng, p, n, max_parts=3, max_order=8, span=3, max_terms=3)
+        assert FactoredAut(s, ident).apply(op) == shift_apply(s, op)
+        assert FactoredAut(s, scaled).apply(op) == shift_apply(s, monomial_apply(scaled, op))
+    # an index with more digits than the precision, as shift_apply reports it
+    s = ShiftVector.from_ints([1, 2], p, prec)
+    long = d(p, n, 1, p ** prec) + mono(p, n, (1, -1))
+    with pytest.raises(InsufficientPrecision) as expected:
+        shift_apply(s, long)
+    for tau in (ident, scaled):
+        with pytest.raises(InsufficientPrecision) as got:
+            FactoredAut(s, tau).apply(long)
+        assert str(got.value) == str(expected.value)
+
+
+def exact_binom(m, k):
+    # C(m, k) = m(m-1)...(m-k+1)/k! over the integers, for any integer m
+    num = 1
+    for i in range(k):
+        num *= m - i
+    return num // math.factorial(k)
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 2), (5, 2), (2, 3)])
+def test_theta_expansion_with_a_shift_is_the_shifted_product(p, n):
+    rng = random.Random(400 + 10 * p + n)
+    for _ in range(6):
+        ainv = int_inverse_unimodular(rand_gl(rng, n))
+        beta = tuple(rng.randint(0, 5 if n < 3 else 3) for _ in range(n))
+        t = tuple(rng.randint(-40, 40) for _ in range(n))
+        expansion = _theta_expansion(ainv, beta, p, t)
+        for _ in range(25):
+            m = [rng.randint(-30, 30) for _ in range(n)]
+            lhs = sum(c * math.prod(exact_binom(mk, jk) for mk, jk in zip(m, j))
+                      for j, c in expansion)
+            am = [sum(a * mk for a, mk in zip(row, m)) for row in ainv]
+            rhs = math.prod(exact_binom(v + ti, b) for v, ti, b in zip(am, t, beta))
+            assert (lhs - rhs) % p == 0
+
+
+def test_building_and_factoring_multiply_only_the_units(monkeypatch):
+    # for tau != 1 the images come from the closed form alone: the only
+    # products are the n unit checks x_i * x_i^{-1} of restriction()
+    calls = []
+    mul = DiffOp.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(DiffOp, "__mul__", counted)
+    for p, matrix, scalars, digits in (
+        (2, ((2, 1), (1, 1)), (1, 1), [[1, 0, 1, 1], [0, 1, 1, 0]]),
+        (3, ((1, 1), (0, 1)), (2, 1), [[2, 0, 1], [1, 2, 0]]),
+    ):
+        fac = FactoredAut(sv(digits, p), MonomialAut.create(matrix, scalars, p))
+        calls.clear()
+        g = fac.to_images()
+        assert not calls
+        assert factorize(g) == fac
+        assert len(calls) == g.n

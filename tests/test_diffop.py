@@ -8,7 +8,7 @@ import pytest
 from dividedops.diffop import DiffOp, divided_image_from_levels, normal_form_from_action
 from dividedops.errors import InconsistentAction, InsufficientPrecision, MismatchError
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import binom_nat_mod_p
+from dividedops.scalars import binom_int_mod_p
 
 from helpers import rand_op, rand_poly
 
@@ -101,7 +101,7 @@ def test_defining_relations_small():
                         djl = d(p, n, j, l)
                         assert dik * djl == djl * dik
                         if i == j:
-                            c = binom_nat_mod_p(k + l, k, p)
+                            c = binom_int_mod_p(k + l, k, p)
                             assert dik * djl == d(p, n, i, k + l).scale(c.value)
                     com = d(p, n, i, k) * x(p, n, j) - x(p, n, j) * d(p, n, i, k)
                     if i == j:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dividedops.errors import MismatchError, NotAUnit
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import FpScalar, Prime, binom_nat_mod_p
+from dividedops.scalars import FpScalar, Prime, binom_int_mod_p
 
 
 def poly(p, n, terms):
@@ -134,7 +134,7 @@ def test_divided_partial_k0_is_identity():
 def test_divided_partial_composition(p, k, l, data):
     f = _rand(data, p, 1)
     lhs = f.divided_partial(1, l).divided_partial(1, k)
-    c = binom_nat_mod_p(k + l, k, p)
+    c = binom_int_mod_p(k + l, k, p)
     rhs = f.divided_partial(1, k + l).scale(c)
     assert lhs == rhs
 
