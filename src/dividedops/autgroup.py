@@ -28,17 +28,19 @@ certify the reading by rebuilding every level image with the closed form.
 images on theta-tables (`theta.ThetaTable`): the operator sum_gamma
 x^gamma c_gamma(theta) as one table of c_gamma per gamma on (Z/p^K)^n,
 K the longest base-p index among the x and level images.  Lucas' theorem
-makes the conversion a unitriangular Pascal matrix, so tables are
-faithful, and a product is a roll and a pointwise product instead of a
-Leibniz expansion.  Above TABLE_CELLS = 2^16 cells (p^(nK)) the same
-checks run on `DiffOp`s, where sparse operators stay cheap; the tables
-are plain lists, since importing numpy costs more than they take.
+makes the conversion (Kronecker rows of Lucas columns) a unitriangular
+Pascal matrix, so tables are faithful, and a product is a roll and a
+pointwise product instead of a Leibniz expansion.  Cells are bytes for
+p <= 16, two residues paired into one byte per cell and mapped through
+`bytes.translate`, and lists of ints above; no numpy.  Above TABLE_CELLS
+= 2^16 cells (p^(nK)) the same checks run on `DiffOp`s, where sparse
+operators stay cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from .diffop import DiffOp, divided_image_from_levels
@@ -274,7 +276,9 @@ class MonomialAut:
         return cls(eye, tuple(FpScalar(1, p) for _ in range(n)))
 
     def is_identity(self) -> bool:
-        return self == MonomialAut.identity(self.p, self.n)
+        return (all(lam.value == 1 for lam in self.scalars)
+                and all(e == (i == j) for i, row in enumerate(self.matrix)
+                        for j, e in enumerate(row)))
 
     def apply_exponents(self, gamma) -> tuple[int, tuple[int, ...]]:
         """Image of the monomial x^gamma as (coefficient, exponent vector)."""
@@ -625,6 +629,16 @@ class FactoredAut:
         tinv = self.tau.inverse()
         return FactoredAut(-matrix_shift(tinv.matrix, self.shift), tinv)
 
+    @cached_property
+    def _ainv_and_t(self):
+        """(A^{-1}, t = A^{-1} s) for `apply`, or None at tau = 1; computed
+        once, since building the images applies it 2n + n * precision times."""
+        if self.tau.is_identity():
+            return None
+        ainv = int_inverse_unimodular(self.tau.matrix)
+        s = [c.to_int() for c in self.shift.components]
+        return ainv, [sum(a * v for a, v in zip(row, s)) for row in ainv]
+
     def apply(self, op: DiffOp) -> DiffOp:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
@@ -632,14 +646,10 @@ class FactoredAut:
         `shift_apply`, whose products write C(theta + s, beta) in time
         proportional to their output, where Newton differences would cost
         |beta|^2 per index."""
-        tau = self.tau
-        if tau.is_identity():
+        if self._ainv_and_t is None:
             return shift_apply(self.shift, op)
         _check_shift_operand(self.shift, op)
-        pp = self.p.p
-        ainv = int_inverse_unimodular(tau.matrix)
-        s = [c.to_int() for c in self.shift.components]
-        t = [sum(a * v for a, v in zip(row, s)) for row in ainv]
+        tau, (ainv, t), pp = self.tau, self._ainv_and_t, self.p.p
         parts = []
         for beta, f in op.parts.items():
             coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dividedops import autgroup
 from dividedops.autgroup import (
     FactoredAut,
     GeneratorImages,
@@ -391,6 +392,18 @@ def test_monomial_compose_inverse():
             assert tau.inverse().compose(tau).is_identity()
 
 
+def test_is_identity_reads_the_matrix_and_scalars():
+    for n in (1, 2, 3):
+        assert MonomialAut.identity(5, n).is_identity()
+    for matrix, scalars in ((((1, 0), (0, 1)), (1, 2)), (((0, 1), (1, 0)), (1, 1)),
+                            (((-1, 0), (0, -1)), (1, 1)), (((1, 1), (0, 1)), (1, 1))):
+        assert not MonomialAut.create(matrix, scalars, 5).is_identity()
+    rng = random.Random(29)
+    for _ in range(20):
+        tau = MonomialAut.create(rand_gl(rng, 2, -1, 1), [rng.randint(1, 2) for _ in range(2)], 3)
+        assert tau.is_identity() == (tau == MonomialAut.identity(3, 2))
+
+
 # -- factored automorphisms ---------------------------------------------------
 
 
@@ -635,3 +648,18 @@ def test_building_and_factoring_multiply_only_the_units(monkeypatch):
         assert not calls
         assert factorize(g) == fac
         assert len(calls) == g.n
+
+
+def test_building_the_images_inverts_the_matrix_once(monkeypatch):
+    calls = []
+    inverse = autgroup.int_inverse_unimodular
+
+    def counted(matrix):
+        calls.append(matrix)
+        return inverse(matrix)
+
+    monkeypatch.setattr(autgroup, "int_inverse_unimodular", counted)
+    fac = FactoredAut(sv([[1, 0, 1], [0, 1, 1]], 2), MonomialAut.create(((2, 1), (1, 1)), (1, 1), 2))
+    g = fac.to_images()
+    assert calls == [fac.tau.matrix]
+    assert factorize(g) == fac

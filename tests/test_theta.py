@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from dividedops import autgroup
+from dividedops import autgroup, theta
 from dividedops.autgroup import (
     GeneratorImages,
     MonomialAut,
@@ -93,6 +93,40 @@ def test_power_by_squaring_matches_repeated_products():
         op = rand_op(rng, p, 1, max_parts=2, max_order=2, span=2)
         k = digits_for(op ** 7)
         assert ThetaTable.from_diffop(op, k) ** 7 == ThetaTable.from_diffop(op ** 7, k)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_byte_cells_match_list_cells(monkeypatch, p):
+    byte, lists = theta._cells(p), theta._list_cells(p)
+    assert byte.new is bytes
+    # every pair of residues through each pointwise operation
+    f = bytes(u for u in range(p) for _ in range(p))
+    g = bytes(v for _ in range(p) for v in range(p))
+    for name in ("mul", "add", "sub"):
+        assert list(getattr(byte, name)(f, g)) == getattr(lists, name)(list(f), list(g)), name
+    for c in range(-1, p + 1):
+        assert list(byte.scale(f, c)) == lists.scale(list(f), c), c
+    # whole tables: random operators with several gamma and negative exponents
+    rng = random.Random(f"cells:{p}")
+    ops = rand_ops(rng, p, 3 if p == 2 else 2, 8)
+    k = digits_for(*ops)
+    scalars = [rng.randrange(1, p) for _ in ops]
+
+    def results() -> list[ThetaTable]:
+        tables = [ThetaTable.from_diffop(op, k) for op in ops]
+        out = list(tables)
+        for ta, tb, c in zip(tables, tables[1:], scalars):
+            out += [ta * tb, ta - tb, tb - ta, ta.scale(c), ta ** p, ta ** 0]
+        return out
+
+    got = results()
+    monkeypatch.setattr(theta, "_cells", theta._list_cells)
+    want = results()
+    assert sum(len(t.tables) > 1 for t in got) >= 8
+    for table, reference in zip(got, want, strict=True):
+        assert all(type(t) is bytes for t in table.tables.values())
+        assert all(type(t) is list for t in reference.tables.values())
+        assert {gamma: list(t) for gamma, t in table.tables.items()} == reference.tables
 
 
 # -- validate_generator_images on both paths ----------------------------------
@@ -240,3 +274,22 @@ def test_long_index_in_an_x_image_sizes_the_tables(monkeypatch):
     calls = conversions(monkeypatch)
     assert validate_generator_images(bad).failures()
     assert set(calls) == {3}
+
+
+@pytest.mark.parametrize("p, cell_type", [(13, bytes), (17, list)])
+def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
+    made = []
+    original = ThetaTable.from_diffop
+
+    def spy(op, digits):
+        made.append(original(op, digits))
+        return made[-1]
+
+    g = shift_generator_images(ShiftVector.from_ints([p - 2, 5], p, 1))
+    with monkeypatch.context() as m:
+        m.setattr(ThetaTable, "from_diffop", staticmethod(spy))
+        assert validate_generator_images(g).passed
+    assert made and all(type(t) is cell_type for table in made for t in table.tables.values())
+    bad = with_level(g, 1, 0, g.d_images[1][0] + DiffOp.partial(p, 2, 1, 2))
+    table, sparse = both_reports(bad, monkeypatch)
+    assert table == sparse and not all(ok for _, ok in table)
