@@ -32,7 +32,7 @@ makes the conversion (Kronecker rows of Lucas columns) a unitriangular
 Pascal matrix, so tables are faithful, and a product is a roll and a
 pointwise product instead of a Leibniz expansion.  Cells are bytes for
 p <= 16, two residues paired into one byte per cell and mapped through
-`bytes.translate`, and lists of ints above; no numpy.  Above TABLE_CELLS
+`bytes.translate`, and lists of ints above.  Above TABLE_CELLS
 = 2^16 cells (p^(nK)) the same checks run on `DiffOp`s, where sparse
 operators stay cheap.
 """

@@ -175,7 +175,7 @@ def kernel_report(session: Session) -> CheckReport:
     p, n = session.p, session.n
     rep = CheckReport(f"frobenius kernel p={p.p} n={n}")
     window = session.default_window()
-    poly_window = ExponentWindow.cube(0, max(window.hi), n)
+    poly_window = ExponentWindow.cube(0, max(0, max(window.hi)), n)
     for i in range(1, n + 1):
         expected = tuple(-1 if j == i - 1 else 0 for j in range(n))
         basis = kernel_bruteforce(i, window, p, n)
@@ -325,24 +325,24 @@ def _load_images(path: str):
     return images_from_dict(data)
 
 
+def _shift_lines(shift: ShiftVector) -> list[str]:
+    return [
+        f"s[{i + 1}] = {format_padic_digits(c.digits, shift.p.p)}"
+        for i, c in enumerate(shift.components)
+    ]
+
+
 def cmd_extract(args, session: Session) -> int:
     g = _load_images(args.images)
     shift = extract_digits(g)
-    lines = [
-        f"s[{i + 1}] = {format_padic_digits(c.digits, g.p.p)}"
-        for i, c in enumerate(shift.components)
-    ]
-    _emit(session, "\n".join(lines), shift_to_dict(shift))
+    _emit(session, "\n".join(_shift_lines(shift)), shift_to_dict(shift))
     return EXIT_OK
 
 
 def cmd_factor(args, session: Session) -> int:
     g = _load_images(args.images)
     fac = factorize(g)
-    lines = [
-        f"s[{i + 1}] = {format_padic_digits(c.digits, g.p.p)}"
-        for i, c in enumerate(fac.shift.components)
-    ]
+    lines = _shift_lines(fac.shift)
     lines.append(f"matrix = {[list(row) for row in fac.tau.matrix]}")
     lines.append(f"scalars = {[lam.value for lam in fac.tau.scalars]}")
     machine = {

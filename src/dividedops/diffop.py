@@ -34,6 +34,8 @@ from .scalars import (
 
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
+REPLAY_PROBES = 8  # random monomials normal_form_from_action replays after solving
+
 
 class DiffOp:
     """A differential operator in normal form sum_beta f_beta d^[beta]."""
@@ -333,9 +335,6 @@ def normal_form_from_action(
     p: int | Prime,
     n: int,
     bound: int,
-    *,
-    extra_probes: int = 8,
-    seed: int = 0,
 ) -> DiffOp:
     """Recover the unique normal form of an operator of order <= bound from
     its action on monomials.
@@ -346,9 +345,9 @@ def normal_form_from_action(
         action(x^delta) = f_delta + sum_{delta' < delta} C(delta, delta')
                           f_{delta'} x^{delta - delta'}
 
-    which is solved by increasing total degree.  A configurable number of
-    random extra monomials (negative exponents included) is then replayed
-    against the recovered operator; any disagreement raises
+    which is solved by increasing total degree.  REPLAY_PROBES random extra
+    monomials (negative exponents included, drawn under a fixed seed) are
+    then replayed against the recovered operator; any disagreement raises
     InconsistentAction.
     """
     p = as_prime(p)
@@ -374,9 +373,9 @@ def normal_form_from_action(
         if f_delta:
             recovered[delta] = f_delta
     result = DiffOp(p, n, recovered)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     lo, hi = -bound - 2, bound + 2
-    for _ in range(extra_probes):
+    for _ in range(REPLAY_PROBES):
         gamma = tuple(rng.randint(lo, hi) for _ in range(n))
         if result.act_monomial(gamma) != action(gamma):
             raise InconsistentAction(

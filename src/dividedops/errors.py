@@ -57,4 +57,5 @@ class ParseError(DividedOpsError):
 
 
 class WindowTooLarge(DividedOpsError):
-    """An exponent window exceeds the configured memory budget."""
+    """An exponent window holds more monomials than the size budget
+    (oracles.MAX_WINDOW_MONOMIALS)."""

@@ -12,16 +12,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import TYPE_CHECKING, Callable
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .diffop import DiffOp
 from .errors import MismatchError, WindowTooLarge
 from .laurent import LaurentPoly
 from .report import CheckReport
 from .scalars import Prime, as_prime, binom_int_mod_p
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_WINDOW_MONOMIALS = 10_000
 
@@ -64,43 +61,45 @@ class ExponentWindow:
         return all(l <= e <= h for e, l, h in zip(exps, self.lo, self.hi))
 
 
-def nullspace_mod_p(matrix: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right null space of an integer matrix mod p.
+def nullspace_mod_p(columns: Sequence[Mapping[Hashable, int]], p: int) -> list[dict[int, int]]:
+    """Basis of the null space mod p of a matrix given by sparse columns.
 
-    Row reduction is done in place over F_p; the returned basis is the
-    canonical one read off the reduced row echelon form (one vector per
-    free column, deterministic).
+    Each column maps a row key to its entry.  The columns are reduced left
+    to right, and each pivot keeps the combination of original columns it
+    came from, so a column c that reduces to zero yields the kernel vector
+    e_c - sum_k R[k, c] e_(pivot k).  That is the basis read off the
+    reduced row echelon form R: one vector per free column, in column
+    order, each a dict from column index to nonzero residue.
     """
-    import numpy as np  # only the kernel oracle needs numpy; keep it off the import path
-    a = np.array(matrix, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pivot_rows = np.nonzero(a[r:, c])[0]
-        if pivot_rows.size == 0:
-            continue
-        pr = r + int(pivot_rows[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        hits = np.nonzero(a[:, c])[0]
-        for rr in hits:
-            if rr != r:
-                a[rr] = (a[rr] - a[rr, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(cols) if c not in pivots]
+    pivot_of_row: dict[Hashable, int] = {}
+    pivots: list[tuple[Hashable, dict, dict[int, int]]] = []  # (row, column, combination)
     basis = []
-    for fc in free:
-        v = np.zeros(cols, dtype=np.int64)
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-a[i, fc]) % p
-        basis.append(v)
+    for c, column in enumerate(columns):
+        vec = {r: v % p for r, v in column.items() if v % p}
+        combo = {c: 1}
+        # a pivot's column is zero on the rows of earlier pivots, so clearing
+        # the earliest pivot row left in vec never refills an earlier one
+        while hits := [pivot_of_row[r] for r in vec if r in pivot_of_row]:
+            row, pcol, pcombo = pivots[min(hits)]
+            f = vec[row]
+            for target, source in ((vec, pcol), (combo, pcombo)):
+                for key, v in source.items():
+                    w = (target.get(key, 0) - f * v) % p
+                    if w:
+                        target[key] = w
+                    else:
+                        target.pop(key, None)
+        if not vec:
+            basis.append(dict(sorted(combo.items())))
+            continue
+        row = next(iter(vec))
+        inv = pow(vec[row], -1, p)
+        pivot_of_row[row] = len(pivots)
+        pivots.append((
+            row,
+            {r: v * inv % p for r, v in vec.items()},
+            {j: v * inv % p for j, v in combo.items()},
+        ))
     return basis
 
 
@@ -121,26 +120,15 @@ def kernel_bruteforce(i: int, window: ExponentWindow, p, n: int) -> list[Laurent
         raise WindowTooLarge(
             f"window holds {window.count()} monomials, budget is {MAX_WINDOW_MONOMIALS}"
         )
-    columns = sorted(window.monomials())
+    monomials = sorted(window.monomials())
     images = []
-    row_index: dict[tuple[int, ...], int] = {}
-    for exps in columns:
+    for exps in monomials:
         f = LaurentPoly.monomial(p, n, exps)
-        image = (-f.divided_partial(i, p.p - 1)) + f.frobenius()
-        images.append(image)
-        for e in image.exponents():
-            if e not in row_index:
-                row_index[e] = len(row_index)
-    import numpy as np
-    mat = np.zeros((max(len(row_index), 1), len(columns)), dtype=np.int64)
-    for c, image in enumerate(images):
-        for e, v in image.terms.items():
-            mat[row_index[e], c] = v
-    basis = []
-    for vec in nullspace_mod_p(mat, p.p):
-        terms = {columns[j]: int(vec[j]) for j in range(len(columns)) if vec[j]}
-        basis.append(LaurentPoly(p, n, terms))
-    return basis
+        images.append(((-f.divided_partial(i, p.p - 1)) + f.frobenius()).terms)
+    return [
+        LaurentPoly(p, n, {monomials[j]: v for j, v in vec.items()})
+        for vec in nullspace_mod_p(images, p.p)
+    ]
 
 
 def action_equiv_check(

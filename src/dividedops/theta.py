@@ -25,8 +25,8 @@ Above 16 a table is a list of ints, with comprehensions; `_cells` picks
 the kernel from p.  Rolls (slicing), equality, the zero test and the
 conversion are written once for both: the conversion joins Kronecker
 rows, one copy of a group's table of the other indices per row t,
-scaled by C(t, b) for the group's first index b.  numpy would cost more
-to import than these tables take to multiply.
+scaled by C(t, b) for the group's first index b.  An array library
+would cost more to import than these tables take to multiply.
 """
 
 from __future__ import annotations

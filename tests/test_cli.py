@@ -236,6 +236,17 @@ def test_verify_all_small(capsys):
     assert "OK" in out
 
 
+@pytest.mark.parametrize("suite", ["kernel", "all"])
+def test_verify_window_of_negative_exponents_only(suite):
+    # the polynomial window keeps the constant monomial when --window stays below 0
+    out = subprocess.run([sys.executable, "-m", "dividedops.cli", "verify", suite,
+                          "--window=-3:-1"],
+                         capture_output=True, text=True, env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "OK"
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_failure_exit_code(capsys):
     # a window that misses x^-1 makes the kernel check legitimately fail
     code, out, _ = run(capsys, "verify", "kernel", "--p", "3", "--n", "1",
@@ -341,6 +352,20 @@ def test_table_validation_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=subprocess_env())
     assert out.stdout.strip() == "False"
+
+
+def test_verify_and_table_validation_run_without_numpy():
+    code = ("import sys\n"
+            "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+            "from dividedops import autgroup\n"
+            "from dividedops.cli import main\n"
+            "g = autgroup.shift_generator_images(autgroup.ShiftVector.from_ints([5, 7], 3, 2))\n"
+            "assert autgroup.validate_generator_images(g).passed\n"
+            "sys.exit(main(['verify', 'all', '--p', '2', '--n', '2']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "OK"
 
 
 BIG_P = 65521  # the largest prime below 2^16

@@ -1,14 +1,15 @@
 """Brute-force verifiers: windowed kernels, action sampling, relation suite."""
 
 import random
+from itertools import product as iproduct
 
-import numpy as np
 import pytest
 
 from dividedops.diffop import DiffOp
 from dividedops.errors import WindowTooLarge
 from dividedops.laurent import LaurentPoly
 from dividedops.oracles import (
+    MAX_WINDOW_MONOMIALS,
     ExponentWindow,
     action_equiv_check,
     kernel_bruteforce,
@@ -20,32 +21,61 @@ from dividedops.scalars import PadicInt, binom_padic
 from helpers import rand_padic
 
 
+def sparse_columns(rows):
+    return [{r: row[c] for r, row in enumerate(rows) if row[c]} for c in range(len(rows[0]))]
+
+
+def dense(vec, cols):
+    return [vec.get(j, 0) for j in range(cols)]
+
+
+def in_kernel(rows, v, p):
+    return all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+
+
+def random_matrix(rng, p, rows, cols):
+    return [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
+
+
 def test_nullspace_mod_p_simple():
-    m = np.array([[1, 2], [2, 4]])
-    basis = nullspace_mod_p(m, 5)
+    m = [[1, 2], [2, 4]]
+    basis = nullspace_mod_p(sparse_columns(m), 5)
     assert len(basis) == 1
-    v = basis[0]
-    assert ((m @ v) % 5 == 0).all()
-    assert nullspace_mod_p(np.eye(3, dtype=int), 3) == []
+    assert in_kernel(m, dense(basis[0], 2), 5)
+    eye = [[int(r == c) for c in range(3)] for r in range(3)]
+    assert nullspace_mod_p(sparse_columns(eye), 3) == []
 
 
 def test_nullspace_soundness_and_completeness():
-    from itertools import product as iproduct
-
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     for p in (2, 3):
         for _ in range(10):
-            m = rng.integers(0, p, size=(6, 5))
-            basis = nullspace_mod_p(m, p)
+            m = random_matrix(rng, p, 6, 5)
+            basis = nullspace_mod_p(sparse_columns(m), p)
             for v in basis:
-                assert ((m @ v) % p == 0).all()
+                assert in_kernel(m, dense(v, 5), p)
             # exhaustive count: the kernel has exactly p^dim elements
-            kernel_size = sum(
-                1
-                for v in iproduct(range(p), repeat=5)
-                if ((m @ np.array(v)) % p == 0).all()
-            )
+            kernel_size = sum(1 for v in iproduct(range(p), repeat=5) if in_kernel(m, v, p))
             assert kernel_size == p ** len(basis)
+
+
+def test_nullspace_is_the_reduced_echelon_basis():
+    # each basis vector is the unique kernel vector with 1 at its free column
+    # and 0 at every other free column, where a column is free when some
+    # kernel vector has its last nonzero entry, 1, there
+    rng = random.Random(2)
+    for p in (2, 3):
+        for rows, cols in ((2, 5), (4, 6), (5, 4)):
+            for _ in range(6):
+                m = random_matrix(rng, p, rows, cols)
+                kernel = [v for v in iproduct(range(p), repeat=cols) if in_kernel(m, v, p)]
+                free = sorted({max(j for j in range(cols) if v[j]) for v in kernel if any(v)})
+                basis = nullspace_mod_p(sparse_columns(m), p)
+                assert len(basis) == len(free)
+                for fc, vec in zip(free, basis):
+                    unique = [v for v in kernel
+                              if all(v[f] == (f == fc) for f in free)]
+                    assert unique == [tuple(dense(vec, cols))]
 
 
 def test_kernel_example_one_variable():
@@ -73,6 +103,13 @@ def test_kernel_stable_under_window_enlargement():
     small_set = {tuple(sorted(f.terms.items())) for f in small}
     large_set = {tuple(sorted(f.terms.items())) for f in large}
     assert small_set <= large_set
+
+
+def test_kernel_at_the_window_budget():
+    w = ExponentWindow.cube(-49, 50, 2)
+    assert w.count() == MAX_WINDOW_MONOMIALS
+    basis = kernel_bruteforce(1, w, 2, 2)
+    assert [f.terms for f in basis] == [{(-1, 0): 1}]
 
 
 def test_kernel_window_budget():
