@@ -13,12 +13,21 @@ products back into it with the rule
 where C(delta, j) may have negative upper entries.  The rule is a
 consequence of the commutation relations; the test suite certifies it
 against the module action, which is the ground truth.
+
+The product sums, for each left part f_beta, the right factor's scalar
+contributions into one coefficient per (output index beta - j + eps,
+shift delta - j), then adds coefficient * f_beta * x^shift once per
+nonzero pair; `scalars._leibniz_terms` lists only the j whose two
+binomials are both nonzero.  Powers of an order-0 operator f use the
+Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits of the exponent;
+other powers square and multiply.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product as iproduct
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import InconsistentAction, InsufficientPrecision, MismatchError
@@ -26,8 +35,8 @@ from .laurent import LaurentPoly, term_string
 from .scalars import (
     Prime,
     _inverse_factorial,
+    _leibniz_terms,
     _lucas,
-    _nonzero_binoms,
     as_prime,
     padic_length,
 )
@@ -211,49 +220,47 @@ class DiffOp:
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)
         pp = self.p.p
-        n = self.n
+        right = [(eps, delta, cg) for eps, g in other._parts.items()
+                 for delta, cg in g.terms.items()]
         acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for beta, f in self._parts.items():
-            fterms = f.terms
-            for eps, g in other._parts.items():
-                for delta, cg in g.terms.items():
-                    # per-variable Leibniz choices with nonzero C(delta_i, j_i)
-                    choices = [
-                        _nonzero_binoms(delta[i], beta[i], pp) for i in range(n)
-                    ]
-                    for combo in iproduct(*choices):
-                        cj = cg
-                        for _, c in combo:
-                            cj = cj * c % pp
-                        newbeta = []
-                        comp = 1
-                        for i in range(n):
-                            bi = beta[i] - combo[i][0] + eps[i]
-                            if eps[i]:
-                                comp = comp * _lucas(bi, eps[i], pp) % pp
-                            newbeta.append(bi)
-                        if comp == 0:
-                            continue
-                        cj = cj * comp % pp
-                        newbeta = tuple(newbeta)
-                        shift = tuple(delta[i] - combo[i][0] for i in range(n))
-                        bucket = acc.setdefault(newbeta, {})
-                        for gam, cf in fterms.items():
-                            key = tuple(gam[i] + shift[i] for i in range(n))
-                            s = (bucket.get(key, 0) + cf * cj) % pp
-                            if s:
-                                bucket[key] = s
-                            elif key in bucket:
-                                del bucket[key]
-        proto = LaurentPoly.zero(self.p, n)
-        parts = {}
-        for beta, terms in acc.items():
-            if terms:
-                parts[beta] = proto._wrap(terms)
-        return self._wrap(parts)
+            # the right factor's scalar contributions, one coefficient per
+            # (output index, shift); f_beta is then walked once per pair
+            coeffs: dict[tuple, int] = {}
+            for eps, delta, cg in right:
+                for newbeta, shift, c in _leibniz_terms(beta, delta, eps, pp):
+                    pair = (newbeta, shift)
+                    coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
+            fterms = f.terms.items()
+            for (newbeta, shift), cj in coeffs.items():
+                if not cj:
+                    continue
+                bucket = acc.setdefault(newbeta, {})
+                for gam, cf in fterms:
+                    key = tuple(map(add, gam, shift))
+                    s = (bucket.get(key, 0) + cf * cj) % pp
+                    if s:
+                        bucket[key] = s
+                    else:
+                        bucket.pop(key, None)
+        proto = LaurentPoly.zero(self.p, self.n)
+        return self._wrap({b: proto._wrap(t) for b, t in acc.items() if t})
 
     def __pow__(self, k: int) -> "DiffOp":
-        return power(self, k, lambda: DiffOp.one(self.p, self.n))
+        if k < 0 or not self.is_laurent():
+            return power(self, k, lambda: DiffOp.one(self.p, self.n))
+        # order 0: f^k = prod_r (f^(p^r))^(k_r) over the base-p digits k_r
+        # of k, and f^(p^r) is f(x^(p^r)) over F_p (Frobenius)
+        pp = self.p.p
+        f = self.to_laurent()
+        one = LaurentPoly.one(self.p, self.n)
+        result = one
+        while k:
+            k, digit = divmod(k, pp)
+            if digit:
+                result = result * power(f, digit, lambda: one)
+            f = f.frobenius()
+        return DiffOp.from_laurent(result)
 
     # -- module action -------------------------------------------------------
 

@@ -10,17 +10,22 @@ Grammar (whitespace insensitive, explicit '*' between factors):
 Multiplication is noncommutative and evaluated in written order.  Syntax
 errors report the byte offset of the first offending character, and so
 do parentheses nested deeper than MAX_NESTING.
+
+The evaluator folds a run of atoms already in normal order (numbers,
+x_j before any d_j, divided powers) into one term c x^gamma d^[beta]
+with no operator product, and adds the terms of a '+'/'-' chain into
+one dict in place, so a printed normal form evaluates without products.
+Long sums and products are walked in loops; only parentheses recurse.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .diffop import DiffOp
 from .errors import MismatchError, ParseError
 from .laurent import LaurentPoly
-from .scalars import Prime, as_prime
+from .scalars import Prime, _lucas, as_prime
 
 # Each level of parentheses costs a few parser and evaluator stack frames,
 # so this keeps both well inside the interpreter's recursion limit.
@@ -172,36 +177,93 @@ def parse(text: str):
     return _Parser(text).parse()
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
 def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
     """Evaluate a syntax tree to the unique normal form."""
     p = as_prime(p)
-    if isinstance(node, Num):
-        return DiffOp.from_laurent(LaurentPoly.constant(p, n, node.value))
-    if isinstance(node, Var):
-        if not 1 <= node.index <= n:
-            raise MismatchError(f"variable x{node.index} out of range 1..{n}")
-        return DiffOp.from_laurent(LaurentPoly.variable(p, n, node.index, node.exponent))
-    if isinstance(node, Partial):
-        if not 1 <= node.index <= n:
-            raise MismatchError(f"variable d{node.index} out of range 1..{n}")
-        return DiffOp.partial(p, n, node.index, node.order)
-    if isinstance(node, BinOp):
-        # walk the left spine of a long sum or product in a loop, not by
-        # recursion: only parentheses nest the right operands
-        spine = []
-        while isinstance(node, BinOp):
-            spine.append(node)
-            node = node.left
-        acc = eval_expr(node, p, n)
-        for step in reversed(spine):
-            acc = _BINARY[step.op](acc, eval_expr(step.right, p, n))
-        return acc
-    if isinstance(node, Pow):
-        return eval_expr(node.base, p, n) ** node.power
-    raise TypeError(f"not a syntax node: {node!r}")
+    # walk the left spine of a long sum in a loop, not by recursion: only
+    # parentheses nest the right operands
+    terms = []
+    while isinstance(node, BinOp) and node.op != "*":
+        terms.append((node.op == "-", node.right))
+        node = node.left
+    if not terms:
+        return _eval_product(node, p, n)
+    terms.append((False, node))
+    pp = p.p
+    acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for negate, term in reversed(terms):
+        for beta, f in _eval_product(term, p, n).parts.items():
+            bucket = acc.setdefault(beta, {})
+            for gam, c in f.terms.items():
+                s = (bucket.get(gam, 0) + (-c if negate else c)) % pp
+                if s:
+                    bucket[gam] = s
+                else:
+                    del bucket[gam]
+    return DiffOp(p, n, {b: LaurentPoly(p, n, t) for b, t in acc.items() if t})
+
+
+def _eval_product(node, p: Prime, n: int) -> DiffOp:
+    """Evaluate a product in written order.
+
+    A run of atoms already in normal order folds into one term
+    c x^gamma d^[beta] with no operator product: a number scales c, x_j
+    joins gamma while d_j has not appeared in the run, and d_i^[k] joins
+    beta by d_i^[a] d_i^[k] = C(a + k, k) d_i^[a + k].  Any other factor
+    (x_j after d_j, a power, a parenthesised sum) closes the run, and the
+    runs are multiplied.
+    """
+    factors = []
+    while isinstance(node, BinOp) and node.op == "*":
+        factors.append(node.right)
+        node = node.left
+    factors.append(node)
+    pp = p.p
+    acc = None  # product of the closed runs and other factors
+    c, gamma, beta = 1, [0] * n, [0] * n  # the open run
+    for factor in reversed(factors):
+        if isinstance(factor, Num):
+            c = c * factor.value % pp
+            continue
+        if isinstance(factor, Var):
+            j = _variable(factor.index, n, "x")
+            if not beta[j]:
+                gamma[j] += factor.exponent
+                continue
+        elif isinstance(factor, Partial):
+            i = _variable(factor.index, n, "d")
+            if beta[i]:
+                c = c * _lucas(beta[i] + factor.order, factor.order, pp) % pp
+            beta[i] += factor.order
+            continue
+        if c != 1 or any(gamma) or any(beta):
+            acc = _times(acc, _term(p, n, c, gamma, beta))
+            c, gamma, beta = 1, [0] * n, [0] * n
+        if isinstance(factor, Var):
+            gamma[j] = factor.exponent
+        elif isinstance(factor, Pow):
+            acc = _times(acc, eval_expr(factor.base, p, n) ** factor.power)
+        elif isinstance(factor, BinOp):
+            acc = _times(acc, eval_expr(factor, p, n))
+        else:
+            raise TypeError(f"not a syntax node: {factor!r}")
+    if acc is None or c != 1 or any(gamma) or any(beta):
+        acc = _times(acc, _term(p, n, c, gamma, beta))
+    return acc
+
+
+def _times(acc: DiffOp | None, op: DiffOp) -> DiffOp:
+    return op if acc is None else acc * op
+
+
+def _variable(index: int, n: int, name: str) -> int:
+    if not 1 <= index <= n:
+        raise MismatchError(f"variable {name}{index} out of range 1..{n}")
+    return index - 1
+
+
+def _term(p: Prime, n: int, c: int, gamma: list[int], beta: list[int]) -> DiffOp:
+    return DiffOp(p, n, {tuple(beta): LaurentPoly(p, n, {tuple(gamma): c})})
 
 
 def eval_operator(text: str, p, n: int) -> DiffOp:

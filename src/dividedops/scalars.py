@@ -197,6 +197,44 @@ def _nonzero_binoms(m: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def _leibniz_terms(
+    beta: tuple[int, ...], delta: tuple[int, ...], eps: tuple[int, ...], p: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """The nonzero terms of the Leibniz rule for d^[beta] x^delta d^[eps]:
+    triples (beta - j + eps, delta - j, prod_i C(delta_i, j_i)
+    C(beta_i - j_i + eps_i, eps_i) mod p) over the j <= beta whose
+    coefficient is nonzero.
+
+    Both binomials factor over the variables, so each variable lists only
+    its j_i with both factors nonzero, and the product of those lists
+    visits no zero term.  A variable with beta_i = 0 has the single
+    choice j_i = 0 and coefficient 1.
+    """
+    fact, inv = _digit_binom_table(p)
+    terms: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
+    for b, d, e in zip(beta, delta, eps):
+        if b == 0:
+            choices = [(e, d, 1)]
+        else:
+            choices = []
+            for j, c in _nonzero_binoms(d, b, p):
+                m = b - j
+                # C(m + e, e) digit by digit: zero iff adding m and e carries
+                rest, lo = m, e
+                while lo and c:
+                    a, r = rest % p, lo % p
+                    c = c * fact[a + r] * inv[a] * inv[r] % p if a + r < p else 0
+                    rest //= p
+                    lo //= p
+                if c:
+                    choices.append((m + e, d - j, c))
+            if not choices:
+                return []
+        terms = [(out + (o,), shift + (s,), cc * c % p)
+                 for out, shift, cc in terms for o, s, c in choices]
+    return terms
+
+
 def _lucas_column(b: int, p: int, digits: int) -> list[tuple[int, int]]:
     """The pairs (t, C(t, b) mod p) with t < p^digits and C(t, b) nonzero,
     t increasing.  By Lucas' theorem these are the t whose every base-p

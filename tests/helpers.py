@@ -6,11 +6,12 @@ under a seed.
 
 import os
 import random
+from itertools import product as iproduct
 from pathlib import Path
 
 from dividedops.diffop import DiffOp
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import PadicInt, Prime
+from dividedops.scalars import PadicInt, Prime, _lucas, _nonzero_binoms
 
 
 def rand_poly(rng: random.Random, p, n, max_terms=3, span=3, allow_zero=True) -> LaurentPoly:
@@ -43,6 +44,40 @@ def rand_op(rng: random.Random, p, n, max_parts=3, max_order=3, span=3, max_term
         if f:
             parts[beta] = parts.get(beta, DiffOp.zero(p, n).parts.get(beta)) or f
     return DiffOp(p, n, parts)
+
+
+def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:
+    """a * b term by term by the divided-power Leibniz rule
+
+        (x^gamma d^[beta]) (x^delta d^[eps])
+            = sum_{j <= beta} C(delta, j) C(beta - j + eps, eps)
+              x^{gamma + delta - j} d^[beta - j + eps],
+
+    walking every term of a's coefficient for every Leibniz term: the
+    reference that DiffOp.__mul__ is tested against."""
+    assert a.p == b.p and a.n == b.n
+    pp = a.p.p
+    n = a.n
+    acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for beta, f in a.parts.items():
+        for eps, g in b.parts.items():
+            for delta, cg in g.terms.items():
+                choices = [_nonzero_binoms(delta[i], beta[i], pp) for i in range(n)]
+                for combo in iproduct(*choices):
+                    cj = cg
+                    for _, c in combo:
+                        cj = cj * c % pp
+                    newbeta = tuple(beta[i] - combo[i][0] + eps[i] for i in range(n))
+                    for i in range(n):
+                        cj = cj * _lucas(newbeta[i], eps[i], pp) % pp
+                    if cj == 0:
+                        continue
+                    shift = tuple(delta[i] - combo[i][0] for i in range(n))
+                    bucket = acc.setdefault(newbeta, {})
+                    for gam, cf in f.terms.items():
+                        key = tuple(gam[i] + shift[i] for i in range(n))
+                        bucket[key] = (bucket.get(key, 0) + cf * cj) % pp
+    return DiffOp(a.p, n, {beta: LaurentPoly(a.p, n, terms) for beta, terms in acc.items()})
 
 
 def rand_shift_digits(rng: random.Random, p, n, precision) -> list[list[int]]:

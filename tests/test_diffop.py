@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from dividedops.diffop import DiffOp, divided_image_from_levels, normal_form_from_action
+from dividedops.diffop import DiffOp, divided_image_from_levels, normal_form_from_action, power
 from dividedops.errors import InconsistentAction, InsufficientPrecision, MismatchError
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import binom_int_mod_p
 
-from helpers import rand_op, rand_poly
+from helpers import leibniz_product, rand_nonzero_poly, rand_op, rand_poly
 
 
 def d(p, n, i, k=1):
@@ -60,6 +60,12 @@ def test_pow_examples():
     xd = x(2, 1, 1) * d(2, 1, 1)
     assert xd ** 2 == xd
     assert rand_op(random.Random(1), 3, 1) ** 0 == DiffOp.one(3, 1)
+    # order-0 bases go through the Frobenius; square-and-multiply is the reference
+    rng = random.Random(2)
+    for p, n in ((2, 1), (3, 2), (5, 1), (7, 3)):
+        f = x(p, n, 1) + DiffOp.from_laurent(rand_nonzero_poly(rng, p, n, span=2))
+        for k in (0, 1, p - 1, p, p * p + 1, rng.randint(2, 150)):
+            assert f ** k == power(f, k, lambda: DiffOp.one(p, n)), (p, n, k)
 
 
 def test_pow_pth_power_of_level_vanishes():
@@ -109,6 +115,46 @@ def test_defining_relations_small():
                         assert com == expect
                     else:
                         assert com.is_zero()
+
+
+def _rand_index(rng, p):
+    """A divided index that is small or next to p or p^2 (p^2 only for p < 10)."""
+    near = [p - 1, p, p + 1] + ([p * p - 1, p * p, p * p + 1] if p < 10 else [])
+    return rng.choice([rng.randint(0, 3), rng.choice(near)])
+
+
+def _rand_indexed_op(rng, p, n, max_parts=3):
+    parts = {}
+    for _ in range(rng.randint(0, max_parts)):
+        beta = tuple(_rand_index(rng, p) for _ in range(n))
+        parts[beta] = rand_nonzero_poly(rng, p, n, max_terms=2, span=3)
+    return DiffOp(p, n, parts)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 101))
+def test_mul_matches_leibniz_reference(p):
+    rng = random.Random(p)
+    for n in (1, 2, 3):
+        for trial in range(24):
+            a = _rand_indexed_op(rng, p, n)
+            b = _rand_indexed_op(rng, p, n)
+            if trial % 4 == 1:  # a Laurent left factor
+                a = DiffOp.from_laurent(rand_poly(rng, p, n, span=3))
+            elif trial % 4 == 2:  # a single-term right factor
+                b = DiffOp(p, n, {tuple(_rand_index(rng, p) for _ in range(n)):
+                                  LaurentPoly.monomial(p, n, [rng.randint(-3, 3) for _ in range(n)],
+                                                       rng.randint(1, p - 1))})
+            assert a * b == leibniz_product(a, b), (a, b)
+
+
+def test_mul_cancels_to_zero():
+    # C(142, 63) = C(1, 0) C(41, 63) = 0 mod 101 by Lucas' theorem
+    assert (d(101, 1, 1, 63) * d(101, 1, 1, 79)).is_zero()
+    assert leibniz_product(d(101, 1, 1, 63), d(101, 1, 1, 79)).is_zero()
+    # d (x d - 1) = x d d + d - d: two right terms meet at d^[1] and cancel
+    a = d(5, 1, 1)
+    b = x(5, 1, 1) * d(5, 1, 1) - DiffOp.one(5, 1)
+    assert a * b == leibniz_product(a, b) == DiffOp(5, 1, {(2,): LaurentPoly.monomial(5, 1, (1,), 2)})
 
 
 def test_mul_act_compatibility_certifies_product_rule():

@@ -3,22 +3,46 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dividedops.diffop import DiffOp
-from dividedops.errors import MismatchError, ParseError
+from dividedops.errors import DividedOpsError, MismatchError, ParseError
 from dividedops.expr import (
     BinOp,
     Num,
     Partial,
     Pow,
     Var,
+    eval_expr,
     eval_laurent,
     eval_operator,
     parse,
 )
 from dividedops.laurent import LaurentPoly
 
-from helpers import rand_op
+from helpers import leibniz_product, rand_op
+
+
+def atomwise_eval(node, p, n) -> DiffOp:
+    """Evaluate a syntax tree one atom at a time, multiplying with the
+    reference Leibniz product: the oracle for eval_expr's folding."""
+    if isinstance(node, Num):
+        return DiffOp.from_laurent(LaurentPoly.constant(p, n, node.value))
+    if isinstance(node, Var):
+        return DiffOp.from_laurent(LaurentPoly.variable(p, n, node.index, node.exponent))
+    if isinstance(node, Partial):
+        return DiffOp.partial(p, n, node.index, node.order)
+    if isinstance(node, Pow):
+        base = atomwise_eval(node.base, p, n)
+        acc = DiffOp.one(p, n)
+        for _ in range(node.power):
+            acc = leibniz_product(acc, base)
+        return acc
+    left, right = atomwise_eval(node.left, p, n), atomwise_eval(node.right, p, n)
+    if node.op == "*":
+        return leibniz_product(left, right)
+    return left + right if node.op == "+" else left - right
 
 
 def test_parse_examples():
@@ -94,3 +118,50 @@ def test_print_parse_round_trip():
         for _ in range(40):
             op = rand_op(rng, p, n)
             assert eval_operator(str(op), p, n) == op
+
+
+WRITTEN_ORDER = ("d1[2]*x1", "x2*d1[3]*x1", "d1[2]*d1[3]", "3*d1[2]*5", "x1*d1[1]*x1")
+
+
+def test_fold_matches_atomwise_evaluation():
+    rng = random.Random(29)
+    for p in (2, 3, 5, 101):
+        for text in WRITTEN_ORDER:
+            assert eval_operator(text, p, 2) == atomwise_eval(parse(text), p, 2), (text, p)
+        for n in (1, 2, 3):
+            for _ in range(15):
+                text = str(rand_op(rng, p, n))
+                assert eval_operator(text, p, n) == atomwise_eval(parse(text), p, n), text
+            # random products and sums of atoms in any order, powers included
+            atoms = [f"x{rng.randint(1, n)}^{rng.randint(-2, 2)}" for _ in range(3)]
+            atoms += [f"d{rng.randint(1, n)}[{rng.choice((1, 2, p - 1, p, p + 1))}]" for _ in range(3)]
+            atoms += [str(rng.randint(0, 2 * p)), "(x1 + d1[1])^2"]
+            for _ in range(15):
+                terms = ["*".join(rng.choices(atoms, k=rng.randint(1, 5)))
+                         for _ in range(rng.randint(1, 3))]
+                text = " - ".join(terms)
+                assert eval_operator(text, p, n) == atomwise_eval(parse(text), p, n), text
+
+
+def test_long_sums_and_products_do_not_recurse():
+    n_terms = 20000
+    total = eval_operator(" + ".join(f"x1^{k}" for k in range(n_terms)), 3, 1)
+    assert total.to_laurent() == LaurentPoly(3, 1, {(k,): 1 for k in range(n_terms)})
+    # each x1 after d1[1] closes a run, so the 10,000 runs x1*d1[1] are
+    # multiplied one by one; (x d)^2 = x d + 2 x^2 d^[2] = x d at p = 2
+    theta = eval_operator("*".join(["x1", "d1[1]"] * (n_terms // 2)), 2, 1)
+    assert theta == eval_operator("x1*d1[1]", 2, 1)
+    k = n_terms // 4
+    folded = eval_operator("*".join(["x1", "2", "x2^-1", "d1[0]"] * k), 5, 2)
+    assert folded == DiffOp.monomial(5, 2, (k, -k), pow(2, k, 5))
+
+
+@given(st.text(alphabet="0123456789xd[]()+-*^ ", max_size=16),
+       st.sampled_from((2, 3, 5, 101)), st.integers(1, 3))
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_eval_operator_returns_or_raises_typed_error(text, p, n):
+    try:
+        result = eval_operator(text, p, n)
+    except DividedOpsError:
+        return
+    assert isinstance(result, DiffOp)
