@@ -28,13 +28,13 @@ certify the reading by rebuilding every level image with the closed form.
 images on theta-tables (`theta.ThetaTable`): the operator sum_gamma
 x^gamma c_gamma(theta) as one table of c_gamma per gamma on (Z/p^K)^n,
 K the longest base-p index among the x and level images.  Lucas' theorem
-makes the conversion (Kronecker rows of Lucas columns) a unitriangular
-Pascal matrix, so tables are faithful, and a product is a roll and a
-pointwise product instead of a Leibniz expansion.  Cells are bytes for
-p <= 16, two residues paired into one byte per cell and mapped through
-`bytes.translate`, and lists of ints above.  Above TABLE_CELLS
-= 2^16 cells (p^(nK)) the same checks run on `DiffOp`s, where sparse
-operators stay cheap.
+makes the conversion a unitriangular Pascal matrix, the Kronecker power
+of the p x p one, applied one base-p digit at a time; so tables are
+faithful, and a product is a roll and a pointwise product instead of a
+Leibniz expansion.  Cells are bytes for p <= 16, two residues paired
+into one byte per cell and mapped through `bytes.translate`, and lists
+of ints above.  Above TABLE_CELLS = 2^16 cells (p^(nK)) the same checks
+run on `DiffOp`s, where sparse operators stay cheap.
 """
 
 from __future__ import annotations
@@ -170,11 +170,6 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     # the short left factor meets the input; the right product expands once
     left = DiffOp.monomial(s.p, s.n, [-v for v in t]) * op
     return left * DiffOp.monomial(s.p, s.n, t)
-
-
-def shift_divided_image(s: ShiftVector, i: int, k: int) -> DiffOp:
-    """Image of d_i^[k] under the shift automorphism with parameter s."""
-    return shift_apply(s, DiffOp.partial(s.p, s.n, i, k))
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +602,6 @@ class FactoredAut:
     @property
     def precision(self) -> int:
         return self.shift.precision
-
-    @classmethod
-    def identity(cls, p, n, precision) -> "FactoredAut":
-        return cls(ShiftVector.zeros(p, n, precision), MonomialAut.identity(p, n))
 
     def is_identity(self) -> bool:
         return self.shift.is_zero() and self.tau.is_identity()

@@ -57,9 +57,6 @@ class ExponentWindow:
     def sample(self, rng: random.Random) -> tuple[int, ...]:
         return tuple(rng.randint(l, h) for l, h in zip(self.lo, self.hi))
 
-    def __contains__(self, exps) -> bool:
-        return all(l <= e <= h for e, l, h in zip(exps, self.lo, self.hi))
-
 
 def nullspace_mod_p(columns: Sequence[Mapping[Hashable, int]], p: int) -> list[dict[int, int]]:
     """Basis of the null space mod p of a matrix given by sparse columns.

@@ -235,17 +235,11 @@ def _leibniz_terms(
     return terms
 
 
-def _lucas_column(b: int, p: int, digits: int) -> list[tuple[int, int]]:
-    """The pairs (t, C(t, b) mod p) with t < p^digits and C(t, b) nonzero,
-    t increasing.  By Lucas' theorem these are the t whose every base-p
-    digit is at least the matching digit of b, chosen from the top down."""
+def _pascal_column(b: int, p: int) -> list[int]:
+    """Column b < p of the p x p Pascal matrix mod p: C(t, b) mod p for
+    t < p, zero above the diagonal and nonzero on and below it."""
     fact, inv = _digit_binom_table(p)
-    column = [(0, 1)]
-    for r in reversed(range(digits)):
-        bk = b // p ** r % p
-        column = [(t * p + a, c * fact[a] * inv[bk] * inv[a - bk] % p)
-                  for t, c in column for a in range(bk, p)]
-    return column
+    return [0] * b + [fact[t] * inv[b] * inv[t - b] % p for t in range(b, p)]
 
 
 def binom_int_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:

@@ -10,8 +10,9 @@ is a table of residues on (Z/P)^n.  The conversion from the normal form
 is the Pascal matrix C(t, b) mod p on t, b < P, which is unitriangular
 (the Kronecker power of the p x p Pascal matrix, Mahler's basis), and
 operators whose indices are all below P form a subring.  So the tables
-are faithful: equal tables mean equal operators.  A product is a roll
-and a pointwise product,
+are faithful: equal tables mean equal operators.  `from_diffop` applies
+that Kronecker power one base-p digit of the index at a time.  A product
+is a roll and a pointwise product,
 
     (x^a f(theta)) (x^b g(theta)) = x^{a + b} f(theta + b) g(theta),
 
@@ -23,9 +24,8 @@ and `bytes.translate` with a 256-byte map per operation (product, sum,
 difference, scaling) takes it to the result, so pointwise loops run in C.
 Above 16 a table is a list of ints, with comprehensions; `_cells` picks
 the kernel from p.  Rolls (slicing), equality, the zero test and the
-conversion are written once for both: the conversion joins Kronecker
-rows, one copy of a group's table of the other indices per row t,
-scaled by C(t, b) for the group's first index b.  An array library
+conversion are written once for both: a conversion pass joins one
+scaled copy of a table per row of a Pascal column.  An array library
 would cost more to import than these tables take to multiply.
 """
 
@@ -38,7 +38,7 @@ from types import SimpleNamespace
 
 from .diffop import DiffOp, power
 from .errors import InsufficientPrecision, MismatchError
-from .scalars import _lucas_column, padic_length
+from .scalars import _pascal_column, padic_length
 
 
 def _list_cells(p: int) -> SimpleNamespace:
@@ -72,28 +72,6 @@ def _cells(p: int) -> SimpleNamespace:
     return _byte_cells(p) if p <= 16 else _list_cells(p)
 
 
-def _expand(terms: dict, columns: dict, cells):
-    """The table of m -> sum_beta c_beta prod_i C(m_i, beta_i), grouped by
-    the first index b of beta: a group is the Kronecker product of the
-    column of C(t, b) (columns[b]) with the group's table of the other
-    indices, one scaled copy of that table per row t."""
-    if not len(next(iter(terms))):
-        return cells.new([sum(terms.values()) % cells.p])
-    by_first: dict[int, dict] = {}
-    for beta, c in terms.items():
-        by_first.setdefault(beta[0], {})[beta[1:]] = c
-    out = None
-    for b, rest in by_first.items():
-        inner, column = _expand(rest, columns, cells), columns[b]
-        if len(inner) == 1:  # the last axis: the column itself, scaled
-            rows = cells.scale(column, inner[0])
-        else:
-            scaled = {c: cells.scale(inner, c) for c in set(column)}
-            rows = cells.join(map(scaled.__getitem__, column))
-        out = rows if out is None else cells.add(out, rows)
-    return out
-
-
 def _roll(table, shift, size: int, join):
     """The table of m -> table[m + shift], every axis taken mod size."""
     block = len(table)
@@ -120,25 +98,46 @@ class ThetaTable:
     @classmethod
     def from_diffop(cls, op: DiffOp, digits: int) -> "ThetaTable":
         """Tables of period p^digits; needs every divided index of `op` to
-        have at most that many base-p digits."""
+        have at most that many base-p digits.
+
+        The conversion is the Pascal matrix applied one base-p digit of
+        the index at a time, lowest first.  Each term starts as a one-cell
+        table keyed by gamma and the unread digits of beta, most
+        significant first (at the start, the cell of beta in the table).
+        Each pass pops the lowest unread digit b of every key, makes the
+        table T into column b of the p x p Pascal matrix tensor T (b
+        becomes its most significant digit) and adds the tables whose
+        shortened keys agree.  After n * digits passes one table is left
+        per gamma; the tables of a pass hold at most p^(n * digits) cells
+        per gamma, however many distinct indices `op` has."""
         p, n = op.p.p, op.n
         size, cells = p ** digits, _cells(p)
-        groups: dict[tuple[int, ...], dict] = {}
+        pending: dict[tuple, object] = {}
         for beta, f in op.parts.items():
             if max(beta) >= size:
                 raise InsufficientPrecision(
                     f"index {max(beta)} needs {padic_length(max(beta), p)} digits, "
                     f"tables have {digits}")
+            index = 0
+            for b in beta:
+                index = index * size + b
             for exps, c in f.terms.items():
-                groups.setdefault(tuple(e - b for e, b in zip(exps, beta)), {})[beta] = c
-        columns = {}
-        for b in {b for beta in op.parts for b in beta}:
-            column = [0] * size
-            for t, v in _lucas_column(b, p, digits):
-                column[t] = v
-            columns[b] = cells.new(column)
-        return cls(p, n, size, {gamma: _expand(terms, columns, cells)
-                                for gamma, terms in groups.items()})
+                pending[tuple(e - b for e, b in zip(exps, beta)), index] = cells.new([c])
+        columns: dict[int, object] = {}  # column b of the Pascal matrix, per digit b met
+        for _ in range(n * digits):
+            passed: dict[tuple, object] = {}
+            for (gamma, index), table in pending.items():
+                index, b = divmod(index, p)
+                column = columns.get(b) or columns.setdefault(b, cells.new(_pascal_column(b, p)))
+                if len(table) == 1:  # the first pass: the column itself, scaled
+                    table = cells.scale(column, table[0])
+                else:  # one scaled copy of the table per row
+                    scaled = {c: cells.scale(table, c) for c in set(column)}
+                    table = cells.join(map(scaled.__getitem__, column))
+                acc = passed.get((gamma, index))
+                passed[gamma, index] = table if acc is None else cells.add(acc, table)
+            pending = passed
+        return cls(p, n, size, {gamma: table for (gamma, _), table in pending.items()})
 
     def _check(self, other: "ThetaTable"):
         if (self.p, self.n, self.size) != (other.p, other.n, other.size):

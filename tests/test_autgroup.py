@@ -23,7 +23,6 @@ from dividedops.autgroup import (
     monomial_generator_images,
     shift_apply,
     shift_compose_images,
-    shift_divided_image,
     shift_generator_images,
     validate_generator_images,
     _theta_expansion,
@@ -58,11 +57,11 @@ def mono(p, n, exps, c=1):
 
 def test_shift_divided_image_examples():
     s = sv([[1]], 2)
-    assert shift_divided_image(s, 1, 1) == d(2, 1, 1) + mono(2, 1, (-1,))
+    assert shift_apply(s, d(2, 1, 1)) == d(2, 1, 1) + mono(2, 1, (-1,))
 
     s10 = sv([[1, 0]], 2)
     expect = d(2, 1, 1, 2) + DiffOp(2, 1, {(1,): LaurentPoly.monomial(2, 1, (-1,))})
-    assert shift_divided_image(s10, 1, 2) == expect
+    assert shift_apply(s10, d(2, 1, 1, 2)) == expect
 
     s11 = sv([[1, 1]], 2)
     expect = (
@@ -70,7 +69,7 @@ def test_shift_divided_image_examples():
         + DiffOp(2, 1, {(1,): LaurentPoly.monomial(2, 1, (-1,))})
         + mono(2, 1, (-2,))
     )
-    assert shift_divided_image(s11, 1, 2) == expect
+    assert shift_apply(s11, d(2, 1, 1, 2)) == expect
 
 
 def test_shift_image_action_identity():
@@ -83,7 +82,7 @@ def test_shift_image_action_identity():
             s = ShiftVector((rand_padic(rng, p, prec),))
             k = rng.randint(0, p ** prec - 1)
             m = rng.randint(-40, 40)
-            img = shift_divided_image(s, 1, k)
+            img = shift_apply(s, d(p, 1, 1, k))
             got = img.act_monomial((m,))
             cm = binom_padic(PadicInt.from_int(m, p, prec) + s.components[0], k)
             expect = LaurentPoly.monomial(p, 1, (m - k,), cm.value)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dividedops.autgroup import (
     FactoredAut,
@@ -333,6 +335,46 @@ def test_images_reader_rejects_malformed_files(tmp_path, capsys, mutate):
     code, _, err = run(capsys, "factor", str(path), "--p", "2", "--n", "2")
     assert code == 1
     assert "Traceback" not in err
+
+
+FIELDS = ("p", "n", "precision", "terms", "coeff", "x_exp", "d_exp",
+          "x_images", "xinv_images", "d_images")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.fixed_dictionaries({}, optional={key: inner for key in FIELDS}),
+    max_leaves=12)
+OP_FILES = (op_to_dict(eval_operator("3*x1^-2*d1[7] + d1[5]*x1 + 2", 5, 1)),
+            op_to_dict(eval_operator("d1[1]*x2^-1 + x1*d2[3]", 2, 2)))
+IMAGE_FILES = (images_to_dict(shift_generator_images(ShiftVector.from_ints([3, 1], 2, 2))),)
+
+
+@st.composite
+def near_valid(draw, files):
+    """One of `files` with one subtree, at a random depth, replaced by an
+    arbitrary JSON value."""
+    doc = copy.deepcopy(draw(st.sampled_from(files)))
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not child or not isinstance(child, (dict, list)) or draw(st.booleans()):
+            node[key] = draw(JSON_VALUES)
+            return doc
+        node = child
+
+
+@given(st.tuples(st.just(op_from_dict), near_valid(OP_FILES) | JSON_VALUES)
+       | st.tuples(st.just(images_from_dict), near_valid(IMAGE_FILES) | JSON_VALUES))
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_interchange_readers_return_or_raise_typed_error(case):
+    reader, data = case
+    try:
+        result = reader(data)
+    except DividedOpsError:
+        return
+    assert isinstance(result, DiffOp if reader is op_from_dict else GeneratorImages)
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -14,8 +14,8 @@ from dividedops.scalars import (
     FpScalar,
     PadicInt,
     Prime,
-    _lucas_column,
     _nonzero_binoms,
+    _pascal_column,
     binom_int_mod_p,
     binom_padic,
     padic_length,
@@ -114,13 +114,21 @@ def test_nonzero_binoms_match_brute_force(p, uppers):
 
 
 
-@pytest.mark.parametrize("p, digits", [(2, 4), (3, 3), (5, 2), (65521, 1)])
-def test_lucas_column_lists_the_nonzero_binomials(p, digits):
-    size = p ** digits
-    lowers = range(size) if size < 1000 else [0, 1, 2, 65519, 65520]
-    for b in lowers:
-        expected = [(t, math.comb(t, b) % p) for t in range(size) if math.comb(t, b) % p]
-        assert _lucas_column(b, p, digits) == expected, b
+@pytest.mark.parametrize("p", (2, 3, 5, 17, 101, 65521))
+def test_pascal_column_is_the_binomial(p):
+    rng = random.Random(f"pascal:{p}")
+    if p < 1000:  # every column, every row
+        cells = [(b, range(p)) for b in range(p)]
+    else:  # sampled columns; the middle ones at sampled rows, math.comb being slow there
+        lowers = [0, 1, 2, p - 2, p - 1] + rng.sample(range(3, p - 2), 3)
+        cells = [(b, range(p) if min(b, p - b) < 4 else
+                  sorted({0, b - 1, b, b + 1, p - 1} | set(rng.sample(range(p), 40))))
+                 for b in lowers]
+    for b, rows in cells:
+        column = _pascal_column(b, p)
+        assert len(column) == p
+        assert [column[t] for t in rows] == [math.comb(t, b) % p for t in rows], b
+
 
 def test_table_cache_stays_small_across_large_primes():
     # one process taking binomials at the 64 largest primes below 2^16

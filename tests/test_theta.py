@@ -2,7 +2,10 @@
 validate_generator_images checked to report the same on tables as on
 DiffOps."""
 
+import math
 import random
+import subprocess
+import sys
 from itertools import product as iproduct
 
 import pytest
@@ -23,7 +26,7 @@ from dividedops.laurent import LaurentPoly
 from dividedops.scalars import padic_length
 from dividedops.theta import ThetaTable
 
-from helpers import ROOT, rand_gl, rand_op, rand_padic, rand_poly
+from helpers import ROOT, rand_gl, rand_op, rand_padic, rand_poly, subprocess_env
 
 SHAPES = ((2, 1), (3, 2), (5, 2), (2, 3))
 
@@ -53,6 +56,32 @@ def test_table_is_the_module_action(p, n):
                    for gamma, t in table.tables.items() if t[cell]}
             assert op.act(LaurentPoly.monomial(p, n, m)).terms == got, (op, m)
     assert many_gammas >= 4
+
+
+@pytest.mark.parametrize("p, n, order", [(2, 3, 7), (3, 2, 8), (5, 2, 24), (17, 1, 288)])
+def test_every_cell_is_the_sum_of_binomials(p, n, order):
+    # the cell at m of c_gamma is sum_beta c_beta prod_i C(m_i, beta_i) mod p
+    # over the terms c_beta x^(gamma + beta) d^[beta], indices of two digits or more
+    rng = random.Random(f"cells:{p}:{n}")
+    ops = [rand_op(rng, p, n, max_parts=4, max_order=order, span=3, max_terms=3)
+           for _ in range(10)]
+    assert sum(len({tuple(e - b for e, b in zip(exps, beta)) for beta, f in op.parts.items()
+                    for exps in f.terms}) > 1 for op in ops) >= 3
+    for op in ops:
+        digits = digits_for(op)
+        table = ThetaTable.from_diffop(op, digits)
+        size = p ** digits
+        expected: dict = {}
+        for beta, f in op.parts.items():
+            for exps, c in f.terms.items():
+                gamma = tuple(e - b for e, b in zip(exps, beta))
+                cells = expected.setdefault(gamma, [0] * size ** n)
+                for cell, m in enumerate(iproduct(range(size), repeat=n)):
+                    cells[cell] += c * math.prod(math.comb(mi, b) for mi, b in zip(m, beta))
+        expected = {gamma: [v % p for v in cells] for gamma, cells in expected.items()
+                    if any(v % p for v in cells)}
+        assert {gamma: list(t) for gamma, t in table.tables.items()} == expected, op
+    assert max(digits_for(op) for op in ops) >= 2
 
 
 @pytest.mark.parametrize("p, n", SHAPES)
@@ -253,6 +282,28 @@ def test_shift_images_validate_on_tables(monkeypatch, p, n, prec, values):
     rep = validate_generator_images(g)
     assert rep.passed, rep.failures()
     assert calls and p ** (n * calls[0]) <= autgroup.TABLE_CELLS
+
+
+def test_conversion_memory_does_not_grow_with_the_indices():
+    # the level images of the shift 5000 at p = 1031 hold every index below
+    # p^2; under a 600 MB address-space cap their p^2-cell tables must convert
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))\n"
+        "from dividedops.autgroup import ShiftVector, shift_generator_images\n"
+        "from dividedops.theta import ThetaTable\n"
+        "p, s = 1031, 5000\n"
+        "g = shift_generator_images(ShiftVector.from_ints([s], p, 2))\n"
+        "assert ThetaTable.from_diffop(g.x_images[0], 2).tables == {(1,): [1] * p**2}\n"
+        "for k, level in enumerate(g.d_images[0]):\n"
+        "    # x^-(p^k) C(theta + s, p^k): digit k of m + s, by Lucas' theorem\n"
+        "    want = [(m + s) % p**2 // p**k % p for m in range(p**2)]\n"
+        "    assert ThetaTable.from_diffop(level, 2).tables == {(-p**k,): want}, k\n"
+        "    del want\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 def test_over_budget_images_take_the_diffop_path(monkeypatch):
