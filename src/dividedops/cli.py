@@ -316,12 +316,18 @@ def cmd_build_sigma(args, session: Session) -> int:
 
 def _load_images(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc.msg}", exc.pos)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", exc.start)
+    except ValueError as exc:  # an integer too long for int()
+        raise ParseError(f"bad JSON in {path}: {exc}", 0)
+    except RecursionError:
+        raise ParseError(f"JSON in {path} is nested too deeply to read", 0)
     return images_from_dict(data)
 
 

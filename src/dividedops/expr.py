@@ -7,20 +7,33 @@ Grammar (whitespace insensitive, explicit '*' between factors):
     factor := atom ('^' nat)?
     atom   := nat | 'x'idx('^'int)? | 'd'idx'['nat']' | '(' expr ')'
 
-Multiplication is noncommutative and evaluated in written order.  Syntax
-errors report the byte offset of the first offending character, and so
-do parentheses nested deeper than MAX_NESTING.
+Numbers are ASCII digits [0-9] only.  Multiplication is noncommutative and
+evaluated in written order.  Syntax errors report the offset of the first
+offending character, and so do parentheses nested deeper than MAX_NESTING.
+
+The parser works per token, not per character: one compiled pattern
+splits the text into whole tokens (a number, 'x'idx with its optional
+'^'int, 'd'idx'['nat']', or one other character), and a loop over the
+token list builds the left-nested tree; equal atom tokens share one
+node.  Syntax nodes are tuples that compare equal only to nodes of
+their own class.  An 'x' or 'd' token stops where a part is missing, so
+a malformed one ends just where a character-by-character reading fails;
+on an error the text is scanned again up to the failing token to find
+the offset.
 
 The evaluator folds a run of atoms already in normal order (numbers,
 x_j before any d_j, divided powers) into one term c x^gamma d^[beta]
 with no operator product, and adds the terms of a '+'/'-' chain into
-one dict in place, so a printed normal form evaluates without products.
+one dict in place, so a printed normal form evaluates without products
+and without building an operator per term.
 Long sums and products are walked in loops; only parentheses recurse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from collections import namedtuple
+from itertools import islice
 
 from .diffop import DiffOp
 from .errors import MismatchError, ParseError
@@ -32,149 +45,136 @@ from .scalars import Prime, _lucas, as_prime
 MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
+class _Node:
+    """Mixin for syntax nodes: a node is a tuple of its fields that equals
+    only nodes of its own class, so Var(1, 2) != Partial(1, 2)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int
-    exponent: int = 1
+class Num(_Node, namedtuple("Num", "value")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Partial:
-    index: int
-    order: int
+class Var(_Node, namedtuple("Var", "index exponent", defaults=(1,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: object
-    right: object
+class Partial(_Node, namedtuple("Partial", "index order")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    power: int
+class BinOp(_Node, namedtuple("BinOp", "op left right")):  # op is '+', '-' or '*'
+    __slots__ = ()
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.depth = 0
+class Pow(_Node, namedtuple("Pow", "base power")):
+    __slots__ = ()
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _fail(self, message: str):
-        raise ParseError(message, self.pos)
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            self._fail(f"expected '{ch}'")
-        self.pos += 1
-
-    def _nat(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self._fail("expected a number")
-        return int(self.text[start:self.pos])
-
-    def _signed_int(self) -> int:
-        self._skip_ws()
-        sign = 1
-        if self._peek() == "-":
-            sign = -1
-            self.pos += 1
-        return sign * self._nat()
-
-    def parse(self):
-        node = self._expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            self._fail("unexpected trailing input")
-        return node
-
-    def _expr(self):
-        node = self._term()
-        while True:
-            self._skip_ws()
-            c = self._peek()
-            if c == "+" or c == "-":
-                self.pos += 1
-                node = BinOp(c, node, self._term())
-            else:
-                return node
-
-    def _term(self):
-        node = self._factor()
-        while True:
-            self._skip_ws()
-            if self._peek() == "*":
-                self.pos += 1
-                node = BinOp("*", node, self._factor())
-            else:
-                return node
-
-    def _factor(self):
-        node = self._atom()
-        self._skip_ws()
-        if self._peek() == "^":
-            self.pos += 1
-            return Pow(node, self._nat())
-        return node
-
-    def _atom(self):
-        self._skip_ws()
-        c = self._peek()
-        if c == "(":
-            if self.depth == MAX_NESTING:
-                self._fail(f"parentheses nested deeper than {MAX_NESTING}")
-            self.pos += 1
-            self.depth += 1
-            node = self._expr()
-            self._skip_ws()
-            self._expect(")")
-            self.depth -= 1
-            return node
-        if c.isdigit():
-            return Num(self._nat())
-        if c == "x":
-            self.pos += 1
-            idx = self._nat()
-            exponent = 1
-            self._skip_ws()
-            if self._peek() == "^":
-                self.pos += 1
-                exponent = self._signed_int()
-            return Var(idx, exponent)
-        if c == "d":
-            self.pos += 1
-            idx = self._nat()
-            self._skip_ws()
-            self._expect("[")
-            order = self._nat()
-            self._skip_ws()
-            self._expect("]")
-            return Partial(idx, order)
-        self._fail("expected an atom")
+# One token after any whitespace: a number, an x or d atom, or any other
+# single character.  An x or d atom stops where a part is missing, so a
+# well-formed one ends in a digit or ']' and a malformed one ends just
+# where the character parser would fail.
+_TOKEN = re.compile(r"""\s*(
+    [0-9]+
+  | x \s* (?: [0-9]+ (?: \s* \^ \s* (?: - \s* )? [0-9]* )? )?
+  | d \s* (?: [0-9]+ \s* (?: \[ \s* (?: [0-9]+ \s* \]? )? )? )?
+  | \S
+)""", re.VERBOSE)
 
 
 def parse(text: str):
     """Parse an operator expression into its syntax tree."""
-    return _Parser(text).parse()
+    # trailing whitespace is no token; stripping it keeps the scan linear
+    tokens = _TOKEN.findall(text, 0, len(text.rstrip()))
+    tokens.append("")  # the end of the text
+    node, i = _parse_expr(text, tokens, 0, 0, {})
+    if i != len(tokens) - 1:
+        _fail(text, i, "unexpected trailing input")
+    return node
+
+
+def _parse_expr(text: str, tokens: list[str], i: int, depth: int, atoms: dict):
+    """The expression starting at token i, and the index of the token
+    after it.  `atoms` maps each atom token met so far to its node, so
+    equal atoms share one node.  Only parentheses recurse."""
+    new = tuple.__new__  # a node without the named tuple's Python-level constructor
+    node = op = None
+    while True:
+        term = None
+        while True:
+            tok = tokens[i]
+            atom = atoms.get(tok)
+            if atom is None:
+                if tok == "(":
+                    if depth == MAX_NESTING:
+                        _fail(text, i, f"parentheses nested deeper than {MAX_NESTING}")
+                    atom, i = _parse_expr(text, tokens, i + 1, depth + 1, atoms)
+                    if tokens[i] != ")":
+                        _fail(text, i, "expected ')'")
+                else:
+                    atom = atoms[tok] = _atom(text, i, tok)
+            i += 1
+            c = tokens[i]
+            if c == "^":
+                i += 1
+                power = tokens[i]
+                if not "0" <= power[:1] <= "9":
+                    _fail(text, i, "expected a number")
+                atom = new(Pow, (atom, int(power)))
+                i += 1
+                c = tokens[i]
+            term = atom if term is None else new(BinOp, ("*", term, atom))
+            if c != "*":
+                break
+            i += 1
+        node = term if op is None else new(BinOp, (op, node, term))
+        if c != "+" and c != "-":
+            return node, i
+        op = c
+        i += 1
+
+
+def _atom(text: str, i: int, tok: str):
+    """The node of token i, a number or an x or d atom."""
+    kind = tok[:1]
+    if "0" <= kind <= "9":
+        return Num(int(tok))
+    if kind == "x":
+        if "0" <= tok[-1] <= "9":
+            index, _, exponent = "".join(tok[1:].split()).partition("^")
+            return Var(int(index), int(exponent) if exponent else 1)
+        _fail(text, i, "expected a number", at_end=True)
+    if kind == "d":
+        if tok[-1] == "]":
+            index, _, order = "".join(tok[1:-1].split()).partition("[")
+            return Partial(int(index), int(order))
+        read = "".join(tok.split())
+        if read == "d" or read[-1] == "[":
+            _fail(text, i, "expected a number", at_end=True)
+        _fail(text, i, "expected ']'" if "[" in read else "expected '['", at_end=True)
+    _fail(text, i, "expected an atom")
+
+
+def _fail(text: str, i: int, message: str, at_end: bool = False):
+    """Raise ParseError at token i: at its first character, or with
+    `at_end` (an atom missing a part) just after it.  The text is scanned
+    again to find the token.  Past the last token, and for a part missing
+    at the end of the text, the offset is the end of the text, trailing
+    whitespace included."""
+    end = len(text.rstrip())
+    m = next(islice(_TOKEN.finditer(text, 0, end), i, None), None)
+    offset = end if m is None else m.end() if at_end else m.start(1)
+    raise ParseError(message, len(text) if offset == end else offset)
 
 
 def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
@@ -187,15 +187,20 @@ def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
         terms.append((node.op == "-", node.right))
         node = node.left
     if not terms:
-        return _eval_product(node, p, n)
+        return _close(p, n, *_eval_product(node, p, n))
     terms.append((False, node))
     pp = p.p
     acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for negate, term in reversed(terms):
-        for beta, f in _eval_product(term, p, n).parts.items():
-            bucket = acc.setdefault(beta, {})
-            for gam, c in f.terms.items():
-                s = (bucket.get(gam, 0) + (-c if negate else c)) % pp
+        prod, c, gamma, beta = _eval_product(term, p, n)
+        if prod is None:  # a lone run is one term: no DiffOp is built for it
+            parts = {tuple(beta): {tuple(gamma): c}} if c else {}
+        else:
+            parts = {b: f.terms for b, f in _close(p, n, prod, c, gamma, beta).parts.items()}
+        for b, f in parts.items():
+            bucket = acc.setdefault(b, {})
+            for gam, coeff in f.items():
+                s = (bucket.get(gam, 0) + (-coeff if negate else coeff)) % pp
                 if s:
                     bucket[gam] = s
                 else:
@@ -203,8 +208,10 @@ def eval_expr(node, p: int | Prime, n: int) -> DiffOp:
     return DiffOp(p, n, {b: LaurentPoly(p, n, t) for b, t in acc.items() if t})
 
 
-def _eval_product(node, p: Prime, n: int) -> DiffOp:
-    """Evaluate a product in written order.
+def _eval_product(node, p: Prime, n: int):
+    """Evaluate a product in written order, as the product of its closed
+    runs and other factors (None if there were none) and the open run
+    (c, gamma, beta) that ends it.
 
     A run of atoms already in normal order folds into one term
     c x^gamma d^[beta] with no operator product: a number scales c, x_j
@@ -247,6 +254,12 @@ def _eval_product(node, p: Prime, n: int) -> DiffOp:
             acc = _times(acc, eval_expr(factor, p, n))
         else:
             raise TypeError(f"not a syntax node: {factor!r}")
+    return acc, c, gamma, beta
+
+
+def _close(p: Prime, n: int, acc: DiffOp | None, c: int, gamma: list[int],
+           beta: list[int]) -> DiffOp:
+    """The product acc times the run c x^gamma d^[beta]."""
     if acc is None or c != 1 or any(gamma) or any(beta):
         acc = _times(acc, _term(p, n, c, gamma, beta))
     return acc

@@ -10,6 +10,8 @@ from itertools import product as iproduct
 from pathlib import Path
 
 from dividedops.diffop import DiffOp
+from dividedops.errors import ParseError
+from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import PadicInt, Prime, _lucas, _nonzero_binoms
 
@@ -78,6 +80,127 @@ def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:
                         key = tuple(gam[i] + shift[i] for i in range(n))
                         bucket[key] = (bucket.get(key, 0) + cf * cj) % pp
     return DiffOp(a.p, n, {beta: LaurentPoly(a.p, n, terms) for beta, terms in acc.items()})
+
+
+def reference_parse(text: str):
+    """Parse an operator expression one character at a time, by recursive
+    descent with a method per grammar rule: the reference that the token
+    parser `expr.parse` is tested against, trees and ParseErrors alike."""
+    return _ReferenceParser(text).parse()
+
+
+def _is_digit(c: str) -> bool:
+    return "0" <= c <= "9"
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.depth = 0
+
+    def _skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def _peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def _fail(self, message: str):
+        raise ParseError(message, self.pos)
+
+    def _expect(self, ch: str):
+        if self._peek() != ch:
+            self._fail(f"expected '{ch}'")
+        self.pos += 1
+
+    def _nat(self) -> int:
+        self._skip_ws()
+        start = self.pos
+        while _is_digit(self._peek()):
+            self.pos += 1
+        if self.pos == start:
+            self._fail("expected a number")
+        return int(self.text[start:self.pos])
+
+    def _signed_int(self) -> int:
+        self._skip_ws()
+        sign = 1
+        if self._peek() == "-":
+            sign = -1
+            self.pos += 1
+        return sign * self._nat()
+
+    def parse(self):
+        node = self._expr()
+        self._skip_ws()
+        if self.pos != len(self.text):
+            self._fail("unexpected trailing input")
+        return node
+
+    def _expr(self):
+        node = self._term()
+        while True:
+            self._skip_ws()
+            c = self._peek()
+            if c == "+" or c == "-":
+                self.pos += 1
+                node = BinOp(c, node, self._term())
+            else:
+                return node
+
+    def _term(self):
+        node = self._factor()
+        while True:
+            self._skip_ws()
+            if self._peek() == "*":
+                self.pos += 1
+                node = BinOp("*", node, self._factor())
+            else:
+                return node
+
+    def _factor(self):
+        node = self._atom()
+        self._skip_ws()
+        if self._peek() == "^":
+            self.pos += 1
+            return Pow(node, self._nat())
+        return node
+
+    def _atom(self):
+        self._skip_ws()
+        c = self._peek()
+        if c == "(":
+            if self.depth == MAX_NESTING:
+                self._fail(f"parentheses nested deeper than {MAX_NESTING}")
+            self.pos += 1
+            self.depth += 1
+            node = self._expr()
+            self._skip_ws()
+            self._expect(")")
+            self.depth -= 1
+            return node
+        if _is_digit(c):
+            return Num(self._nat())
+        if c == "x":
+            self.pos += 1
+            idx = self._nat()
+            exponent = 1
+            self._skip_ws()
+            if self._peek() == "^":
+                self.pos += 1
+                exponent = self._signed_int()
+            return Var(idx, exponent)
+        if c == "d":
+            self.pos += 1
+            idx = self._nat()
+            self._skip_ws()
+            self._expect("[")
+            order = self._nat()
+            self._skip_ws()
+            self._expect("]")
+            return Partial(idx, order)
+        self._fail("expected an atom")
 
 
 def rand_shift_digits(rng: random.Random, p, n, precision) -> list[list[int]]:

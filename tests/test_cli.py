@@ -70,6 +70,14 @@ def test_parse_error_exit_code(capsys):
     assert "offset 6" in err
 
 
+def test_non_ascii_digit_is_parse_error(capsys):
+    code, out, err = run(capsys, "normalize", "x1^\u00b2", "--p", "3")
+    assert code == 1
+    assert out == ""
+    assert "offset 3" in err
+    assert "Traceback" not in err
+
+
 def test_normalize_long_flat_sum(capsys):
     text = " + ".join(f"x1^{k}" for k in range(1, 1200))
     code, out, _ = run(capsys, "normalize", text)
@@ -317,11 +325,19 @@ FIRST_TERM = ("d_images", 0, 0, "terms", 0)
     _set(FIRST_TERM + ("x_exp",), [0, 0, 0]),
     _set(FIRST_TERM + ("d_exp",), 1),
     _set(FIRST_TERM, [1, [0], [1]]),
+    _set(FIRST_TERM + ("coeff",), 3),
+    _set(FIRST_TERM + ("coeff",), -1),
+    _set(FIRST_TERM + ("coeff",), 0),
+    _set(FIRST_TERM + ("coeff",), 2),
+    _set(FIRST_TERM + ("junk",), 3),
+    _set(("d_images", 0, 0, "junk"), 3),
+    _set(("junk",), 3),
 ], ids=[
     "float-coeff", "bool-coeff", "float-exponent", "bool-d-exponent", "float-p", "bool-n",
     "float-precision", "non-prime-p", "zero-precision", "repeated-term", "missing-d_images",
     "missing-terms", "missing-coeff", "string-d_images", "int-row", "object-x_images",
-    "long-x_exp", "int-d_exp", "list-term",
+    "long-x_exp", "int-d_exp", "list-term", "coeff-above-p", "negative-coeff", "zero-coeff",
+    "coeff-p", "unknown-term-field", "unknown-operator-field", "unknown-top-level-field",
 ])
 def test_images_reader_rejects_malformed_files(tmp_path, capsys, mutate):
     s = ShiftVector.from_digits([[1, 0], [0, 1]], 2)
@@ -334,6 +350,22 @@ def test_images_reader_rejects_malformed_files(tmp_path, capsys, mutate):
     path.write_text(json.dumps(data))
     code, _, err = run(capsys, "factor", str(path), "--p", "2", "--n", "2")
     assert code == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", [
+    b'{"p": 2, "n": "\xe9"}',
+    b"[" * 200_000 + b"]" * 200_000,
+    b'{"p": ' + b"1" * 5000 + b"}",
+], ids=["latin-1", "nested-200000-deep", "5000-digit-integer"])
+def test_unreadable_images_file_is_parse_error(tmp_path, capsys, raw):
+    path = tmp_path / "aut.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "factor", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("syntax error: ")
+    assert str(path) in err
     assert "Traceback" not in err
 
 
@@ -375,6 +407,31 @@ def test_interchange_readers_return_or_raise_typed_error(case):
     except DividedOpsError:
         return
     assert isinstance(result, DiffOp if reader is op_from_dict else GeneratorImages)
+
+
+WRONG_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
+                 | st.integers(-3, 3))
+DUMPS_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.sampled_from(FIELDS), inner, max_size=4)
+    | st.fixed_dictionaries({"coeff": WRONG_SCALARS, "d_exp": st.lists(WRONG_SCALARS, max_size=3),
+                             "x_exp": st.lists(WRONG_SCALARS, max_size=3)})
+    | st.fixed_dictionaries({"coeff": st.integers(), "d_exp": st.lists(st.integers(), max_size=3),
+                             "x_exp": st.lists(st.integers(), max_size=3) | st.tuples(inner)}),
+    max_leaves=16)
+
+
+@given(DUMPS_VALUES)
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+def test_dumps_matches_json_module(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_rejects_non_string_keys():
+    with pytest.raises(TypeError):
+        dumps({"terms": [{1: 2}]})
 
 
 def test_cli_import_leaves_numpy_unloaded():

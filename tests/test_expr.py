@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dividedops.diffop import DiffOp
 from dividedops.errors import DividedOpsError, MismatchError, ParseError
 from dividedops.expr import (
+    MAX_NESTING,
     BinOp,
     Num,
     Partial,
@@ -21,7 +22,7 @@ from dividedops.expr import (
 )
 from dividedops.laurent import LaurentPoly
 
-from helpers import leibniz_product, rand_op
+from helpers import leibniz_product, rand_op, reference_parse
 
 
 def atomwise_eval(node, p, n) -> DiffOp:
@@ -73,11 +74,74 @@ def test_parse_error_offsets():
         ("x1 + ", 5),
         ("x1 x2", 3),
         ("^2", 0),
+        ("x1^-(", 4),
+        ("d1[2 ", 5),
+        # digits are ASCII: any other digit is an error at its offset
+        ("x1^\u00b2", 3),
+        ("x\u0661", 1),
+        ("d1[\u0663]", 3),
+        ("\u0663", 0),
+        ("x12\u0663", 3),
     ]
     for text, offset in cases:
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.offset == offset, text
+
+
+def test_nodes_compare_by_class():
+    assert Var(1, 2) != Partial(1, 2)
+    assert not Var(1, 2) == Partial(1, 2)
+    assert Var(1, 2) != (1, 2)
+    assert Var(1) == Var(1, 1)
+    assert hash(Var(1, 2)) == hash(Var(1, 2))
+    assert repr(BinOp("*", Num(2), Var(1))) == (
+        "BinOp(op='*', left=Num(value=2), right=Var(index=1, exponent=1))")
+
+
+PARSE_ALPHABET = "0123456789xd[]()+-*^ \t"
+PARSE_PIECES = ("x1", "x2", "x3^-2", "^", "^-", "d1[2]", "d2[", "]", "[", "(", ")",
+                "+", "-", "*", "12", "0", " ", "\t", "x", "d")
+PARSE_ATOMS = ("x1", "x2^-3", "x 3 ^ - 2", "d1[2]", "d 2 [ 10 ]", "7", "0", "(x1 + d1[1])",
+               "(2*x2)^3", "d1[1]^2", "x1^2^3")
+PARSE_OPS = ("+", "-", "*", " * ", " + ", "\t-\t")
+
+
+@st.composite
+def near_expressions(draw):
+    """A well-formed expression, or one with a character replaced or inserted."""
+    atoms = draw(st.lists(st.sampled_from(PARSE_ATOMS), min_size=1, max_size=6))
+    text = atoms[0] + "".join(draw(st.sampled_from(PARSE_OPS)) + a for a in atoms[1:])
+    if draw(st.booleans()):
+        pos = draw(st.integers(0, len(text)))
+        cut = pos + draw(st.integers(0, 1))
+        text = text[:pos] + draw(st.sampled_from(PARSE_ALPHABET)) + text[cut:]
+    return text
+
+
+def parse_outcome(parser, text):
+    try:
+        return parser(text)
+    except ParseError as exc:
+        return ("ParseError", exc.offset, exc.reason)
+
+
+@given(st.text(alphabet=PARSE_ALPHABET, max_size=24)
+       | st.lists(st.sampled_from(PARSE_PIECES), max_size=16).map("".join)
+       | near_expressions())
+@settings(max_examples=3000, deadline=None, derandomize=True, database=None)
+def test_parse_matches_reference_parser(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+def test_parse_matches_reference_on_printed_forms():
+    rng = random.Random(31)
+    for p, n in ((2, 1), (3, 2), (101, 3)):
+        for _ in range(20):
+            text = str(rand_op(rng, p, n, max_order=2 * p))
+            assert parse(text) == reference_parse(text)
+    text = "(" * MAX_NESTING + "x1^-2*d1[3]" + ")" * MAX_NESTING
+    assert parse(text) == reference_parse(text)
 
 
 def test_eval_normalizes():
