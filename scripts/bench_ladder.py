@@ -8,8 +8,9 @@ building them (`FactoredAut.to_images`), `factorize` and
 [[1,1,0],[0,1,1],[0,0,1]] at n = 3; s is drawn from a seeded
 random.Random.  Every cell is the minimum over --repeat runs, measured in
 a fresh child process that imports this checkout's src/; the expansion
-cache of the closed form is cleared before each run, so build and
-factorize pay for their expansions as a first call does.  A child that
+caches of the closed form (tabulated and by Newton differences) are
+cleared before each run, so build and factorize pay for their expansions
+as a first call does.  A child that
 has not finished within --cap seconds (its import and inputs included)
 is stopped, and the cell records the minimum of the runs it finished, or
 "capped" when it finished none.  Every result is checked: the images
@@ -47,8 +48,8 @@ def matrix(n: int) -> list[list[int]]:
 def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     """Child process: print the seconds of each run of one step, one line each."""
     sys.path.insert(0, str(ROOT / "src"))
-    from dividedops.autgroup import (FactoredAut, MonomialAut, ShiftVector, _theta_expansion,
-                                     factorize, validate_generator_images)
+    from dividedops.autgroup import (FactoredAut, MonomialAut, ShiftVector, _table_expansion,
+                                     _theta_expansion, factorize, validate_generator_images)
 
     rng = random.Random(f"ladder:{seed}:{p},{n},{prec}")
     shift = ShiftVector.from_ints([rng.randrange(p ** prec) for _ in range(n)], p, prec)
@@ -56,6 +57,7 @@ def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     images = aut.to_images()
     for _ in range(repeat):
         _theta_expansion.cache_clear()
+        _table_expansion.cache_clear()
         t0 = time.perf_counter()
         if step == "build":
             ok = FactoredAut(aut.shift, aut.tau).to_images() == images

@@ -14,6 +14,14 @@ coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
 conjugation by the unit x^s for any integer representative of s (two
 operator products); `monomial_apply` is the zero shift.
 
+One rule in `FactoredAut.apply` picks how the Mahler coefficients of a
+part are found: with K the longest base-p length in beta, on byte
+theta-tables when p <= 16 and p^(nK) <= TABLE_CELLS, and by Newton
+differences (`_theta_expansion`) otherwise.  On tables the product is
+tabulated on (Z/p^K)^n from slices of one row C(y, beta_i), y < p^K, per
+factor, and one inverse Mahler transform (`theta.mahler`) reads its
+coefficients off.
+
 `GeneratorImages` presents an automorphism by finitely many images; one
 helper maps an automorphism's operator action over them, which composes
 automorphisms and builds the images of `FactoredAut.to_images` from the
@@ -39,9 +47,11 @@ run on `DiffOp`s, where sparse operators stay cheap.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
+from operator import sub
 
 from .diffop import DiffOp, divided_image_from_levels
 from .errors import (
@@ -64,10 +74,13 @@ from .scalars import (
     as_prime,
     padic_length,
 )
-from .theta import ThetaTable
+from .theta import ThetaTable, _cells, binomial_row, linear_table, mahler
 
-# largest p^(nK) for which validate_generator_images multiplies theta-tables
+# largest p^(nK) for which validate_generator_images multiplies theta-tables,
+# and for which the closed form is tabulated
 TABLE_CELLS = 2 ** 16
+
+_NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -339,12 +352,14 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
     points = [()]  # lexicographic, so each line along an axis comes out in order
     for bound in bounds:
         points = [h + (u,) for h in points for u in range(min(bound, total - sum(h)) + 1)]
-    vals = {}
-    for h in points:
-        m = [sum(a * u for a, u in zip(row, h)) + ti for row, ti in zip(ainv, t)]
-        vals[h] = prod(_lucas(mi, b, p) for mi, b in zip(m, beta) if b) % p
+    factors = [(row, ti, b) for row, ti, b in zip(ainv, t, beta) if b]
+    vals = dict(zip(points, [
+        prod(_lucas(sum(a * u for a, u in zip(row, h)) + ti, b, p) for row, ti, b in factors) % p
+        for h in points]))
     # Newton's forward differences along one axis at a time; the point set
-    # is closed downwards, so every line starts at 0 on its axis
+    # is closed downwards, so every line starts at 0 on its axis.  They are
+    # taken over the integers and reduced mod p every 32 steps, which keeps
+    # the integers below 2^32 p.
     for axis in range(len(beta)):
         lines: dict[tuple[int, ...], list] = {}
         for h in points:
@@ -352,9 +367,43 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
         for line in lines.values():
             seq = [vals[h] for h in line]
             for r in range(1, len(seq)):
-                seq[r:] = [(u - v) % p for u, v in zip(seq[r:], seq[r - 1:-1])]
-            vals.update(zip(line, seq))
+                seq[r:] = map(sub, seq[r:], seq[r - 1:-1])
+                if r % 32 == 0:
+                    seq = [v % p for v in seq]
+            vals.update(zip(line, [v % p for v in seq]))
     return tuple((j, c) for j, c in vals.items() if c)
+
+
+# half of _theta_expansion's 512 entries: at 512 the peak RSS of a long run
+# of small automorphisms stood about 0.2 MB above the Newton path's
+@lru_cache(maxsize=256)
+def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
+                     t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The pairs of `_theta_expansion`, read off a byte theta-table.
+
+    With K the longest base-p length in beta, each factor C(ell_i m + t_i,
+    beta_i) is a table on (Z/p^K)^n gathered from the row C(y, beta_i),
+    y < p^K (`theta.linear_table`); their pointwise product goes through
+    one inverse Mahler transform (`theta.mahler`), and its nonzero cells
+    are the c_j, in row-major order of j."""
+    digits = max(padic_length(b, p) for b in beta)
+    if not digits:
+        return (((0,) * len(beta), 1),)
+    size, mul = p ** digits, _cells(p).mul
+    table = None
+    for row, b, ti in zip(ainv, beta, t):
+        if b:
+            factor = linear_table(binomial_row(b, p, digits), row, ti)
+            table = factor if table is None else mul(table, factor)
+    pairs = []
+    coeffs = mahler(table, p)
+    for cell in _NONZERO.finditer(coeffs):
+        index, j = cell.start(), []
+        for _ in beta:
+            index, jk = divmod(index, size)
+            j.append(jk)
+        pairs.append((tuple(reversed(j)), coeffs[cell.start()]))
+    return tuple(pairs)
 
 
 def monomial_apply(tau: MonomialAut, op: DiffOp) -> DiffOp:
@@ -502,11 +551,6 @@ def shift_compose_images(s: ShiftVector, h: GeneratorImages) -> GeneratorImages:
     return _map_images(lambda img: shift_apply(s, img), h, s.p, s.n, s.precision)
 
 
-def monomial_compose_images(tau: MonomialAut, h: GeneratorImages) -> GeneratorImages:
-    """Images of tau after h, conjugating every image of h."""
-    return _map_images(lambda img: monomial_apply(tau, img), h, tau.p, tau.n)
-
-
 def validate_generator_images(g: GeneratorImages) -> CheckReport:
     """Check the defining relations on a truncated set of generator images.
 
@@ -633,20 +677,25 @@ class FactoredAut:
     def apply(self, op: DiffOp) -> DiffOp:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
-        p^len(beta_i), the key of the cached expansion.  At tau = 1 it is
-        `shift_apply`, whose products write C(theta + s, beta) in time
-        proportional to their output, where Newton differences would cost
-        |beta|^2 per index."""
+        p^len(beta_i), the key of the cached expansion.  With K the longest
+        base-p length in beta, the expansion of a part is tabulated
+        (`_table_expansion`) when p <= 16 and p^(nK) <= TABLE_CELLS, and
+        taken by Newton differences (`_theta_expansion`) otherwise.  At tau = 1 it is `shift_apply`,
+        whose products write C(theta + s, beta) in time proportional to
+        their output, where Newton differences would cost |beta|^2 per
+        index."""
         if self._ainv_and_t is None:
             return shift_apply(self.shift, op)
         _check_shift_operand(self.shift, op)
-        tau, (ainv, t), pp = self.tau, self._ainv_and_t, self.p.p
+        tau, (ainv, t), pp, n = self.tau, self._ainv_and_t, self.p.p, self.n
         parts = []
         for beta, f in op.parts.items():
             coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
-            residue = tuple(v % pp ** padic_length(b, pp) for v, b in zip(t, beta))
-            expansion = _theta_expansion(ainv, beta, pp, residue)
-            parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion]
+            lengths = [padic_length(b, pp) for b in beta]
+            residue = tuple(v % pp ** k for v, k in zip(t, lengths))
+            on_tables = pp <= 16 and pp ** (n * max(lengths)) <= TABLE_CELLS
+            expand = _table_expansion if on_tables else _theta_expansion
+            parts += [(j, coeff.times_monomial(c, j)) for j, c in expand(ainv, beta, pp, residue)]
         return DiffOp(self.p, self.n, parts)
 
     def to_images(self) -> GeneratorImages:

@@ -316,14 +316,17 @@ def cmd_build_sigma(args, session: Session) -> int:
 
 def _load_images(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # newline="" keeps "\r\n" as two characters, so JSON offsets count
+        # the characters of the file, as the UTF-8 offsets below do
+        with open(path, encoding="utf-8", newline="") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON in {path}: {exc.msg}", exc.pos)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}", exc.start)
+    except UnicodeDecodeError as exc:  # exc.start counts bytes; offsets count characters
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}",
+                         len(exc.object[:exc.start].decode("utf-8")))
     except ValueError as exc:  # an integer too long for int()
         raise ParseError(f"bad JSON in {path}: {exc}", 0)
     except RecursionError:

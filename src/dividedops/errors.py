@@ -48,7 +48,8 @@ class InconsistentAction(InvalidAutomorphism):
 
 
 class ParseError(DividedOpsError):
-    """Syntax error in an operator expression, with a byte offset."""
+    """Syntax error in an operator expression or an input file, with the
+    character offset of the fault in the text."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")

@@ -7,9 +7,12 @@ Grammar (whitespace insensitive, explicit '*' between factors):
     factor := atom ('^' nat)?
     atom   := nat | 'x'idx('^'int)? | 'd'idx'['nat']' | '(' expr ')'
 
-Numbers are ASCII digits [0-9] only.  Multiplication is noncommutative and
+Numbers are ASCII digits [0-9] only, at most as many as int() converts
+(sys.get_int_max_str_digits()).  Multiplication is noncommutative and
 evaluated in written order.  Syntax errors report the offset of the first
-offending character, and so do parentheses nested deeper than MAX_NESTING.
+offending character (an index into the text, in characters), and so do
+parentheses nested deeper than MAX_NESTING and numbers with too many
+digits (at their first digit).
 
 The parser works per token, not per character: one compiled pattern
 splits the text into whole tokens (a number, 'x'idx with its optional
@@ -32,6 +35,7 @@ Long sums and products are walked in loops; only parentheses recurse.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from itertools import islice
 
@@ -90,6 +94,7 @@ _TOKEN = re.compile(r"""\s*(
   | d \s* (?: [0-9]+ \s* (?: \[ \s* (?: [0-9]+ \s* \]? )? )? )?
   | \S
 )""", re.VERBOSE)
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def parse(text: str):
@@ -130,7 +135,7 @@ def _parse_expr(text: str, tokens: list[str], i: int, depth: int, atoms: dict):
                 power = tokens[i]
                 if not "0" <= power[:1] <= "9":
                     _fail(text, i, "expected a number")
-                atom = new(Pow, (atom, int(power)))
+                atom = new(Pow, (atom, _int(text, i, power)))
                 i += 1
                 c = tokens[i]
             term = atom if term is None else new(BinOp, ("*", term, atom))
@@ -148,21 +153,35 @@ def _atom(text: str, i: int, tok: str):
     """The node of token i, a number or an x or d atom."""
     kind = tok[:1]
     if "0" <= kind <= "9":
-        return Num(int(tok))
+        return Num(_int(text, i, tok))
     if kind == "x":
         if "0" <= tok[-1] <= "9":
             index, _, exponent = "".join(tok[1:].split()).partition("^")
-            return Var(int(index), int(exponent) if exponent else 1)
+            return Var(_int(text, i, index), _int(text, i, exponent) if exponent else 1)
         _fail(text, i, "expected a number", at_end=True)
     if kind == "d":
         if tok[-1] == "]":
             index, _, order = "".join(tok[1:-1].split()).partition("[")
-            return Partial(int(index), int(order))
+            return Partial(_int(text, i, index), _int(text, i, order))
         read = "".join(tok.split())
         if read == "d" or read[-1] == "[":
             _fail(text, i, "expected a number", at_end=True)
         _fail(text, i, "expected ']'" if "[" in read else "expected '['", at_end=True)
     _fail(text, i, "expected an atom")
+
+
+def _int(text: str, i: int, digits: str) -> int:
+    """int(digits), a run of digits in token i (an x exponent may carry a
+    '-').  A run longer than int() converts is a ParseError at its first
+    digit."""
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        tok = next(islice(_TOKEN.finditer(text), i, None))
+        run = next(run for run in _DIGITS.finditer(text, tok.start(1), tok.end())
+                   if run.end() - run.start() > limit)
+        raise ParseError(f"number of more than {limit} digits", run.start()) from None
 
 
 def _fail(text: str, i: int, message: str, at_end: bool = False):

@@ -6,6 +6,7 @@ under a seed.
 
 import os
 import random
+import sys
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -121,7 +122,11 @@ class _ReferenceParser:
             self.pos += 1
         if self.pos == start:
             self._fail("expected a number")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            self.pos = start
+            self._fail(f"number of more than {sys.get_int_max_str_digits()} digits")
 
     def _signed_int(self) -> int:
         self._skip_ws()
@@ -201,6 +206,18 @@ class _ReferenceParser:
             self._expect("]")
             return Partial(idx, order)
         self._fail("expected an atom")
+
+
+def monomial_compose_images(tau, h):
+    """Images of the monomial automorphism tau after h, conjugating every
+    image of h."""
+    from dividedops.autgroup import GeneratorImages, monomial_apply
+
+    return GeneratorImages(
+        h.p, h.n, h.precision,
+        tuple(monomial_apply(tau, img) for img in h.x_images),
+        tuple(monomial_apply(tau, img) for img in h.xinv_images),
+        tuple(tuple(monomial_apply(tau, img) for img in row) for row in h.d_images))
 
 
 def rand_shift_digits(rng: random.Random, p, n, precision) -> list[list[int]]:

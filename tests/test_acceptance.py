@@ -20,7 +20,6 @@ from dividedops.autgroup import (
     factorize,
     int_det,
     matrix_shift,
-    monomial_compose_images,
     monomial_generator_images,
     shift_apply,
     shift_compose_images,
@@ -33,6 +32,8 @@ from dividedops.interchange import dumps, images_from_dict, images_to_dict, op_f
 from dividedops.laurent import LaurentPoly
 from dividedops.oracles import ExponentWindow, kernel_bruteforce, relation_suite
 from dividedops.scalars import PadicInt, binom_padic
+
+from helpers import monomial_compose_images
 
 GOLDEN = Path(__file__).parent / "golden"
 

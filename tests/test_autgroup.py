@@ -19,12 +19,12 @@ from dividedops.autgroup import (
     int_inverse_unimodular,
     matrix_shift,
     monomial_apply,
-    monomial_compose_images,
     monomial_generator_images,
     shift_apply,
     shift_compose_images,
     shift_generator_images,
     validate_generator_images,
+    _table_expansion,
     _theta_expansion,
 )
 from dividedops.diffop import DiffOp, normal_form_from_action
@@ -37,7 +37,7 @@ from dividedops.errors import (
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import PadicInt, binom_padic
 
-from helpers import rand_gl, rand_op, rand_padic
+from helpers import monomial_compose_images, rand_gl, rand_op, rand_padic
 
 
 def sv(digit_rows, p):
@@ -624,6 +624,101 @@ def test_theta_expansion_with_a_shift_is_the_shifted_product(p, n):
             am = [sum(a * mk for a, mk in zip(row, m)) for row in ainv]
             rhs = math.prod(exact_binom(v + ti, b) for v, ti, b in zip(am, t, beta))
             assert (lhs - rhs) % p == 0
+
+
+# -- the closed form on byte theta-tables ------------------------------------
+
+
+def table_digits(p, n) -> int:
+    """The most digits K with p^(nK) cells in a small table."""
+    k = 1
+    while p ** (n * (k + 1)) <= 2 ** 12:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_expansion_is_the_newton_expansion(p, n):
+    # every level index p^k e_i, and multi-indices with several nonzero
+    # entries, under seeded A^-1 and shifts t
+    rng = random.Random(f"table:{p}:{n}")
+    size = p ** table_digits(p, n)
+    levels = [tuple(p ** k if j == i else 0 for j in range(n))
+              for i in range(n) for k in range(table_digits(p, n))]
+    multi = [tuple(rng.randrange(size) for _ in range(n)) for _ in range(6)]
+    assert any(sum(map(bool, beta)) > 1 for beta in multi) or n == 1
+    for beta in levels + multi:
+        ainv = int_inverse_unimodular(rand_gl(rng, n))
+        t = tuple(rng.randrange(size) for _ in range(n))
+        assert _table_expansion(ainv, beta, p, t) == _theta_expansion(ainv, beta, p, t), beta
+
+
+def test_table_path_is_the_operator_recovered_from_its_action():
+    # at (p, n, precision) = (2, 2, 4) the shift s after tau sends x^m to
+    # x^-s tau(op(tau^-1(x^(m + s)))); the images of the level operators
+    # and of random operators, against the operator recovered from that
+    rng = random.Random(44)
+    p, n, prec = 2, 2, 4
+    for _ in range(4):
+        tau = MonomialAut.create(rand_gl(rng, n), [1, 1], p)
+        aut = FactoredAut(ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n))), tau)
+        s = [c.to_int() for c in aut.shift.components]
+        inv = tau.inverse()
+        ops = [d(p, n, i, p ** k) for i in (1, 2) for k in range(prec)]
+        ops += [rand_op(rng, p, n, max_parts=2, max_order=5, span=2, max_terms=2)
+                for _ in range(2)]
+        for op in ops:
+            if op.is_zero():
+                continue
+
+            def action(m, op=op):
+                probe = inv.apply_laurent(LaurentPoly.monomial(p, n, [a + b for a, b in zip(m, s)]))
+                return tau.apply_laurent(op.act(probe)).times_monomial(1, [-v for v in s])
+
+            assert aut.apply(op) == normal_form_from_action(action, p, n, op.order()), op
+
+
+def perturbed_messages(g, monkeypatch) -> tuple[str, str]:
+    """factorize's NotSigmaForm message with the closed form on tables, and
+    with Newton differences alone (no table anywhere)."""
+    with pytest.raises(NotSigmaForm) as tables:
+        factorize(g)
+    with monkeypatch.context() as m:
+        m.setattr(autgroup, "TABLE_CELLS", 0)
+        with pytest.raises(NotSigmaForm) as diffops:
+            factorize(g)
+    return str(tables.value), str(diffops.value)
+
+
+def with_image(g, i, k, image):
+    rows = [list(row) for row in g.d_images]
+    rows[i][k] = image
+    return GeneratorImages(g.p, g.n, g.precision, g.x_images, g.xinv_images,
+                           tuple(map(tuple, rows)))
+
+
+@pytest.mark.parametrize("i, k", [(0, 0), (1, 1), (0, 2)])
+def test_factorize_messages_are_the_diffop_certificates(monkeypatch, i, k):
+    p, n = 3, 2
+    fac = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], p), MonomialAut.create(((2, 1), (1, 1)), (2, 1), p))
+    g = fac.to_images()
+    image = g.d_images[i][k]
+    name = f"d{i + 1}^[{p ** k}]"
+    # one coefficient changed in one level: the image is no longer the closed form
+    beta, f = max(image.parts.items())
+    exps, c = max(f.terms.items())
+    changed = image + DiffOp(p, n, {beta: LaurentPoly.monomial(p, n, exps, c)})
+    # an index of k + 2 digits
+    longer = image + d(p, n, 2 - i, p ** (k + 1))
+    # a term at a second gamma
+    elsewhere = image + DiffOp(p, n, {(0, 0): LaurentPoly.monomial(p, n, (5, -4))})
+    got = {case: perturbed_messages(with_image(g, i, k, bad), monkeypatch)
+           for case, bad in (("changed", changed), ("longer", longer), ("elsewhere", elsewhere))}
+    for tables, diffops in got.values():
+        assert tables == diffops
+    assert got["longer"][0] == f"perturbation of {name} has positive order"
+    assert got["elsewhere"][0].startswith(f"perturbation of {name} ")
 
 
 def test_building_and_factoring_multiply_only_the_units(monkeypatch):

@@ -78,6 +78,39 @@ def test_non_ascii_digit_is_parse_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, offset", [
+    ("1" * 5000, 0),
+    ("x1^" + "1" * 5000, 3),
+    ("x1 + d2[" + "7" * 4301 + "]", 8),
+])
+def test_number_too_long_for_int_is_parse_error(capsys, text, offset):
+    # int() converts at most sys.get_int_max_str_digits() digits
+    code, out, err = run(capsys, "normalize", text, "--p", "3", "--n", "2")
+    assert code == 1 and not out
+    assert f"more than {sys.get_int_max_str_digits()} digits (offset {offset})" in err
+    assert "Traceback" not in err
+
+
+def test_parse_error_offsets_count_characters(tmp_path, capsys):
+    # non-ASCII text before the fault: offsets count characters, not bytes
+    code, _, err = run(capsys, "normalize", "x1 +\u2003\u00a0)", "--p", "3")
+    assert code == 1 and "offset 6" in err
+    path = tmp_path / "images.json"
+    path.write_bytes('{"\u00e9": '.encode("utf-8") + b"\xff}")  # the bad byte is byte 7
+    code, _, err = run(capsys, "extract", str(path))
+    assert code == 1 and "is not UTF-8 text" in err and "offset 6" in err
+    path.write_text('{"\u00e9\u00e9": x}', encoding="utf-8")
+    code, _, err = run(capsys, "extract", str(path))
+    assert code == 1 and "bad JSON" in err and "offset 7" in err
+    # "\r\n" counts two characters in both kinds of error
+    path.write_bytes('{\r\n"\u00e9": '.encode("utf-8") + b"\xff}")
+    code, _, err = run(capsys, "extract", str(path))
+    assert code == 1 and "is not UTF-8 text" in err and "offset 8" in err
+    path.write_bytes('{\r\n"\u00e9": x}'.encode("utf-8"))
+    code, _, err = run(capsys, "extract", str(path))
+    assert code == 1 and "bad JSON" in err and "offset 8" in err
+
+
 def test_normalize_long_flat_sum(capsys):
     text = " + ".join(f"x1^{k}" for k in range(1, 1200))
     code, out, _ = run(capsys, "normalize", text)

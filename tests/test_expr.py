@@ -1,6 +1,7 @@
 """Expression grammar: parsing, evaluation, printing round trips."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,15 @@ def parse_outcome(parser, text):
 @settings(max_examples=3000, deadline=None, derandomize=True, database=None)
 def test_parse_matches_reference_parser(text):
     assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+def test_numbers_too_long_for_int_match_the_reference():
+    big = "7" * (sys.get_int_max_str_digits() + 1)
+    for text in (big, "x1^" + big, "x1 ^ -" + big, "x" + big, "d1[" + big + "]",
+                 "d" + big + "[2]", "(x1)^" + big, "x1 + " + big + "*x2"):
+        got = parse_outcome(parse, text)
+        assert got == parse_outcome(reference_parse, text)
+        assert got[:2] == ("ParseError", text.index(big)), text[:12]
 
 
 def test_parse_matches_reference_on_printed_forms():

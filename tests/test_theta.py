@@ -15,7 +15,6 @@ from dividedops.autgroup import (
     GeneratorImages,
     MonomialAut,
     ShiftVector,
-    monomial_compose_images,
     shift_compose_images,
     shift_generator_images,
     validate_generator_images,
@@ -26,7 +25,15 @@ from dividedops.laurent import LaurentPoly
 from dividedops.scalars import padic_length
 from dividedops.theta import ThetaTable
 
-from helpers import ROOT, rand_gl, rand_op, rand_padic, rand_poly, subprocess_env
+from helpers import (
+    ROOT,
+    monomial_compose_images,
+    rand_gl,
+    rand_op,
+    rand_padic,
+    rand_poly,
+    subprocess_env,
+)
 
 SHAPES = ((2, 1), (3, 2), (5, 2), (2, 3))
 
@@ -156,6 +163,45 @@ def test_byte_cells_match_list_cells(monkeypatch, p):
         assert all(type(t) is bytes for t in table.tables.values())
         assert all(type(t) is list for t in reference.tables.values())
         assert {gamma: list(t) for gamma, t in table.tables.items()} == reference.tables
+
+
+@pytest.mark.parametrize("p, n", SHAPES + ((13, 2),))
+def test_mahler_undoes_from_diffop(p, n):
+    # the Mahler coefficients of c_gamma are the terms x^(gamma + beta) d^[beta]
+    rng = random.Random(f"mahler:{p}:{n}")
+    for op in rand_ops(rng, p, n, 12):
+        k = digits_for(op)
+        size = p ** k
+        table = ThetaTable.from_diffop(op, k)
+        for gamma, cells in table.tables.items():
+            coeffs = theta.mahler(cells, p)
+            got = {}
+            for cell, c in enumerate(coeffs):
+                if c:
+                    beta = tuple(cell // size ** (n - 1 - i) % size for i in range(n))
+                    got[beta] = c
+            want = {beta: f.terms[tuple(g + b for g, b in zip(gamma, beta))]
+                    for beta, f in op.parts.items()
+                    if tuple(g + b for g, b in zip(gamma, beta)) in f.terms}
+            assert got == want, (op, gamma)
+
+
+@pytest.mark.parametrize("p, n", SHAPES)
+def test_byte_roll_is_the_slicing_roll(p, n):
+    # the big-int roll against slicing, alone and inside the product of
+    # both kernels, for zero, negative and wrapping shifts
+    rng = random.Random(f"roll:{p}:{n}")
+    size = p ** (2 if p ** (2 * n) <= 4096 else 1)
+    table = bytes(rng.randrange(p) for _ in range(size ** n))
+    shifts = [(0,) * n, (-1,) * n, (size,) * n, (-size - 1,) * n, (3 * size + 2,) * n]
+    shifts += [tuple(rng.randint(-3 * size, 3 * size) for _ in range(n)) for _ in range(10)]
+    other = bytes(rng.randrange(p) for _ in range(size ** n))
+    for shift in shifts:
+        rolled = theta._roll(table, shift, size, b"".join)
+        assert theta._byte_roll(table, shift, size).to_bytes(len(table), "big") == rolled
+        product = theta._cells(p).roll_mul(table, shift, size, other)
+        assert product == theta._cells(p).mul(rolled, other)
+        assert list(product) == theta._list_cells(p).roll_mul(list(table), shift, size, list(other))
 
 
 # -- validate_generator_images on both paths ----------------------------------
