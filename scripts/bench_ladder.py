@@ -7,8 +7,8 @@ building them (`FactoredAut.to_images`), `factorize` and
 `validate_generator_images`.  A is [[1,1],[0,1]] at n = 2 and
 [[1,1,0],[0,1,1],[0,0,1]] at n = 3; s is drawn from a seeded
 random.Random.  Every cell is the minimum over --repeat runs, measured in
-a fresh child process that imports this checkout's src/; the expansion
-caches of the closed form (tabulated and by Newton differences) are
+a fresh child process that imports this checkout's src/; the one
+expansion cache of the closed form (`theta.expansion`, both engines) is
 cleared before each run, so build and factorize pay for their expansions
 as a first call does.  A child that
 has not finished within --cap seconds (its import and inputs included)
@@ -48,16 +48,16 @@ def matrix(n: int) -> list[list[int]]:
 def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     """Child process: print the seconds of each run of one step, one line each."""
     sys.path.insert(0, str(ROOT / "src"))
-    from dividedops.autgroup import (FactoredAut, MonomialAut, ShiftVector, _table_expansion,
-                                     _theta_expansion, factorize, validate_generator_images)
+    from dividedops.autgroup import (FactoredAut, MonomialAut, ShiftVector, factorize,
+                                     validate_generator_images)
+    from dividedops.theta import expansion
 
     rng = random.Random(f"ladder:{seed}:{p},{n},{prec}")
     shift = ShiftVector.from_ints([rng.randrange(p ** prec) for _ in range(n)], p, prec)
     aut = FactoredAut(shift, MonomialAut.create(matrix(n), [1] * n, p))
     images = aut.to_images()
     for _ in range(repeat):
-        _theta_expansion.cache_clear()
-        _table_expansion.cache_clear()
+        expansion.cache_clear()
         t0 = time.perf_counter()
         if step == "build":
             ok = FactoredAut(aut.shift, aut.tau).to_images() == images

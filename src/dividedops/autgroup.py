@@ -14,13 +14,9 @@ coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
 conjugation by the unit x^s for any integer representative of s (two
 operator products); `monomial_apply` is the zero shift.
 
-One rule in `FactoredAut.apply` picks how the Mahler coefficients of a
-part are found: with K the longest base-p length in beta, on byte
-theta-tables when p <= 16 and p^(nK) <= TABLE_CELLS, and by Newton
-differences (`_theta_expansion`) otherwise.  On tables the product is
-tabulated on (Z/p^K)^n from slices of one row C(y, beta_i), y < p^K, per
-factor, and one inverse Mahler transform (`theta.mahler`) reads its
-coefficients off.
+`theta.expansion` finds and caches the Mahler coefficients of a part;
+`theta` alone knows the table format and the rule that picks between a
+byte table with one inverse Mahler transform and Newton differences.
 
 `GeneratorImages` presents an automorphism by finitely many images; one
 helper maps an automorphism's operator action over them, which composes
@@ -33,25 +29,16 @@ t_i by Lucas' theorem; tau keeps order-0 parts, so `extract_digits`
 certify the reading by rebuilding every level image with the closed form.
 
 `validate_generator_images` checks the defining relations of the level
-images on theta-tables (`theta.ThetaTable`): the operator sum_gamma
-x^gamma c_gamma(theta) as one table of c_gamma per gamma on (Z/p^K)^n,
-K the longest base-p index among the x and level images.  Lucas' theorem
-makes the conversion a unitriangular Pascal matrix, the Kronecker power
-of the p x p one, applied one base-p digit at a time; so tables are
-faithful, and a product is a roll and a pointwise product instead of a
-Leibniz expansion.  Cells are bytes for p <= 16, two residues paired
-into one byte per cell and mapped through `bytes.translate`, and lists
-of ints above.  Above TABLE_CELLS = 2^16 cells (p^(nK)) the same checks
-run on `DiffOp`s, where sparse operators stay cheap.
+images on theta-tables (`theta.ThetaTable`), a faithful image of the
+operators in which a product is a roll and a pointwise product instead
+of a Leibniz expansion, when theta's table rule admits the x and level
+images; otherwise on `DiffOp`s, where sparse operators stay cheap.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from math import prod
-from operator import sub
+from functools import cached_property
 
 from .diffop import DiffOp, divided_image_from_levels
 from .errors import (
@@ -70,17 +57,10 @@ from .scalars import (
     PadicInt,
     Prime,
     _inverse_factorial,
-    _lucas,
     as_prime,
     padic_length,
 )
-from .theta import ThetaTable, _cells, binomial_row, linear_table, mahler
-
-# largest p^(nK) for which validate_generator_images multiplies theta-tables,
-# and for which the closed form is tabulated
-TABLE_CELLS = 2 ** 16
-
-_NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
+from .theta import ThetaTable, expansion, index_digits, tables_fit
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -336,82 +316,12 @@ class MonomialAut:
         return MonomialAut(binv, scal)
 
 
-@lru_cache(maxsize=512)
-def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
-                     t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i + t_i, beta_i)
-    equal to sum_j c_j C(m, j) as functions of m in Z^n.
-
-    The left side is an integer-valued polynomial of total degree |beta|
-    whose degree in m_k is at most the sum of the beta_i with ainv[i][k]
-    nonzero, so its Mahler coefficients c_j are the forward differences
-    of its values on the points h within those degree bounds.
-    """
-    total = sum(beta)
-    bounds = [sum(b for b, row in zip(beta, ainv) if row[k]) for k in range(len(beta))]
-    points = [()]  # lexicographic, so each line along an axis comes out in order
-    for bound in bounds:
-        points = [h + (u,) for h in points for u in range(min(bound, total - sum(h)) + 1)]
-    factors = [(row, ti, b) for row, ti, b in zip(ainv, t, beta) if b]
-    vals = dict(zip(points, [
-        prod(_lucas(sum(a * u for a, u in zip(row, h)) + ti, b, p) for row, ti, b in factors) % p
-        for h in points]))
-    # Newton's forward differences along one axis at a time; the point set
-    # is closed downwards, so every line starts at 0 on its axis.  They are
-    # taken over the integers and reduced mod p every 32 steps, which keeps
-    # the integers below 2^32 p.
-    for axis in range(len(beta)):
-        lines: dict[tuple[int, ...], list] = {}
-        for h in points:
-            lines.setdefault(h[:axis] + h[axis + 1:], []).append(h)
-        for line in lines.values():
-            seq = [vals[h] for h in line]
-            for r in range(1, len(seq)):
-                seq[r:] = map(sub, seq[r:], seq[r - 1:-1])
-                if r % 32 == 0:
-                    seq = [v % p for v in seq]
-            vals.update(zip(line, [v % p for v in seq]))
-    return tuple((j, c) for j, c in vals.items() if c)
-
-
-# half of _theta_expansion's 512 entries: at 512 the peak RSS of a long run
-# of small automorphisms stood about 0.2 MB above the Newton path's
-@lru_cache(maxsize=256)
-def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
-                     t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The pairs of `_theta_expansion`, read off a byte theta-table.
-
-    With K the longest base-p length in beta, each factor C(ell_i m + t_i,
-    beta_i) is a table on (Z/p^K)^n gathered from the row C(y, beta_i),
-    y < p^K (`theta.linear_table`); their pointwise product goes through
-    one inverse Mahler transform (`theta.mahler`), and its nonzero cells
-    are the c_j, in row-major order of j."""
-    digits = max(padic_length(b, p) for b in beta)
-    if not digits:
-        return (((0,) * len(beta), 1),)
-    size, mul = p ** digits, _cells(p).mul
-    table = None
-    for row, b, ti in zip(ainv, beta, t):
-        if b:
-            factor = linear_table(binomial_row(b, p, digits), row, ti)
-            table = factor if table is None else mul(table, factor)
-    pairs = []
-    coeffs = mahler(table, p)
-    for cell in _NONZERO.finditer(coeffs):
-        index, j = cell.start(), []
-        for _ in beta:
-            index, jk = divmod(index, size)
-            j.append(jk)
-        pairs.append((tuple(reversed(j)), coeffs[cell.start()]))
-    return tuple(pairs)
-
-
 def monomial_apply(tau: MonomialAut, op: DiffOp) -> DiffOp:
     """Conjugate an operator by a monomial automorphism: `FactoredAut.apply`
     with the zero shift, at a precision covering the divided indices of op.
     The tests check it against the operator recovered from its action
     f -> tau(op * tau^{-1}(f))."""
-    digits = max([1] + [padic_length(b, tau.p.p) for beta in op.parts for b in beta])
+    digits = index_digits(op.parts, tau.p.p)
     return FactoredAut(ShiftVector.zeros(tau.p, tau.n, digits), tau).apply(op)
 
 
@@ -560,13 +470,12 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     vanishing p-th power.
 
     The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
-    level relations run on theta-tables (`theta.ThetaTable`) when every
-    x image and level image has divided indices of at most K base-p digits
-    with p^(nK) <= TABLE_CELLS, and on `DiffOp`s otherwise; the tables are
-    a faithful image of the operators, so both give the same report.  The
-    image of d_i^[p^k - 1] is prod_{l<k} (d_i^[p^l])^{p-1} / (p-1)!, one
-    running product per variable that shares its powers with the p-th
-    power checks.
+    level relations run on theta-tables (`theta.ThetaTable`) when the x
+    and level images fit `theta.tables_fit`, and on `DiffOp`s otherwise;
+    the tables are a faithful image of the operators, so both give the
+    same report.  The image of d_i^[p^k - 1] is prod_{l<k} (d_i^[p^l])^{p-1}
+    / (p-1)!, one running product per variable that shares its powers with
+    the p-th power checks.
     """
     report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
@@ -583,9 +492,8 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
             ok = g.x_images[i] * g.x_images[j] == g.x_images[j] * g.x_images[i]
             report.add(f"commute x[{i + 1}] x[{j + 1}]", ok)
     xs, rows = g.x_images, g.d_images
-    digits = max([1] + [padic_length(b, pp) for op in (*xs, *(d for row in rows for d in row))
-                        for beta in op.parts for b in beta])
-    if pp ** (n * digits) <= TABLE_CELLS:
+    digits = index_digits([beta for op in (*xs, *sum(rows, ())) for beta in op.parts], pp)
+    if tables_fit(pp, n, digits):
         xs = [ThetaTable.from_diffop(x, digits) for x in xs]
         rows = [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows]
         one = ThetaTable.from_diffop(one, digits)
@@ -677,25 +585,20 @@ class FactoredAut:
     def apply(self, op: DiffOp) -> DiffOp:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
-        p^len(beta_i), the key of the cached expansion.  With K the longest
-        base-p length in beta, the expansion of a part is tabulated
-        (`_table_expansion`) when p <= 16 and p^(nK) <= TABLE_CELLS, and
-        taken by Newton differences (`_theta_expansion`) otherwise.  At tau = 1 it is `shift_apply`,
-        whose products write C(theta + s, beta) in time proportional to
-        their output, where Newton differences would cost |beta|^2 per
-        index."""
+        p^len(beta_i), so that residue keys the expansion of a part
+        (`theta.expansion`, which also picks its engine).  At tau = 1 it is
+        `shift_apply`, whose products write C(theta + s, beta) in time
+        proportional to their output, where Newton differences would cost
+        |beta|^2 per index."""
         if self._ainv_and_t is None:
             return shift_apply(self.shift, op)
         _check_shift_operand(self.shift, op)
-        tau, (ainv, t), pp, n = self.tau, self._ainv_and_t, self.p.p, self.n
+        tau, (ainv, t), pp = self.tau, self._ainv_and_t, self.p.p
         parts = []
         for beta, f in op.parts.items():
             coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
-            lengths = [padic_length(b, pp) for b in beta]
-            residue = tuple(v % pp ** k for v, k in zip(t, lengths))
-            on_tables = pp <= 16 and pp ** (n * max(lengths)) <= TABLE_CELLS
-            expand = _table_expansion if on_tables else _theta_expansion
-            parts += [(j, coeff.times_monomial(c, j)) for j, c in expand(ainv, beta, pp, residue)]
+            residue = tuple(v % pp ** padic_length(b, pp) for v, b in zip(t, beta))
+            parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion(ainv, beta, pp, residue)]
         return DiffOp(self.p, self.n, parts)
 
     def to_images(self) -> GeneratorImages:

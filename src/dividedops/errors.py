@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modules."""
 
+import sys
+
 
 class DividedOpsError(Exception):
     """Base class for every library-specific error."""
@@ -60,3 +62,11 @@ class ParseError(DividedOpsError):
 class WindowTooLarge(DividedOpsError):
     """An exponent window holds more monomials than the size budget
     (oracles.MAX_WINDOW_MONOMIALS)."""
+
+
+class NumberTooLong(DividedOpsError):
+    """An int has more digits than str() writes, sys.get_int_max_str_digits()."""
+
+    def __init__(self):
+        limit = sys.get_int_max_str_digits()
+        super().__init__(f"cannot write a number of more than {limit} digits")

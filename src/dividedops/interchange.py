@@ -18,7 +18,7 @@ import json
 
 from .autgroup import GeneratorImages, ShiftVector
 from .diffop import DiffOp
-from .errors import MismatchError
+from .errors import MismatchError, NumberTooLong
 from .laurent import LaurentPoly
 from .scalars import Prime, as_prime
 
@@ -164,10 +164,13 @@ def shift_to_dict(s: ShiftVector) -> dict:
 
 def dumps(obj: dict) -> str:
     """obj as JSON text in the pinned format: byte for byte
-    json.dumps(obj, indent=2, sort_keys=True) + "\n".  Object keys are
-    strings only; any other key raises TypeError."""
+    json.dumps(obj, indent=2, sort_keys=True) + "\n".  A non-string key
+    raises TypeError; an int past str()'s digit limit, NumberTooLong."""
     out: list[str] = []
-    _write(obj, "\n", out, {})
+    try:
+        _write(obj, "\n", out, {})
+    except ValueError:  # an int past str()'s digit limit
+        raise NumberTooLong() from None
     out.append("\n")
     return "".join(out)
 

@@ -10,22 +10,24 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import MismatchError, NotAUnit
+from .errors import MismatchError, NotAUnit, NumberTooLong
 from .scalars import FpScalar, Prime, _lucas, as_prime
 
 
 def term_string(coeff: int, exps: tuple[int, ...], dindex: tuple[int, ...] | None = None) -> str:
     """Canonical rendering of one term c * x^exps * d^[dindex]."""
     factors = []
-    for i, e in enumerate(exps):
-        if e == 1:
-            factors.append(f"x{i + 1}")
-        elif e != 0:
-            factors.append(f"x{i + 1}^{e}")
-    if dindex is not None:
-        for i, k in enumerate(dindex):
+    try:
+        for i, e in enumerate(exps):
+            if e == 1:
+                factors.append(f"x{i + 1}")
+            elif e != 0:
+                factors.append(f"x{i + 1}^{e}")
+        for i, k in enumerate(dindex or ()):
             if k > 0:
                 factors.append(f"d{i + 1}[{k}]")
+    except ValueError:  # an int past str()'s digit limit
+        raise NumberTooLong() from None
     if not factors:
         return str(coeff)
     if coeff != 1:

@@ -144,23 +144,10 @@ def action_equiv_check(
     return True
 
 
-def relation_suite(
-    p,
-    n: int,
-    max_index: int,
-    trials: int,
-    seed: int,
-    product: Callable[[DiffOp, DiffOp], DiffOp] | None = None,
-) -> CheckReport:
-    """Exhaustive defining relations up to max_index plus randomized checks.
-
-    `product` is a mutation hook for testing the tester: it replaces the
-    ring multiplication used by the checks, so a corrupted product rule
-    must surface as a counterexample.
-    """
+def relation_suite(p, n: int, max_index: int, trials: int, seed: int) -> CheckReport:
+    """Exhaustive defining relations up to max_index plus randomized checks."""
     p = as_prime(p)
     rng = random.Random(seed)
-    mul = product if product is not None else (lambda a, b: a * b)
     report = CheckReport(f"defining relations p={p.p} n={n}")
 
     def x(i):
@@ -174,7 +161,7 @@ def relation_suite(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             count += 1
-            if mul(x(i), x(j)) != mul(x(j), x(i)):
+            if x(i) * x(j) != x(j) * x(i):
                 bad = bad or f"[x{i}, x{j}] != 0"
     report.add("x commutators", bad is None, bad or f"{count} instances")
 
@@ -186,7 +173,7 @@ def relation_suite(
             for l in range(1, max_index + 1):
                 count += 1
                 c = binom_int_mod_p(k + l, k, p)
-                if mul(dik, dd(i, l)) != dd(i, k + l).scale(c.value):
+                if dik * dd(i, l) != dd(i, k + l).scale(c.value):
                     bad = bad or f"d{i}^[{k}] d{i}^[{l}]"
                     break
             if bad:
@@ -202,7 +189,7 @@ def relation_suite(
                 for l in range(1, max_index + 1):
                     count += 1
                     djl = dd(j, l)
-                    if mul(dik, djl) != mul(djl, dik):
+                    if dik * djl != djl * dik:
                         bad = bad or f"[d{i}^[{k}], d{j}^[{l}]] != 0"
                         break
                 if bad:
@@ -216,7 +203,7 @@ def relation_suite(
         for j in range(1, n + 1):
             for k in range(1, max_index + 1):
                 count += 1
-                com = mul(dd(i, k), x(j)) - mul(x(j), dd(i, k))
+                com = dd(i, k) * x(j) - x(j) * dd(i, k)
                 if i == j:
                     expect = dd(i, k - 1) if k > 1 else one
                 else:
@@ -241,24 +228,20 @@ def relation_suite(
             c = c * binom_int_mod_p(a + b, a, p).value % p.p
         gamma = tuple(a + b for a, b in zip(alpha, beta))
         expect = DiffOp(p, n, {gamma: LaurentPoly.one(p, n)}).scale(c)
-        if mul(da, db) != expect:
+        if da * db != expect:
             bad = bad or f"d^{alpha} d^{beta}"
     report.add("multi-index composition", bad is None, bad or f"{count} instances")
 
-    bad = pth_power_failure(p, n, rng, trials, mul)
+    bad = pth_power_failure(p, n, rng, trials)
     report.add("binomial p-th power", bad is None, bad or f"{trials} instances")
 
     return report
 
 
-def pth_power_failure(
-    p: Prime, n: int, rng: random.Random, trials: int,
-    product: Callable[[DiffOp, DiffOp], DiffOp],
-) -> str | None:
+def pth_power_failure(p: Prime, n: int, rng: random.Random, trials: int) -> str | None:
     """Check (d_i + f)^p = d_i^{p-1} f + f^p, a Weyl algebra identity, on
-    `trials` random i and Laurent polynomials f drawn from `rng`, with
-    `product` as the ring multiplication; the first failing instance, or
-    None when all hold."""
+    `trials` random i and Laurent polynomials f drawn from `rng`; the first
+    failing instance, or None when all hold."""
     bad = None
     for _ in range(trials):
         i = rng.randint(1, n)
@@ -270,7 +253,7 @@ def pth_power_failure(
         base = DiffOp.partial(p, n, i) + DiffOp.from_laurent(f)
         power = DiffOp.one(p, n)
         for _ in range(p.p):
-            power = product(power, base)
+            power = power * base
         rhs = DiffOp.from_laurent((-f.divided_partial(i, p.p - 1)) + f.frobenius())
         if power != rhs:
             bad = bad or f"(d{i} + {f})^{p.p}"

@@ -24,31 +24,51 @@ one residue per byte: two tables pair into one byte per cell, u << 4 | v,
 and `bytes.translate` with a 256-byte map per operation (product, sum,
 difference, scaling) takes it to the result, so pointwise loops run in C.
 Above 16 a table is a list of ints, with comprehensions; `_cells` picks
-the kernel from p.  Equality, the zero test and the conversion are
-written once for both: a conversion pass joins one scaled copy of a table
-per row of a Pascal column.  A product rolls its left table: a list
-table by slicing every row, a byte table as one big int, with two shifts
-and a mask per axis after the first, which feeds the pairing of the
-product directly.  An array library would cost more to import than these
-tables take to multiply.
+the kernel from p.  Equality, the zero test and the Kronecker step
+(`_kronecker`), which builds the conversion and `binomial_row`, are
+written once for both.  A product rolls its left table: a list table by
+slicing every row, a byte table as one big int, with two shifts and a
+mask per axis after the first, which feeds the pairing of the product
+directly.  An array library would cost more to import than these tables
+take to multiply.
 
-Byte tables also carry the closed form.  `mahler` applies the inverse
-Pascal matrix to a whole byte table, one base-p digit of the cell index
-per pass and p - 1 masked big-int steps per pass, which takes a table to
-its Mahler coefficients.  `binomial_row` and `linear_table` tabulate
-m -> C(ell . m + t, b) from slices of one row of p^K cells.
+A table has p^(nK) cells however sparse the operator, so tables are used
+only up to TABLE_CELLS cells, by one rule (`index_digits`, `tables_fit`)
+that `validate_generator_images` and `expansion` both ask.  `expansion`
+finds and caches the Mahler coefficients of the closed form of
+`autgroup.FactoredAut.apply`: on a byte table, tabulated from slices of
+one row of p^K cells (`binomial_row`, `linear_table`) and taken through
+the inverse Pascal matrix (`mahler`: one base-p digit of the cell index
+per pass, p - 1 masked big-int steps per pass); otherwise by Newton
+differences.
 """
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import chain
+from math import prod
 from operator import add, mul, sub
 from types import SimpleNamespace
 
 from .diffop import DiffOp, power
 from .errors import InsufficientPrecision, MismatchError
-from .scalars import _pascal_column, padic_length
+from .scalars import _lucas, _pascal_column, padic_length
+
+TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
+
+_NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
+
+
+def index_digits(betas, p: int) -> int:
+    """K >= 1, the most base-p digits of an entry of the divided indices betas."""
+    return max([1] + [padic_length(b, p) for beta in betas for b in beta])
+
+
+def tables_fit(p: int, n: int, digits: int) -> bool:
+    """Whether tables of period p^digits in n variables fit TABLE_CELLS."""
+    return p ** (n * digits) <= TABLE_CELLS
 
 
 def _list_cells(p: int) -> SimpleNamespace:
@@ -109,12 +129,13 @@ def _roll(table, shift, size: int, join):
     return table
 
 
-# Masks are whole-table ints, so the caches stay small: at TABLE_CELLS
+# Masks are whole-table ints, so the cache stays small: at TABLE_CELLS
 # cells a mask is 64 kB.
-@lru_cache(maxsize=64)
-def _head_mask(cells: int, chunk: int, cut: int) -> int:
-    """The cells at offsets below chunk - cut of every chunk, as 0xff bytes."""
-    return int.from_bytes((b"\xff" * (chunk - cut) + bytes(cut)) * (cells // chunk), "big")
+@lru_cache(maxsize=128)
+def _mask(cells: int, chunk: int, lo: int, hi: int) -> int:
+    """The cells at offsets lo .. hi - 1 of every chunk, as 0xff bytes."""
+    return int.from_bytes((bytes(lo) + b"\xff" * (hi - lo) + bytes(chunk - hi))
+                          * (cells // chunk), "big")
 
 
 def _byte_roll(table: bytes, shift, size: int) -> int:
@@ -134,16 +155,8 @@ def _byte_roll(table: bytes, shift, size: int) -> int:
         cut = s % size * block
         if cut:
             back = x >> 8 * (chunk - cut)
-            x = ((x << 8 * cut) ^ back) & _head_mask(cells, chunk, cut) ^ back
+            x = ((x << 8 * cut) ^ back) & _mask(cells, chunk, 0, chunk - cut) ^ back
     return x
-
-
-@lru_cache(maxsize=64)
-def _digit_mask(p: int, cells: int, stride: int, r: int) -> int:
-    """The cells whose index has base-p digit >= r at the place of `stride`,
-    as 0xff bytes."""
-    return int.from_bytes((bytes(r * stride) + b"\xff" * ((p - r) * stride))
-                          * (cells // (p * stride)), "big")
 
 
 def mahler(table: bytes, p: int) -> bytes:
@@ -163,10 +176,19 @@ def mahler(table: bytes, p: int) -> bytes:
     stride = 1
     while stride < cells:
         for r in range(1, p):
-            below = x >> 8 * stride & _digit_mask(p, cells, stride, r)
+            below = x >> 8 * stride & _mask(cells, p * stride, r * stride, p * stride)
             x = int.from_bytes((x << 4 | below).to_bytes(cells, "big").translate(step), "big")
         stride *= p
     return x.to_bytes(cells, "big")
+
+
+def _kronecker(cells: SimpleNamespace, column, table):
+    """column (x) table: one copy of table per entry c of column, scaled by
+    c, joined, so the column's index becomes the most significant."""
+    if len(table) == 1:
+        return cells.scale(column, table[0])
+    scaled = {c: cells.scale(table, c) for c in set(column)}
+    return cells.join(map(scaled.__getitem__, column))
 
 
 def binomial_row(b: int, p: int, digits: int):
@@ -176,9 +198,7 @@ def binomial_row(b: int, p: int, digits: int):
     row = cells.new([1])
     for _ in range(digits):  # lowest digit first; each becomes the outermost
         b, digit = divmod(b, p)
-        column = _pascal_column(digit, p)
-        scaled = {c: cells.scale(row, c) for c in set(column)}
-        row = cells.join(map(scaled.__getitem__, column))
+        row = _kronecker(cells, cells.new(_pascal_column(digit, p)), row)
     return row
 
 
@@ -204,6 +224,86 @@ def linear_table(row: bytes, ell, t: int) -> bytes:
     for a in outer:
         offsets = [o + a * u for o in offsets for u in range(size)]
     return b"".join([lines[o % size] for o in offsets])
+
+
+# 256 entries: at 512 the peak RSS of a long run of small automorphisms
+# stood about 0.2 MB higher
+@lru_cache(maxsize=256)
+def expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
+              t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i + t_i, beta_i)
+    equal to sum_j c_j C(m, j) as functions of m in Z^n.  With K =
+    `index_digits` of beta, they are read off a byte table
+    (`_table_expansion`) when p <= 16 and p^(nK) cells fit, and taken by
+    Newton differences (`_theta_expansion`) otherwise."""
+    digits = index_digits([beta], p)
+    if p <= 16 and tables_fit(p, len(beta), digits):
+        return _table_expansion(ainv, beta, p, t, digits)
+    return _theta_expansion(ainv, beta, p, t)
+
+
+def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
+                     t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The pairs of `expansion` by Newton differences.
+
+    The product is an integer-valued polynomial of total degree |beta|
+    whose degree in m_k is at most the sum of the beta_i with ainv[i][k]
+    nonzero, so its Mahler coefficients c_j are the forward differences
+    of its values on the points h within those degree bounds.
+    """
+    total = sum(beta)
+    bounds = [sum(b for b, row in zip(beta, ainv) if row[k]) for k in range(len(beta))]
+    points = [()]  # lexicographic, so each line along an axis comes out in order
+    for bound in bounds:
+        points = [h + (u,) for h in points for u in range(min(bound, total - sum(h)) + 1)]
+    factors = [(row, ti, b) for row, ti, b in zip(ainv, t, beta) if b]
+    vals = dict(zip(points, [
+        prod(_lucas(sum(a * u for a, u in zip(row, h)) + ti, b, p) for row, ti, b in factors) % p
+        for h in points]))
+    # Newton's forward differences along one axis at a time; the point set
+    # is closed downwards, so every line starts at 0 on its axis.  They are
+    # taken over the integers and reduced mod p every 32 steps, which keeps
+    # the integers below 2^32 p.
+    for axis in range(len(beta)):
+        lines: dict[tuple[int, ...], list] = {}
+        for h in points:
+            lines.setdefault(h[:axis] + h[axis + 1:], []).append(h)
+        for line in lines.values():
+            seq = [vals[h] for h in line]
+            for r in range(1, len(seq)):
+                seq[r:] = map(sub, seq[r:], seq[r - 1:-1])
+                if r % 32 == 0:
+                    seq = [v % p for v in seq]
+            vals.update(zip(line, [v % p for v in seq]))
+    return tuple((j, c) for j, c in vals.items() if c)
+
+
+def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
+                     t: tuple[int, ...], digits: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The pairs of `expansion`, read off a byte theta-table of period
+    p^digits; needs every entry of beta below p^digits.
+
+    Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n
+    gathered from the row C(y, beta_i), y < p^digits (`linear_table`);
+    their pointwise product goes through one inverse Mahler transform
+    (`mahler`), and its nonzero cells are the c_j, in row-major order of j."""
+    if not any(beta):
+        return (((0,) * len(beta), 1),)
+    size, pointwise = p ** digits, _cells(p).mul
+    table = None
+    for row, b, ti in zip(ainv, beta, t):
+        if b:
+            factor = linear_table(binomial_row(b, p, digits), row, ti)
+            table = factor if table is None else pointwise(table, factor)
+    pairs = []
+    coeffs = mahler(table, p)
+    for cell in _NONZERO.finditer(coeffs):
+        index, j = cell.start(), []
+        for _ in beta:
+            index, jk = divmod(index, size)
+            j.append(jk)
+        pairs.append((tuple(reversed(j)), coeffs[cell.start()]))
+    return tuple(pairs)
 
 
 class ThetaTable:
@@ -251,11 +351,7 @@ class ThetaTable:
             for (gamma, index), table in pending.items():
                 index, b = divmod(index, p)
                 column = columns.get(b) or columns.setdefault(b, cells.new(_pascal_column(b, p)))
-                if len(table) == 1:  # the first pass: the column itself, scaled
-                    table = cells.scale(column, table[0])
-                else:  # one scaled copy of the table per row
-                    scaled = {c: cells.scale(table, c) for c in set(column)}
-                    table = cells.join(map(scaled.__getitem__, column))
+                table = _kronecker(cells, column, table)
                 acc = passed.get((gamma, index))
                 passed[gamma, index] = table if acc is None else cells.add(acc, table)
             pending = passed

@@ -7,9 +7,11 @@ under a seed.
 import os
 import random
 import sys
+from contextlib import contextmanager
 from itertools import product as iproduct
 from pathlib import Path
 
+from dividedops import theta
 from dividedops.diffop import DiffOp
 from dividedops.errors import ParseError
 from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
@@ -247,3 +249,18 @@ def subprocess_env() -> dict:
     """Environment for a child Python that imports this checkout's sources."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+@contextmanager
+def tables_off(monkeypatch):
+    """theta.TABLE_CELLS = 0, so every rule picks the Newton or DiffOp
+    path, with theta.expansion's cache cleared on entry and on exit: no
+    table result is read inside, and no Newton result outlives the patch.
+    Yields the monkeypatch context for further patches."""
+    with monkeypatch.context() as m:
+        m.setattr(theta, "TABLE_CELLS", 0)
+        theta.expansion.cache_clear()
+        try:
+            yield m
+        finally:
+            theta.expansion.cache_clear()

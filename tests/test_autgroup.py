@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dividedops import autgroup
+from dividedops import autgroup, theta
 from dividedops.autgroup import (
     FactoredAut,
     GeneratorImages,
@@ -24,8 +24,6 @@ from dividedops.autgroup import (
     shift_compose_images,
     shift_generator_images,
     validate_generator_images,
-    _table_expansion,
-    _theta_expansion,
 )
 from dividedops.diffop import DiffOp, normal_form_from_action
 from dividedops.errors import (
@@ -37,7 +35,7 @@ from dividedops.errors import (
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import PadicInt, binom_padic
 
-from helpers import monomial_compose_images, rand_gl, rand_op, rand_padic
+from helpers import monomial_compose_images, rand_gl, rand_op, rand_padic, tables_off
 
 
 def sv(digit_rows, p):
@@ -548,9 +546,9 @@ def test_factorize_conjugates_only_the_level_operators(p, prec, matrix, digits, 
     # so each level costs at most one closed-form expansion
     fac = FactoredAut(sv(digits, p), MonomialAut.create(matrix, scalars, p))
     g = fac.to_images()
-    _theta_expansion.cache_clear()
+    theta.expansion.cache_clear()
     assert factorize(g) == fac
-    assert _theta_expansion.cache_info().misses <= g.n * prec
+    assert 0 < theta.expansion.cache_info().misses <= g.n * prec
 
 
 def test_factored_to_images_matches_generic_composition():
@@ -616,7 +614,8 @@ def test_theta_expansion_with_a_shift_is_the_shifted_product(p, n):
         ainv = int_inverse_unimodular(rand_gl(rng, n))
         beta = tuple(rng.randint(0, 5 if n < 3 else 3) for _ in range(n))
         t = tuple(rng.randint(-40, 40) for _ in range(n))
-        expansion = _theta_expansion(ainv, beta, p, t)
+        expansion = theta.expansion(ainv, beta, p, t)
+        assert expansion == theta._theta_expansion(ainv, beta, p, t)
         for _ in range(25):
             m = [rng.randint(-30, 30) for _ in range(n)]
             lhs = sum(c * math.prod(exact_binom(mk, jk) for mk, jk in zip(m, j))
@@ -651,7 +650,10 @@ def test_table_expansion_is_the_newton_expansion(p, n):
     for beta in levels + multi:
         ainv = int_inverse_unimodular(rand_gl(rng, n))
         t = tuple(rng.randrange(size) for _ in range(n))
-        assert _table_expansion(ainv, beta, p, t) == _theta_expansion(ainv, beta, p, t), beta
+        newton = theta._theta_expansion(ainv, beta, p, t)
+        digits = theta.index_digits([beta], p)
+        assert theta._table_expansion(ainv, beta, p, t, digits) == newton, beta
+        assert theta.expansion(ainv, beta, p, t) == newton, beta
 
 
 def test_table_path_is_the_operator_recovered_from_its_action():
@@ -681,11 +683,13 @@ def test_table_path_is_the_operator_recovered_from_its_action():
 
 def perturbed_messages(g, monkeypatch) -> tuple[str, str]:
     """factorize's NotSigmaForm message with the closed form on tables, and
-    with Newton differences alone (no table anywhere)."""
+    with Newton differences alone (no table anywhere).  The cache is
+    cleared first, so the table side computes its own expansions."""
+    theta.expansion.cache_clear()
     with pytest.raises(NotSigmaForm) as tables:
         factorize(g)
-    with monkeypatch.context() as m:
-        m.setattr(autgroup, "TABLE_CELLS", 0)
+    with tables_off(monkeypatch) as m:
+        m.setattr(theta, "_table_expansion", None)  # a table call would raise
         with pytest.raises(NotSigmaForm) as diffops:
             factorize(g)
     return str(tables.value), str(diffops.value)

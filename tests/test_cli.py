@@ -24,7 +24,7 @@ from dividedops.autgroup import (
 )
 from dividedops.cli import main
 from dividedops.diffop import DiffOp
-from dividedops.errors import DividedOpsError, NotSigmaForm
+from dividedops.errors import DividedOpsError, NotSigmaForm, NumberTooLong
 from dividedops.expr import MAX_NESTING, eval_operator
 from dividedops.interchange import (
     dumps,
@@ -89,6 +89,17 @@ def test_number_too_long_for_int_is_parse_error(capsys, text, offset):
     assert code == 1 and not out
     assert f"more than {sys.get_int_max_str_digits()} digits (offset {offset})" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_result_too_long_to_write_is_an_error(capsys, fmt):
+    # both numbers parse, but the exponent of the result has about 5,000
+    # digits, more than str() converts
+    text = f"(x1^{'9' * 3000})^{'9' * 2000}"
+    code, out, err = run(capsys, "normalize", text, "--p", "3", "--format", fmt)
+    assert code == 1 and not out
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: cannot write a number of more than {limit} digits\n"
 
 
 def test_parse_error_offsets_count_characters(tmp_path, capsys):
@@ -467,6 +478,15 @@ def test_dumps_rejects_non_string_keys():
         dumps({"terms": [{1: 2}]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"terms": [{"coeff": 1, "d_exp": [0], "x_exp": [10 ** 5000]}]},
+    {"precision": 10 ** 5000},
+])
+def test_dumps_rejects_ints_too_long_to_write(obj):
+    with pytest.raises(NumberTooLong, match="cannot write a number"):
+        dumps(obj)
+
+
 def test_cli_import_leaves_numpy_unloaded():
     code = "import sys, dividedops.cli; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -476,9 +496,9 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_table_validation_leaves_numpy_unloaded():
     code = ("import sys\n"
-            "from dividedops import autgroup\n"
+            "from dividedops import autgroup, theta\n"
             "g = autgroup.shift_generator_images(autgroup.ShiftVector.from_ints([5, 7], 3, 2))\n"
-            "assert 3 ** (2 * 2) <= autgroup.TABLE_CELLS\n"
+            "assert 3 ** (2 * 2) <= theta.TABLE_CELLS\n"
             "assert autgroup.validate_generator_images(g).passed\n"
             "print('numpy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

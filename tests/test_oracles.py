@@ -158,14 +158,15 @@ def test_relation_suite_passes():
     assert rep.passed, rep.failures()
 
 
-def test_relation_suite_reports_corrupted_product():
-    # mutation hook: a deliberately wrong multiplication must be caught
-    def corrupted(a, b):
-        true = a * b
-        extra = DiffOp.from_laurent(LaurentPoly.one(a.p, a.n))
-        return true + extra
+def test_relation_suite_reports_corrupted_product(monkeypatch):
+    # a deliberately wrong ring multiplication must be caught
+    true_product = DiffOp.__mul__
 
-    rep = relation_suite(3, 1, max_index=4, trials=5, seed=8, product=corrupted)
+    def corrupted(a, b):
+        return true_product(a, b) + DiffOp.from_laurent(LaurentPoly.one(a.p, a.n))
+
+    monkeypatch.setattr(DiffOp, "__mul__", corrupted)
+    rep = relation_suite(3, 1, max_index=4, trials=5, seed=8)
     assert not rep.passed
     assert any(c.detail and not c.passed for c in rep.checks)
 

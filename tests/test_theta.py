@@ -10,7 +10,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from dividedops import autgroup, theta
+from dividedops import theta
 from dividedops.autgroup import (
     GeneratorImages,
     MonomialAut,
@@ -33,6 +33,7 @@ from helpers import (
     rand_padic,
     rand_poly,
     subprocess_env,
+    tables_off,
 )
 
 SHAPES = ((2, 1), (3, 2), (5, 2), (2, 3))
@@ -226,8 +227,7 @@ def both_reports(g, monkeypatch):
         calls = conversions(m)
         table = [(c.name, c.passed) for c in validate_generator_images(g).checks]
         assert calls, "expected the table path"
-    with monkeypatch.context() as m:
-        m.setattr(autgroup, "TABLE_CELLS", 0)
+    with tables_off(monkeypatch) as m:
         calls = conversions(m)
         sparse = [(c.name, c.passed) for c in validate_generator_images(g).checks]
         assert not calls
@@ -327,7 +327,7 @@ def test_shift_images_validate_on_tables(monkeypatch, p, n, prec, values):
     calls = conversions(monkeypatch)
     rep = validate_generator_images(g)
     assert rep.passed, rep.failures()
-    assert calls and p ** (n * calls[0]) <= autgroup.TABLE_CELLS
+    assert calls and p ** (n * calls[0]) <= theta.TABLE_CELLS
 
 
 def test_conversion_memory_does_not_grow_with_the_indices():
