@@ -11,6 +11,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from .autgroup import (
     GeneratorImages,
@@ -41,7 +42,7 @@ from .interchange import (
     shift_to_dict,
 )
 from .laurent import LaurentPoly
-from .oracles import ExponentWindow, kernel_bruteforce, pth_power_failure, relation_suite
+from .oracles import ExponentWindow, kernel_bruteforce, pth_power_instances, relation_suite
 from .report import CheckReport
 from .scalars import Prime, as_prime
 
@@ -179,26 +180,20 @@ def kernel_report(session: Session) -> CheckReport:
     for i in range(1, n + 1):
         expected = tuple(-1 if j == i - 1 else 0 for j in range(n))
         basis = kernel_bruteforce(i, window, p, n)
-        ok = len(basis) == 1 and basis[0].terms == {expected: 1}
-        rep.add(
-            f"kernel variable {i} window {window.lo[0]}..{window.hi[0]}",
-            ok,
-            "; ".join(str(f) for f in basis) or "empty",
-        )
+        rep.add(f"kernel variable {i} window {window.lo[0]}..{window.hi[0]}",
+                len(basis) == 1 and basis[0].terms == {expected: 1},
+                "; ".join(str(f) for f in basis) or "empty")
         poly_basis = kernel_bruteforce(i, poly_window, p, n)
-        rep.add(
-            f"kernel variable {i} polynomial window",
-            poly_basis == [],
-            "empty" if not poly_basis else "; ".join(str(f) for f in poly_basis),
-        )
+        rep.add(f"kernel variable {i} polynomial window", poly_basis == [],
+                "; ".join(str(f) for f in poly_basis) or "empty")
     return rep
 
 
 def corollary_report(session: Session, trials: int = 30) -> CheckReport:
     p, n = session.p, session.n
     rep = CheckReport(f"binomial p-th power p={p.p} n={n}")
-    bad = pth_power_failure(p, n, random.Random(session.seed), trials)
-    rep.add("p-th power identity", bad is None, bad or f"{trials} random instances")
+    instances = pth_power_instances(p, n, random.Random(session.seed), trials)
+    rep.tally("p-th power identity", instances, "random instances")
     return rep
 
 
@@ -207,13 +202,12 @@ def grouplaw_report(session: Session, pairs: int = 5) -> CheckReport:
     prec = session.suite_precision()
     rng = random.Random(session.seed)
     rep = CheckReport(f"shift group law p={p.p} n={n} precision={prec}")
-    bad = None
-    for _ in range(pairs):
-        s = _random_shift(rng, p, n, prec)
-        t = _random_shift(rng, p, n, prec)
-        if shift_generator_images(s + t) != shift_compose_images(s, shift_generator_images(t)):
-            bad = bad or f"s={s.digit_rows()} t={t.digit_rows()}"
-    rep.add("composition matches digit addition", bad is None, bad or f"{pairs} random pairs")
+    draws = ((_random_shift(rng, p, n, prec), _random_shift(rng, p, n, prec))
+             for _ in range(pairs))
+    rep.tally("composition matches digit addition", (
+        (shift_generator_images(s + t) == shift_compose_images(s, shift_generator_images(t)),
+         lambda: f"s={s.digit_rows()} t={t.digit_rows()}")
+        for s, t in draws), "random pairs")
     return rep
 
 
@@ -222,12 +216,10 @@ def roundtrip_report(session: Session, cases: int = 5) -> CheckReport:
     prec = session.suite_precision()
     rng = random.Random(session.seed)
     rep = CheckReport(f"digit extraction round trip p={p.p} n={n} precision={prec}")
-    bad = None
-    for _ in range(cases):
-        s = _random_shift(rng, p, n, prec)
-        if extract_digits(shift_generator_images(s)) != s:
-            bad = bad or f"s={s.digit_rows()}"
-    rep.add("extract(build(s)) = s", bad is None, bad or f"{cases} random vectors")
+    shifts = (_random_shift(rng, p, n, prec) for _ in range(cases))
+    rep.tally("extract(build(s)) = s", (
+        (extract_digits(shift_generator_images(s)) == s, lambda: f"s={s.digit_rows()}")
+        for s in shifts), "random vectors")
 
     ident = GeneratorImages.identity(p, n, prec)
     corrupted_rows = list(list(row) for row in ident.d_images)
@@ -271,16 +263,17 @@ def run_suites(name: str, session: Session) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(session: Session, text: str, machine: dict):
+def _emit(session: Session, text: Callable[[], str], machine: Callable[[], dict]):
+    """Render the result in the session's format only, and write it."""
     if session.fmt == "machine":
-        sys.stdout.write(dumps(machine))
+        sys.stdout.write(dumps(machine()))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_normalize(args, session: Session) -> int:
     op = eval_operator(args.expr, session.p, session.n)
-    _emit(session, str(op), op_to_dict(op))
+    _emit(session, lambda: str(op), lambda: op_to_dict(op))
     return EXIT_OK
 
 
@@ -288,7 +281,7 @@ def cmd_act(args, session: Session) -> int:
     op = eval_operator(args.expr, session.p, session.n)
     f = eval_laurent(args.operand, session.p, session.n)
     result = op.act(f)
-    _emit(session, str(result), poly_to_dict(result))
+    _emit(session, lambda: str(result), lambda: poly_to_dict(result))
     return EXIT_OK
 
 
@@ -296,7 +289,7 @@ def cmd_sigma(args, session: Session) -> int:
     shift = _parse_digit_rows(args.digits, session)
     op = eval_operator(args.expr, session.p, session.n)
     result = shift_apply(shift, op)
-    _emit(session, str(result), op_to_dict(result))
+    _emit(session, lambda: str(result), lambda: op_to_dict(result))
     return EXIT_OK
 
 
@@ -344,22 +337,19 @@ def _shift_lines(shift: ShiftVector) -> list[str]:
 def cmd_extract(args, session: Session) -> int:
     g = _load_images(args.images)
     shift = extract_digits(g)
-    _emit(session, "\n".join(_shift_lines(shift)), shift_to_dict(shift))
+    _emit(session, lambda: "\n".join(_shift_lines(shift)), lambda: shift_to_dict(shift))
     return EXIT_OK
 
 
 def cmd_factor(args, session: Session) -> int:
     g = _load_images(args.images)
     fac = factorize(g)
-    lines = _shift_lines(fac.shift)
-    lines.append(f"matrix = {[list(row) for row in fac.tau.matrix]}")
-    lines.append(f"scalars = {[lam.value for lam in fac.tau.scalars]}")
-    machine = {
-        "shift": shift_to_dict(fac.shift),
-        "matrix": [list(row) for row in fac.tau.matrix],
-        "scalars": [lam.value for lam in fac.tau.scalars],
-    }
-    _emit(session, "\n".join(lines), machine)
+    matrix = [list(row) for row in fac.tau.matrix]
+    scalars = [lam.value for lam in fac.tau.scalars]
+    _emit(session,
+          lambda: "\n".join([*_shift_lines(fac.shift), f"matrix = {matrix}",
+                             f"scalars = {scalars}"]),
+          lambda: {"shift": shift_to_dict(fac.shift), "matrix": matrix, "scalars": scalars})
     return EXIT_OK
 
 

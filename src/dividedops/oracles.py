@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
+from math import prod
 from typing import Callable, Hashable, Mapping, Sequence
 
 from .diffop import DiffOp
@@ -149,6 +150,8 @@ def relation_suite(p, n: int, max_index: int, trials: int, seed: int) -> CheckRe
     p = as_prime(p)
     rng = random.Random(seed)
     report = CheckReport(f"defining relations p={p.p} n={n}")
+    variables, indices = range(1, n + 1), range(1, max_index + 1)
+    pairs = list(combinations(variables, 2))  # i < j, in lexicographic order
 
     def x(i):
         return DiffOp.from_laurent(LaurentPoly.variable(p, n, i))
@@ -156,105 +159,63 @@ def relation_suite(p, n: int, max_index: int, trials: int, seed: int) -> CheckRe
     def dd(i, k):
         return DiffOp.partial(p, n, i, k)
 
-    # [x_i, x_j] = 0
-    count, bad = 0, None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            count += 1
-            if x(i) * x(j) != x(j) * x(i):
-                bad = bad or f"[x{i}, x{j}] != 0"
-    report.add("x commutators", bad is None, bad or f"{count} instances")
+    def d(beta):
+        return DiffOp(p, n, {beta: LaurentPoly.one(p, n)})
 
-    # d_i^[k] d_i^[l] = C(k+l, k) d_i^[k+l]
-    count, bad = 0, None
-    for i in range(1, n + 1):
-        for k in range(1, max_index + 1):
+    def x_commutators():  # [x_i, x_j] = 0
+        for i, j in pairs:
+            yield x(i) * x(j) == x(j) * x(i), lambda: f"[x{i}, x{j}] != 0"
+
+    def compositions():  # d_i^[k] d_i^[l] = C(k+l, k) d_i^[k+l]
+        for i, k in iproduct(variables, indices):
             dik = dd(i, k)
-            for l in range(1, max_index + 1):
-                count += 1
-                c = binom_int_mod_p(k + l, k, p)
-                if dik * dd(i, l) != dd(i, k + l).scale(c.value):
-                    bad = bad or f"d{i}^[{k}] d{i}^[{l}]"
-                    break
-            if bad:
-                break
-    report.add("divided power composition", bad is None, bad or f"{count} instances")
+            for l in indices:
+                c = binom_int_mod_p(k + l, k, p).value
+                yield dik * dd(i, l) == dd(i, k + l).scale(c), lambda: f"d{i}^[{k}] d{i}^[{l}]"
 
-    # [d_i^[k], d_j^[l]] = 0 for i != j
-    count, bad = 0, None
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(1, max_index + 1):
-                dik = dd(i, k)
-                for l in range(1, max_index + 1):
-                    count += 1
-                    djl = dd(j, l)
-                    if dik * djl != djl * dik:
-                        bad = bad or f"[d{i}^[{k}], d{j}^[{l}]] != 0"
-                        break
-                if bad:
-                    break
-    report.add("divided power commutators", bad is None, bad or f"{count} instances")
+    def d_commutators():  # [d_i^[k], d_j^[l]] = 0 for i != j
+        for (i, j), k in iproduct(pairs, indices):
+            dik = dd(i, k)
+            for l in indices:
+                djl = dd(j, l)
+                yield dik * djl == djl * dik, lambda: f"[d{i}^[{k}], d{j}^[{l}]] != 0"
 
-    # [d_i^[k], x_j] = delta_ij d_i^[k-1]
-    count, bad = 0, None
-    one = DiffOp.one(p, n)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, max_index + 1):
-                count += 1
-                com = dd(i, k) * x(j) - x(j) * dd(i, k)
-                if i == j:
-                    expect = dd(i, k - 1) if k > 1 else one
-                else:
-                    expect = DiffOp.zero(p, n)
-                if com != expect:
-                    bad = bad or f"[d{i}^[{k}], x{j}]"
-                    break
-            if bad:
-                break
-    report.add("variable brackets", bad is None, bad or f"{count} instances")
+    def brackets():  # [d_i^[k], x_j] = delta_ij d_i^[k-1]
+        zero = DiffOp.zero(p, n)
+        for i, j, k in iproduct(variables, variables, indices):
+            dik = dd(i, k)
+            expect = dd(i, k - 1) if i == j else zero
+            yield dik * x(j) - x(j) * dik == expect, lambda: f"[d{i}^[{k}], x{j}]"
 
-    # random multi-index instances of the composition rule
-    count, bad = 0, None
-    for _ in range(trials):
-        alpha = tuple(rng.randint(0, max_index) for _ in range(n))
-        beta = tuple(rng.randint(0, max_index) for _ in range(n))
-        count += 1
-        da = DiffOp(p, n, {alpha: LaurentPoly.one(p, n)})
-        db = DiffOp(p, n, {beta: LaurentPoly.one(p, n)})
-        c = 1
-        for a, b in zip(alpha, beta):
-            c = c * binom_int_mod_p(a + b, a, p).value % p.p
-        gamma = tuple(a + b for a, b in zip(alpha, beta))
-        expect = DiffOp(p, n, {gamma: LaurentPoly.one(p, n)}).scale(c)
-        if da * db != expect:
-            bad = bad or f"d^{alpha} d^{beta}"
-    report.add("multi-index composition", bad is None, bad or f"{count} instances")
+    def multi_index():  # random instances of the composition rule
+        for _ in range(trials):
+            alpha = tuple(rng.randint(0, max_index) for _ in range(n))
+            beta = tuple(rng.randint(0, max_index) for _ in range(n))
+            c = prod(binom_int_mod_p(a + b, a, p).value for a, b in zip(alpha, beta))
+            gamma = tuple(a + b for a, b in zip(alpha, beta))
+            yield d(alpha) * d(beta) == d(gamma).scale(c), lambda: f"d^{alpha} d^{beta}"
 
-    bad = pth_power_failure(p, n, rng, trials)
-    report.add("binomial p-th power", bad is None, bad or f"{trials} instances")
-
+    report.tally("x commutators", x_commutators(), "instances")
+    report.tally("divided power composition", compositions(), "instances")
+    report.tally("divided power commutators", d_commutators(), "instances")
+    report.tally("variable brackets", brackets(), "instances")
+    report.tally("multi-index composition", multi_index(), "instances")
+    report.tally("binomial p-th power", pth_power_instances(p, n, rng, trials), "instances")
     return report
 
 
-def pth_power_failure(p: Prime, n: int, rng: random.Random, trials: int) -> str | None:
-    """Check (d_i + f)^p = d_i^{p-1} f + f^p, a Weyl algebra identity, on
-    `trials` random i and Laurent polynomials f drawn from `rng`; the first
-    failing instance, or None when all hold."""
-    bad = None
+def pth_power_instances(p: Prime, n: int, rng: random.Random, trials: int):
+    """`trials` instances of (d_i + f)^p = d_i^{p-1} f + f^p, a Weyl algebra
+    identity, for random i and Laurent polynomials f drawn from `rng`, as
+    `(holds, label)` pairs for `CheckReport.tally`."""
     for _ in range(trials):
         i = rng.randint(1, n)
-        terms = {}
-        for _ in range(rng.randint(0, 4)):
-            exps = tuple(rng.randint(-2, 2) for _ in range(n))
-            terms[exps] = rng.randint(1, p.p - 1)
-        f = LaurentPoly(p, n, terms)
+        f = LaurentPoly(p, n, {  # a key is drawn before its value
+            tuple(rng.randint(-2, 2) for _ in range(n)): rng.randint(1, p.p - 1)
+            for _ in range(rng.randint(0, 4))})
         base = DiffOp.partial(p, n, i) + DiffOp.from_laurent(f)
         power = DiffOp.one(p, n)
         for _ in range(p.p):
             power = power * base
         rhs = DiffOp.from_laurent((-f.divided_partial(i, p.p - 1)) + f.frobenius())
-        if power != rhs:
-            bad = bad or f"(d{i} + {f})^{p.p}"
-    return bad
+        yield power == rhs, lambda: f"(d{i} + {f})^{p.p}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 
 @dataclass
@@ -24,6 +25,16 @@ class CheckReport:
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(Check(name, passed, detail))
+
+    def tally(self, name: str, instances: Iterable[tuple[bool, Callable[[], str]]], unit: str):
+        """One check over every `(holds, label)` instance, in order: its detail
+        is "<count> <unit>", or the label of the first failing instance, the
+        only label called, before the next instance is drawn."""
+        count, first = 0, None
+        for count, (holds, label) in enumerate(instances, 1):
+            if not holds and first is None:
+                first = label()
+        self.add(name, first is None, f"{count} {unit}" if first is None else first)
 
     @property
     def passed(self) -> bool:

@@ -24,13 +24,13 @@ one residue per byte: two tables pair into one byte per cell, u << 4 | v,
 and `bytes.translate` with a 256-byte map per operation (product, sum,
 difference, scaling) takes it to the result, so pointwise loops run in C.
 Above 16 a table is a list of ints, with comprehensions; `_cells` picks
-the kernel from p.  Equality, the zero test and the Kronecker step
-(`_kronecker`), which builds the conversion and `binomial_row`, are
-written once for both.  A product rolls its left table: a list table by
-slicing every row, a byte table as one big int, with two shifts and a
-mask per axis after the first, which feeds the pairing of the product
-directly.  An array library would cost more to import than these tables
-take to multiply.
+the kernel from p, and its zero test (`nonzero`: one memcmp on bytes).
+Equality and the Kronecker step (`_kronecker`), which builds the
+conversion and `binomial_row`, are written once for both.  A product
+rolls its left table: a list table by slicing every row, a byte table as
+one big int, with two shifts and a mask per axis after the first, which
+feeds the pairing of the product directly.  An array library would
+cost more to import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
 only up to TABLE_CELLS cells, by one rule (`index_digits`, `tables_fit`)
@@ -75,7 +75,7 @@ def _list_cells(p: int) -> SimpleNamespace:
     """Cell arithmetic mod p on lists of residues."""
     join = lambda pieces: list(chain.from_iterable(pieces))  # noqa: E731
     return SimpleNamespace(
-        p=p, new=list, join=join,
+        p=p, new=list, join=join, nonzero=any,
         mul=lambda f, g: [u * v % p for u, v in zip(f, g)],
         add=lambda f, g: [(u + v) % p for u, v in zip(f, g)],
         sub=lambda f, g: [(u - v) % p for u, v in zip(f, g)],
@@ -105,8 +105,8 @@ def _byte_cells(p: int) -> SimpleNamespace:
     scales = [bytes(b * c % p for b in range(256)) for c in range(p)]
     products, differences = _byte_map(mul, p), _byte_map(sub, p)
     return SimpleNamespace(
-        p=p, new=bytes, join=b"".join, mul=_byte_op(products),
-        add=_byte_op(_byte_map(add, p)), sub=_byte_op(differences),
+        p=p, new=bytes, join=b"".join, nonzero=lambda t: t != bytes(len(t)),
+        mul=_byte_op(products), add=_byte_op(_byte_map(add, p)), sub=_byte_op(differences),
         scale=lambda f, c: f.translate(scales[c % p]),
         roll_mul=lambda f, shift, size, g: _pair(_byte_roll(f, shift, size), g, products),
         differences=differences)
@@ -315,7 +315,7 @@ class ThetaTable:
     def __init__(self, p: int, n: int, size: int, tables: dict):
         self.p, self.n, self.size = p, n, size
         self.cells = _cells(p)
-        self.tables = {gamma: t for gamma, t in tables.items() if t.count(0) < len(t)}
+        self.tables = {gamma: t for gamma, t in tables.items() if self.cells.nonzero(t)}
 
     @classmethod
     def from_diffop(cls, op: DiffOp, digits: int) -> "ThetaTable":

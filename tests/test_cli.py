@@ -6,6 +6,7 @@ import math
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,9 +34,11 @@ from dividedops.interchange import (
     op_from_dict,
     op_to_dict,
 )
-from dividedops.laurent import term_string
+from dividedops.laurent import LaurentPoly, term_string
 
 from helpers import subprocess_env
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -171,6 +174,39 @@ def test_sigma_apply(capsys):
     assert out.strip() == "d1[1] + x1^-1"
 
 
+RESULT_COMMANDS = [
+    ("normalize", "d1[2]*x1 + x2^-3", "--p", "5", "--n", "2"),
+    ("act", "d1[2]*x1 + x2^-1", "x1^5*x2 + 3", "--p", "3", "--n", "2"),
+    ("sigma", "--digits", "1,1;0,1", "apply", "d1[1]*d2[2] + x1", "--p", "2", "--n", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", RESULT_COMMANDS, ids=lambda argv: argv[0])
+def test_machine_format_renders_no_text(monkeypatch, capsys, argv):
+    code, want, _ = run(capsys, *argv, "--format", "machine")
+    assert code == 0
+
+    def refuse(self):
+        raise AssertionError("text rendered for machine output")
+
+    monkeypatch.setattr(DiffOp, "__str__", refuse)
+    monkeypatch.setattr(LaurentPoly, "__str__", refuse)
+    assert run(capsys, *argv, "--format", "machine") == (0, want, "")
+
+
+@pytest.mark.parametrize("argv", RESULT_COMMANDS, ids=lambda argv: argv[0])
+def test_text_format_builds_no_machine_dict(monkeypatch, capsys, argv):
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(value):
+        raise AssertionError("machine dict built for text output")
+
+    for name in ("op_to_dict", "poly_to_dict", "dumps"):
+        monkeypatch.setattr(f"dividedops.cli.{name}", refuse)
+    assert run(capsys, *argv) == (0, want, "")
+
+
 def test_sigma_apply_insufficient_precision(capsys):
     code, _, err = run(capsys, "sigma", "--digits", "1", "apply", "d1[2]",
                        "--p", "2", "--precision", "1")
@@ -299,6 +335,15 @@ def test_verify_window_of_negative_exponents_only(suite):
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "OK"
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "verify_all_p3_n2_seed0.txt"),
+                                         ("machine", "verify_all_p3_n2_seed0.json")])
+def test_verify_transcript_matches_golden(capsys, fmt, golden):
+    code, out, err = run(capsys, "verify", "all", "--p", "3", "--n", "2", "--seed", "0",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_verify_failure_exit_code(capsys):

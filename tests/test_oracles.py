@@ -16,6 +16,7 @@ from dividedops.oracles import (
     nullspace_mod_p,
     relation_suite,
 )
+from dividedops.report import CheckReport
 from dividedops.scalars import PadicInt, binom_padic
 
 from helpers import rand_padic
@@ -169,6 +170,47 @@ def test_relation_suite_reports_corrupted_product(monkeypatch):
     rep = relation_suite(3, 1, max_index=4, trials=5, seed=8)
     assert not rep.passed
     assert any(c.detail and not c.passed for c in rep.checks)
+
+
+def test_relation_suite_reports_first_failures(monkeypatch):
+    # products of order >= 3 are corrupted: each failing family names its
+    # first failing instance in iteration order, after the same random draws
+    true_product = DiffOp.__mul__
+
+    def corrupted(a, b):
+        product = true_product(a, b)
+        if (product.order() or 0) >= 3:
+            product = product + DiffOp.one(a.p, a.n)
+        return product
+
+    monkeypatch.setattr(DiffOp, "__mul__", corrupted)
+    rep = relation_suite(3, 2, max_index=9, trials=30, seed=7)
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("x commutators", True, "1 instances"),
+        ("divided power composition", False, "d1^[1] d1^[3]"),
+        ("divided power commutators", True, "81 instances"),
+        ("variable brackets", True, "36 instances"),
+        ("multi-index composition", False, "d^(9, 0) d^(8, 3)"),
+        ("binomial p-th power", True, "30 instances"),
+    ]
+
+
+def test_tally_runs_every_instance_and_labels_the_first_failure():
+    seen, labelled = [], []
+
+    def instances():
+        for k in range(6):
+            seen.append(k)
+            yield k % 3 != 1, lambda: labelled.append(k) or f"instance {k}"
+
+    rep = CheckReport("tally")
+    rep.tally("fails", instances(), "instances")
+    rep.tally("holds", ((True, None) for _ in range(4)), "cases")
+    rep.tally("empty", iter(()), "cases")
+    assert seen == list(range(6)) and labelled == [1]
+    assert [(c.name, c.passed, c.detail) for c in rep.checks] == [
+        ("fails", False, "instance 1"), ("holds", True, "4 cases"), ("empty", True, "0 cases"),
+    ]
 
 
 def test_relation_suite_deterministic():

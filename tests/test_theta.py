@@ -166,6 +166,18 @@ def test_byte_cells_match_list_cells(monkeypatch, p):
         assert {gamma: list(t) for gamma, t in table.tables.items()} == reference.tables
 
 
+@pytest.mark.parametrize("p, cell_type", [(3, bytes), (17, list)])
+def test_zero_tables_are_dropped_and_a_last_nonzero_cell_kept(p, cell_type):
+    cells, size = theta._cells(p), p ** 2
+    zero = cells.new([0] * size ** 2)
+    last = cells.new([0] * (size ** 2 - 1) + [p - 1])
+    assert type(zero) is cell_type
+    assert not cells.nonzero(zero) and cells.nonzero(last)
+    table = ThetaTable(p, 2, size, {(0, 0): zero, (1, -1): last, (2, 0): cells.new(zero)})
+    assert table.tables == {(1, -1): last}
+    assert ThetaTable(p, 2, size, {(0, 0): zero}).is_zero()
+
+
 @pytest.mark.parametrize("p, n", SHAPES + ((13, 2),))
 def test_mahler_undoes_from_diffop(p, n):
     # the Mahler coefficients of c_gamma are the terms x^(gamma + beta) d^[beta]
