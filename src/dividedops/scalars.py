@@ -18,7 +18,7 @@ MAX_PRIME = 1 << 16
 DEFAULT_PRECISION = 8
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -173,28 +173,48 @@ def _lucas(m: int, k: int, p: int) -> int:
     return r
 
 
-@lru_cache(maxsize=65536)
-def _nonzero_binoms(m: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
-    """Pairs (j, C(m, j) mod p) for the j in [0, bound] with C(m, j) nonzero,
-    j increasing; m may be negative.
-
-    By Lucas' theorem these are the j whose every base-p digit is at most
-    the matching digit of m (for negative m, of its infinite expansion), so
-    the digits are chosen from the top down and no zero binomial is visited.
-    """
-    if bound < 0:
-        return ()
+@lru_cache(maxsize=1024)  # bound measured on real products: see the README
+def _leibniz_factor(b: int, d: int, e: int, p: int) -> tuple[tuple[int, int, int], ...]:
+    """_leibniz_terms for one variable with b > 0."""
+    if b < p:
+        fact, inv = _digit_binom_table(p)
+        a, f = d % p, e % p
+        return tuple((b - j + e, d - j, fact[a] * inv[j] * inv[a - j]
+                      * fact[b - j + f] * inv[b - j] * inv[f] % p)
+                     for j in range(max(0, b + 1 + f - p), min(b, a) + 1))
+    # digits from the bottom, each with the carries (c0: 0, c1: 1) the digits
+    # below can send into it; j_r + m_r + c_r = b_r + p c_(r+1)
+    digits, q, dq, eq, c0, c1 = [], b, d, e, True, False
+    while q:
+        (q, br), (dq, dr), (eq, er) = divmod(q, p), divmod(dq, p), divmod(eq, p)
+        digits.append((br, dr, er, c0, c1))
+        top = dr + p - 1 - er  # the largest j_r + m_r
+        c0, c1 = ((c0 and br <= top) or (c1 and 0 < br <= top + 1),
+                  (c0 and br + p <= top) or (c1 and br + p <= top + 1))
+        if not (c0 or c1):
+            return ()
     fact, inv = _digit_binom_table(p)
-    pairs = [(0, 1)]
-    for r in reversed(range(padic_length(bound, p))):
-        a = m // p**r % p
-        top = bound // p**r
-        pairs = [
-            (j * p + b, c * fact[a] * inv[b] * inv[a - b] % p)
-            for j, c in pairs
-            for b in range(min(a, top - j * p) + 1)
-        ]
-    return tuple(pairs)
+    walk = [(0, 1, 0)]  # (top digits of j, their coefficient, carry out of digit r)
+    if e % p ** len(digits) == 0:
+        for r in reversed(range(len(digits))):
+            a, top = digits[r][1], b // p**r
+            walk = [(j * p + x, c * fact[a] * inv[x] * inv[a - x] % p, 0)
+                    for j, c, _ in walk for x in range(min(a, top - j * p) + 1)]
+    else:
+        for br, a, f, c0, c1 in reversed(digits):
+            room = p - 1 - f
+            nxt = []
+            for j, coef, out in walk:
+                t = br + p * out  # = j_r + m_r + (carry into digit r)
+                for x in range(max(0, t - room - c1), min(a, t - (not c0)) + 1):
+                    cx = coef * fact[a] * inv[x] * inv[a - x]
+                    # carry 0 first: with carry 1 the lower digits of j exceed b's
+                    if c0 and t - x <= room:
+                        nxt.append((j * p + x, cx * fact[t - x + f] * inv[t - x] * inv[f] % p, 0))
+                    if c1 and t > x:
+                        nxt.append((j * p + x, cx * fact[t - x - 1 + f] * inv[t - x - 1] * inv[f] % p, 1))
+            walk = nxt
+    return tuple((b - j + e, d - j, c) for j, c, _ in walk)
 
 
 def _leibniz_terms(
@@ -203,33 +223,30 @@ def _leibniz_terms(
     """The nonzero terms of the Leibniz rule for d^[beta] x^delta d^[eps]:
     triples (beta - j + eps, delta - j, prod_i C(delta_i, j_i)
     C(beta_i - j_i + eps_i, eps_i) mod p) over the j <= beta whose
-    coefficient is nonzero.
+    coefficient is nonzero, each variable's j_i increasing.
 
-    Both binomials factor over the variables, so each variable lists only
-    its j_i with both factors nonzero, and the product of those lists
-    visits no zero term.  A variable with beta_i = 0 has the single
-    choice j_i = 0 and coefficient 1.
+    Both binomials factor over the variables.  For one variable (b, d, e)
+    and m = b - j, Lucas' theorem makes the coefficient nonzero iff every
+    digit j_r <= d_r (of d's infinite expansion when d < 0) and every m_r
+    <= p - 1 - e_r (no carry in m + e), and it is then the product of the
+    digit binomials C(d_r, j_r) C(m_r + e_r, e_r); only the L digits of b
+    matter.  `_leibniz_factor` lists these j straight from the digits, in
+    one of three ways.  For b < p they are one interval.  For e = 0 mod
+    p^L nothing can carry, and they are the digit box of d below b, chosen
+    from the top.  Otherwise the digits of j and m are linked by the
+    carries of j + m = b: the walk goes from the top digit down with the
+    carry into the current digit as its only state, each (state, carry)
+    admits one interval of j_r, and a bottom-up pass first marks the
+    carries the lower digits can produce (and stops if they can produce
+    none), so no prefix is thrown away.
+    The lists are cached; a variable with b = 0 has the single choice
+    j = 0 and coefficient 1.
     """
-    fact, inv = _digit_binom_table(p)
     terms: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
     for b, d, e in zip(beta, delta, eps):
-        if b == 0:
-            choices = [(e, d, 1)]
-        else:
-            choices = []
-            for j, c in _nonzero_binoms(d, b, p):
-                m = b - j
-                # C(m + e, e) digit by digit: zero iff adding m and e carries
-                rest, lo = m, e
-                while lo and c:
-                    a, r = rest % p, lo % p
-                    c = c * fact[a + r] * inv[a] * inv[r] % p if a + r < p else 0
-                    rest //= p
-                    lo //= p
-                if c:
-                    choices.append((m + e, d - j, c))
-            if not choices:
-                return []
+        choices = _leibniz_factor(b, d, e, p) if b else ((e, d, 1),)
+        if not choices:
+            return []
         terms = [(out + (o,), shift + (s,), cc * c % p)
                  for out, shift, cc in terms for o, s, c in choices]
     return terms

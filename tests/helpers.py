@@ -16,7 +16,7 @@ from dividedops.diffop import DiffOp
 from dividedops.errors import ParseError
 from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import PadicInt, Prime, _lucas, _nonzero_binoms
+from dividedops.scalars import PadicInt, Prime, _digit_binom_table, _lucas, padic_length
 
 
 def rand_poly(rng: random.Random, p, n, max_terms=3, span=3, allow_zero=True) -> LaurentPoly:
@@ -49,6 +49,29 @@ def rand_op(rng: random.Random, p, n, max_parts=3, max_order=3, span=3, max_term
         if f:
             parts[beta] = parts.get(beta, DiffOp.zero(p, n).parts.get(beta)) or f
     return DiffOp(p, n, parts)
+
+
+def _nonzero_binoms(m: int, bound: int, p: int) -> tuple[tuple[int, int], ...]:
+    """Pairs (j, C(m, j) mod p) for the j in [0, bound] with C(m, j) nonzero,
+    j increasing; m may be negative.
+
+    By Lucas' theorem these are the j whose every base-p digit is at most
+    the matching digit of m (for negative m, of its infinite expansion), so
+    the digits are chosen from the top down and no zero binomial is visited.
+    """
+    if bound < 0:
+        return ()
+    fact, inv = _digit_binom_table(p)
+    pairs = [(0, 1)]
+    for r in reversed(range(padic_length(bound, p))):
+        a = m // p**r % p
+        top = bound // p**r
+        pairs = [
+            (j * p + b, c * fact[a] * inv[b] * inv[a - b] % p)
+            for j, c in pairs
+            for b in range(min(a, top - j * p) + 1)
+        ]
+    return tuple(pairs)
 
 
 def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:

@@ -1,7 +1,9 @@
 """Operator ring: defining relations, the product rule against the action
 oracle, normal-form recovery from black-box actions."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -145,6 +147,26 @@ def test_mul_matches_leibniz_reference(p):
                                   LaurentPoly.monomial(p, n, [rng.randint(-3, 3) for _ in range(n)],
                                                        rng.randint(1, p - 1))})
             assert a * b == leibniz_product(a, b), (a, b)
+
+
+def test_products_retain_bounded_memory():
+    # 6,000 products d1^[b] * x1^d d1^[e] at p = 101 with two-digit indices
+    # and exponents of both signs: whatever the Leibniz enumeration caches
+    # must stay bounded once the products are dropped
+    rng = random.Random("retained")
+    p = 101
+    one = LaurentPoly.one(p, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(6000):
+            b, e, d = rng.randint(1, 160), rng.randint(1, 160), rng.randint(-400, 400)
+            DiffOp(p, 1, {(b,): one}) * DiffOp(p, 1, {(e,): LaurentPoly.monomial(p, 1, (d,), 1)})
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 8_000_000, retained
 
 
 def test_mul_cancels_to_zero():
