@@ -19,11 +19,11 @@ contributions into one coefficient per (output index beta - j + eps,
 shift delta - j), then adds coefficient * f_beta * x^shift once per
 nonzero pair; `scalars._leibniz_terms` lists only the j whose two
 binomials are both nonzero, straight from the base-p digits: per variable
-one interval when beta_i < p, the digit box of delta_i when nothing can
-carry, and otherwise a walk down the digits whose only state is the carry
-of j_i + (beta_i - j_i) = beta_i.  Powers of an order-0 operator f use
-the Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits of the
-exponent; other powers square and multiply.
+a walk down the digits whose only state is the carry of
+j_i + (beta_i - j_i) = beta_i (one interval of j_i when beta_i < p, the
+digit box of delta_i when eps_i cannot carry).  Powers of an order-0
+operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits
+of the exponent; other powers square and multiply.
 """
 
 from __future__ import annotations

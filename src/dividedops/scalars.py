@@ -173,15 +173,15 @@ def _lucas(m: int, k: int, p: int) -> int:
     return r
 
 
-@lru_cache(maxsize=1024)  # bound measured on real products: see the README
+# _leibniz_factor caches the lists of b <= CACHED_INDEX only, so that each
+# of its 1,024 entries holds at most CACHED_INDEX + 1 survivors; both bounds
+# are measured on real products, see the README
+CACHED_INDEX = 256
+
+
+@lru_cache(maxsize=1024)
 def _leibniz_factor(b: int, d: int, e: int, p: int) -> tuple[tuple[int, int, int], ...]:
     """_leibniz_terms for one variable with b > 0."""
-    if b < p:
-        fact, inv = _digit_binom_table(p)
-        a, f = d % p, e % p
-        return tuple((b - j + e, d - j, fact[a] * inv[j] * inv[a - j]
-                      * fact[b - j + f] * inv[b - j] * inv[f] % p)
-                     for j in range(max(0, b + 1 + f - p), min(b, a) + 1))
     # digits from the bottom, each with the carries (c0: 0, c1: 1) the digits
     # below can send into it; j_r + m_r + c_r = b_r + p c_(r+1)
     digits, q, dq, eq, c0, c1 = [], b, d, e, True, False
@@ -195,25 +195,20 @@ def _leibniz_factor(b: int, d: int, e: int, p: int) -> tuple[tuple[int, int, int
             return ()
     fact, inv = _digit_binom_table(p)
     walk = [(0, 1, 0)]  # (top digits of j, their coefficient, carry out of digit r)
-    if e % p ** len(digits) == 0:
-        for r in reversed(range(len(digits))):
-            a, top = digits[r][1], b // p**r
-            walk = [(j * p + x, c * fact[a] * inv[x] * inv[a - x] % p, 0)
-                    for j, c, _ in walk for x in range(min(a, top - j * p) + 1)]
-    else:
-        for br, a, f, c0, c1 in reversed(digits):
-            room = p - 1 - f
-            nxt = []
-            for j, coef, out in walk:
-                t = br + p * out  # = j_r + m_r + (carry into digit r)
-                for x in range(max(0, t - room - c1), min(a, t - (not c0)) + 1):
-                    cx = coef * fact[a] * inv[x] * inv[a - x]
-                    # carry 0 first: with carry 1 the lower digits of j exceed b's
-                    if c0 and t - x <= room:
-                        nxt.append((j * p + x, cx * fact[t - x + f] * inv[t - x] * inv[f] % p, 0))
-                    if c1 and t > x:
-                        nxt.append((j * p + x, cx * fact[t - x - 1 + f] * inv[t - x - 1] * inv[f] % p, 1))
-            walk = nxt
+    for br, a, f, c0, c1 in reversed(digits):
+        room = p - 1 - f
+        nxt = []
+        for j, coef, out in walk:
+            t = br + p * out  # = j_r + m_r + (carry into digit r)
+            j, coef = j * p, coef * fact[a] * inv[f] % p
+            for x in range(max(0, t - room - c1), min(a, t - (not c0)) + 1):
+                cx, mc = coef * inv[x] * inv[a - x], t - x  # mc = m_r + carry in
+                # carry 0 first: with carry 1 the lower digits of j exceed b's
+                if c0 and mc <= room:
+                    nxt.append((j + x, cx * fact[mc + f] * inv[mc] % p, 0))
+                if c1 and mc:
+                    nxt.append((j + x, cx * fact[mc - 1 + f] * inv[mc - 1] % p, 1))
+        walk = nxt
     return tuple((b - j + e, d - j, c) for j, c, _ in walk)
 
 
@@ -230,21 +225,24 @@ def _leibniz_terms(
     digit j_r <= d_r (of d's infinite expansion when d < 0) and every m_r
     <= p - 1 - e_r (no carry in m + e), and it is then the product of the
     digit binomials C(d_r, j_r) C(m_r + e_r, e_r); only the L digits of b
-    matter.  `_leibniz_factor` lists these j straight from the digits, in
-    one of three ways.  For b < p they are one interval.  For e = 0 mod
-    p^L nothing can carry, and they are the digit box of d below b, chosen
-    from the top.  Otherwise the digits of j and m are linked by the
-    carries of j + m = b: the walk goes from the top digit down with the
-    carry into the current digit as its only state, each (state, carry)
-    admits one interval of j_r, and a bottom-up pass first marks the
-    carries the lower digits can produce (and stops if they can produce
-    none), so no prefix is thrown away.
-    The lists are cached; a variable with b = 0 has the single choice
-    j = 0 and coefficient 1.
+    matter.  `_leibniz_factor` lists these j straight from the digits.
+    The digits of j and m are linked by the carries of j + m = b: the walk
+    goes from the top digit down with the carry into the current digit as
+    its only state, each (state, carry) admits one interval of j_r, and a
+    bottom-up pass first marks the carries the lower digits can produce
+    (and stops if they can produce none), so no prefix is thrown away.
+    For b < p this is one interval of j, and when e = 0 mod p^L it is the
+    digit box of d below b.  The lists of b <= CACHED_INDEX are cached; a
+    variable with b = 0 has the single choice j = 0 and coefficient 1.
     """
     terms: list[tuple[tuple[int, ...], tuple[int, ...], int]] = [((), (), 1)]
     for b, d, e in zip(beta, delta, eps):
-        choices = _leibniz_factor(b, d, e, p) if b else ((e, d, 1),)
+        if not b:
+            choices = ((e, d, 1),)
+        elif b <= CACHED_INDEX:
+            choices = _leibniz_factor(b, d, e, p)
+        else:  # rebuilt on every use: see CACHED_INDEX
+            choices = _leibniz_factor.__wrapped__(b, d, e, p)
         if not choices:
             return []
         terms = [(out + (o,), shift + (s,), cc * c % p)

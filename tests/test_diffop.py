@@ -149,6 +149,18 @@ def test_mul_matches_leibniz_reference(p):
             assert a * b == leibniz_product(a, b), (a, b)
 
 
+def retained_bytes(products) -> int:
+    """Bytes still traced after running `products` and dropping its results."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        products()
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def test_products_retain_bounded_memory():
     # 6,000 products d1^[b] * x1^d d1^[e] at p = 101 with two-digit indices
     # and exponents of both signs: whatever the Leibniz enumeration caches
@@ -156,17 +168,26 @@ def test_products_retain_bounded_memory():
     rng = random.Random("retained")
     p = 101
     one = LaurentPoly.one(p, 1)
-    gc.collect()
-    tracemalloc.start()
-    try:
+
+    def products():
         for _ in range(6000):
             b, e, d = rng.randint(1, 160), rng.randint(1, 160), rng.randint(-400, 400)
             DiffOp(p, 1, {(b,): one}) * DiffOp(p, 1, {(e,): LaurentPoly.monomial(p, 1, (d,), 1)})
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert retained < 8_000_000, retained
+
+    assert retained_bytes(products) < 8_000_000
+
+
+def test_long_survivor_lists_are_not_kept():
+    # d1^[b] x1^-1 has all b + 1 Leibniz terms (every digit of -1 is p - 1),
+    # about 1 MB of survivors at b = 6,000; none of the ten may stay cached
+    p = 65521
+    d(p, 1, 1) * x(p, 1, 1, -1)  # the binomial tables of p, kept on purpose
+
+    def products():
+        for b in range(6000, 6010):
+            assert len((d(p, 1, 1, b) * x(p, 1, 1, -1)).parts) == b + 1
+
+    assert retained_bytes(products) < 2_000_000
 
 
 def test_mul_cancels_to_zero():

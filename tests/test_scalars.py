@@ -125,19 +125,20 @@ def brute_leibniz_terms(beta, delta, eps, p):
              math.prod(t[2] for t in combo) % p) for combo in iproduct(*per_variable)]
 
 
-def _leibniz_case(rng, p, path, top=1100):
-    """One variable's (b, d, e) on `path`: one digit (b < p), carry-free
-    (e = 0 mod p^L, L the length of b) or the carry walk (any other e)."""
-    if path == "digit":
+def _leibniz_case(rng, p, kind, top=1100):
+    """One variable's (b, d, e) of one `kind`: one digit (b < p), carry-free
+    (e = 0 mod p^L, L the length of b) or carrying (any other e).  b runs
+    past CACHED_INDEX, so both cached and rebuilt survivor lists are met."""
+    if kind == "digit":
         b = rng.randint(1, min(p - 1, top, 300))
     else:  # half at and around the powers of p up to `top` (p itself at least)
         near = [p**k + s for k in range(1, 12) for s in (-1, 0, 1) if p <= p**k + s <= max(top, p + 1)]
         b = rng.choice(near) if rng.random() < 0.5 else rng.randint(p, max(p + 1, min(top, 300)))
     size = padic_length(b, p)
     d = rng.choice((-1, 1)) * rng.randint(0, p ** (size + 2))
-    if path == "digit":
+    if kind == "digit":
         e = rng.randint(0, p ** rng.randint(1, 3))
-    elif path == "carry-free":
+    elif kind == "carry-free":
         e = rng.randint(0, 3) * p**size
     else:
         e = rng.choice([v for v in (rng.randint(1, p ** (size + 1)), 1, p - 1) if v % p**size])
@@ -147,20 +148,20 @@ def _leibniz_case(rng, p, path, top=1100):
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 101, 65521))
 def test_leibniz_terms_match_brute_force(p):
     # the same triples in the same order as every j with both binomials
-    # taken from _lucas: 1,000 single variables on each of the three paths
-    # (2 off the single-digit path at p = 65521, where b >= p has 65,521
+    # taken from _lucas: 1,000 single variables of each of the three kinds
+    # (2 of the multi-digit kinds at p = 65521, where b >= p has 65,521
     # candidates), then 200 products of two or three small variables
     rng = random.Random(f"leibniz:{p}")
-    paths = {"digit": 1000, "carry-free": 1000, "walk": 1000}
+    kinds = {"digit": 1000, "carry-free": 1000, "carrying": 1000}
     if p == 65521:
-        paths.update({"carry-free": 1, "walk": 1})
-    for path, times in paths.items():
+        kinds.update({"carry-free": 1, "carrying": 1})
+    for kind, times in kinds.items():
         for _ in range(times):
-            b, d, e = _leibniz_case(rng, p, path)
+            b, d, e = _leibniz_case(rng, p, kind)
             assert _leibniz_terms((b,), (d,), (e,), p) == brute_leibniz_terms((b,), (d,), (e,), p), \
-                (path, b, d, e)
+                (kind, b, d, e)
     for _ in range(200):
-        cases = [_leibniz_case(rng, p, rng.choice(list(paths)) if p < 8 else "digit", top=min(2 * p + 1, 12))
+        cases = [_leibniz_case(rng, p, rng.choice(list(kinds)) if p < 8 else "digit", top=min(2 * p + 1, 12))
                  for _ in range(rng.choice((2, 3)))]
         beta, delta, eps = zip(*cases)
         assert _leibniz_terms(beta, delta, eps, p) == brute_leibniz_terms(beta, delta, eps, p), cases
