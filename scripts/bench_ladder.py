@@ -35,8 +35,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SHAPES = ((2, 2, 5), (2, 2, 6), (2, 2, 7), (2, 2, 8), (2, 2, 9), (3, 2, 4), (3, 2, 5), (3, 2, 6),
-          (5, 2, 4), (7, 2, 3), (2, 3, 4), (2, 3, 6), (17, 2, 2))
+SHAPES = ((2, 2, 5), (2, 2, 6), (2, 2, 7), (2, 2, 8), (2, 2, 9), (2, 2, 10), (2, 2, 11),
+          (3, 2, 4), (3, 2, 5), (3, 2, 6), (3, 2, 7), (5, 2, 4), (7, 2, 3), (2, 3, 4), (2, 3, 6),
+          (2, 3, 7), (17, 2, 2))
 STEPS = ("build", "factorize", "validate")
 
 

@@ -11,8 +11,8 @@ So the shift s after tau acts by one closed form, `FactoredAut.apply`:
 
 t = A^{-1} s, the product expanded as sum_j c_j x^j d^[j] by its Mahler
 coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
-conjugation by the unit x^s for any integer representative of s (two
-operator products); `monomial_apply` is the zero shift.
+conjugation by the unit x^s for any integer representative of s (one
+operator product); `monomial_apply` is the zero shift.
 
 `theta.expansion` finds and caches the Mahler coefficients of a part;
 `theta` alone knows the table format and the rule that picks between a
@@ -160,8 +160,10 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     """
     _check_shift_operand(s, op)
     t = [c.to_int() for c in s.components]
-    # the short left factor meets the input; the right product expands once
-    left = DiffOp.monomial(s.p, s.n, [-v for v in t]) * op
+    # x^-t only shifts the coefficients; the one product by x^t writes
+    # (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j d^[beta - j]
+    minus_t = tuple(-v for v in t)
+    left = DiffOp(s.p, s.n, {beta: f.times_monomial(1, minus_t) for beta, f in op.parts.items()})
     return left * DiffOp.monomial(s.p, s.n, t)
 
 

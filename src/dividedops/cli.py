@@ -1,7 +1,11 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 parse or usage error, 2 verification failure,
-3 insufficient precision, 4 invalid automorphism input.
+Exit codes: 0 success, 2 verification failure.  An error prints one line
+to stderr and exits by `ERROR_EXITS`, whose first matching row wins:
+usage errors, operand mismatches and windows over the size budget print
+"usage error:" and exit 1, syntax errors "syntax error:" and 1,
+insufficient precision 3, invalid automorphism input 4, and any other
+`DividedOpsError` "error:" and 1.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 from .autgroup import (
@@ -52,8 +55,6 @@ EXIT_VERIFY = 2
 EXIT_PRECISION = 3
 EXIT_BAD_AUT = 4
 
-SUITES = ("relations", "kernel", "corollary", "grouplaw", "roundtrip", "all")
-
 
 class _UsageError(Exception):
     pass
@@ -66,49 +67,40 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class Session:
-    p: Prime
-    n: int
-    precision: int
-    seed: int
-    window: tuple[int, int] | None
-    order_bound: int
-    fmt: str
+# (error classes, stderr prefix, exit code); `main` takes the first row that matches
+ERROR_EXITS = (
+    (_UsageError, "usage error", EXIT_USAGE),
+    (ParseError, "syntax error", EXIT_USAGE),
+    (InsufficientPrecision, "insufficient precision", EXIT_PRECISION),
+    (InvalidAutomorphism, "invalid automorphism input", EXIT_BAD_AUT),
+    ((MismatchError, WindowTooLarge), "usage error", EXIT_USAGE),
+    (DividedOpsError, "error", EXIT_USAGE),
+)
 
-    @classmethod
-    def from_args(cls, args) -> "Session":
-        try:
-            p = as_prime(args.p)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-        if args.n < 1:
-            raise _UsageError("need --n at least 1")
-        if args.precision < 1:
-            raise _UsageError("need --precision at least 1")
-        return cls(
-            p=p,
-            n=args.n,
-            precision=args.precision,
-            seed=args.seed,
-            window=args.window,
-            order_bound=args.order_bound,
-            fmt=args.format,
-        )
 
-    def default_window(self) -> ExponentWindow:
-        if self.window is not None:
-            lo, hi = self.window
-            return ExponentWindow.cube(lo, hi, self.n)
-        return ExponentWindow.cube(-2 * self.p.p, 2 * self.p.p, self.n)
+def _check_common(args):
+    """Check the options every command shares, once; --p becomes a Prime."""
+    try:
+        args.p = as_prime(args.p)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    if args.n < 1:
+        raise _UsageError("need --n at least 1")
+    if args.precision < 1:
+        raise _UsageError("need --precision at least 1")
 
-    def suite_precision(self) -> int:
-        """Largest level count whose top divided index stays within the
-        configured order bound."""
-        k = 1
-        while k < self.precision and self.p.p ** k <= self.order_bound:
-            k += 1
-        return k
+
+def _window(args) -> ExponentWindow:
+    lo, hi = args.window or (-2 * args.p.p, 2 * args.p.p)
+    return ExponentWindow.cube(lo, hi, args.n)
+
+
+def _suite_precision(args) -> int:
+    """Largest level count whose top divided index stays within --order-bound."""
+    k = 1
+    while k < args.precision and args.p.p ** k <= args.order_bound:
+        k += 1
+    return k
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -121,9 +113,9 @@ def _parse_window(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_digit_rows(text: str, session: Session) -> ShiftVector:
+def _parse_digit_rows(args) -> ShiftVector:
     rows = []
-    for chunk in text.split(";"):
+    for chunk in args.digits.split(";"):
         chunk = chunk.strip()
         if not chunk:
             raise _UsageError("empty digit list")
@@ -132,18 +124,16 @@ def _parse_digit_rows(text: str, session: Session) -> ShiftVector:
         except ValueError:
             raise _UsageError(f"bad digit list {chunk!r}")
         rows.append(row)
-    if len(rows) != session.n:
-        raise _UsageError(f"got digits for {len(rows)} variables, session has n={session.n}")
+    if len(rows) != args.n:
+        raise _UsageError(f"got digits for {len(rows)} variables, session has n={args.n}")
     padded = []
     for row in rows:
-        if len(row) > session.precision:
-            raise _UsageError(
-                f"{len(row)} digits exceed precision {session.precision}"
-            )
-        if any(not 0 <= d < session.p.p for d in row):
-            raise _UsageError(f"digits must lie in [0, {session.p.p})")
-        padded.append(row + [0] * (session.precision - len(row)))
-    return ShiftVector.from_digits(padded, session.p)
+        if len(row) > args.precision:
+            raise _UsageError(f"{len(row)} digits exceed precision {args.precision}")
+        if any(not 0 <= d < args.p.p for d in row):
+            raise _UsageError(f"digits must lie in [0, {args.p.p})")
+        padded.append(row + [0] * (args.precision - len(row)))
+    return ShiftVector.from_digits(padded, args.p)
 
 
 def format_padic_digits(digits, p: int) -> str:
@@ -172,10 +162,10 @@ def _random_shift(rng: random.Random, p: Prime, n: int, precision: int) -> Shift
     )
 
 
-def kernel_report(session: Session) -> CheckReport:
-    p, n = session.p, session.n
+def kernel_report(args) -> CheckReport:
+    p, n = args.p, args.n
     rep = CheckReport(f"frobenius kernel p={p.p} n={n}")
-    window = session.default_window()
+    window = _window(args)
     poly_window = ExponentWindow.cube(0, max(0, max(window.hi)), n)
     for i in range(1, n + 1):
         expected = tuple(-1 if j == i - 1 else 0 for j in range(n))
@@ -189,21 +179,21 @@ def kernel_report(session: Session) -> CheckReport:
     return rep
 
 
-def corollary_report(session: Session, trials: int = 30) -> CheckReport:
-    p, n = session.p, session.n
+def corollary_report(args) -> CheckReport:
+    p, n = args.p, args.n
     rep = CheckReport(f"binomial p-th power p={p.p} n={n}")
-    instances = pth_power_instances(p, n, random.Random(session.seed), trials)
+    instances = pth_power_instances(p, n, random.Random(args.seed), trials=30)
     rep.tally("p-th power identity", instances, "random instances")
     return rep
 
 
-def grouplaw_report(session: Session, pairs: int = 5) -> CheckReport:
-    p, n = session.p, session.n
-    prec = session.suite_precision()
-    rng = random.Random(session.seed)
+def grouplaw_report(args) -> CheckReport:
+    p, n = args.p, args.n
+    prec = _suite_precision(args)
+    rng = random.Random(args.seed)
     rep = CheckReport(f"shift group law p={p.p} n={n} precision={prec}")
     draws = ((_random_shift(rng, p, n, prec), _random_shift(rng, p, n, prec))
-             for _ in range(pairs))
+             for _ in range(5))
     rep.tally("composition matches digit addition", (
         (shift_generator_images(s + t) == shift_compose_images(s, shift_generator_images(t)),
          lambda: f"s={s.digit_rows()} t={t.digit_rows()}")
@@ -211,12 +201,12 @@ def grouplaw_report(session: Session, pairs: int = 5) -> CheckReport:
     return rep
 
 
-def roundtrip_report(session: Session, cases: int = 5) -> CheckReport:
-    p, n = session.p, session.n
-    prec = session.suite_precision()
-    rng = random.Random(session.seed)
+def roundtrip_report(args) -> CheckReport:
+    p, n = args.p, args.n
+    prec = _suite_precision(args)
+    rng = random.Random(args.seed)
     rep = CheckReport(f"digit extraction round trip p={p.p} n={n} precision={prec}")
-    shifts = (_random_shift(rng, p, n, prec) for _ in range(cases))
+    shifts = (_random_shift(rng, p, n, prec) for _ in range(5))
     rep.tally("extract(build(s)) = s", (
         (extract_digits(shift_generator_images(s)) == s, lambda: f"s={s.digit_rows()}")
         for s in shifts), "random vectors")
@@ -239,9 +229,9 @@ def roundtrip_report(session: Session, cases: int = 5) -> CheckReport:
     return rep
 
 
-def relations_report(session: Session) -> CheckReport:
-    max_index = min(session.p.p ** 3, 125)
-    return relation_suite(session.p, session.n, max_index, trials=40, seed=session.seed)
+def relations_report(args) -> CheckReport:
+    max_index = min(args.p.p ** 3, 125)
+    return relation_suite(args.p, args.n, max_index, trials=40, seed=args.seed)
 
 
 SUITE_REPORTS = {
@@ -251,11 +241,12 @@ SUITE_REPORTS = {
     "grouplaw": grouplaw_report,
     "roundtrip": roundtrip_report,
 }
+SUITES = (*SUITE_REPORTS, "all")
 
 
-def run_suites(name: str, session: Session) -> list[CheckReport]:
-    chosen = SUITES[:-1] if name == "all" else (name,)
-    return [SUITE_REPORTS[suite](session) for suite in chosen]
+def run_suites(args) -> list[CheckReport]:
+    chosen = SUITE_REPORTS if args.suite == "all" else (args.suite,)
+    return [SUITE_REPORTS[suite](args) for suite in chosen]
 
 
 # ---------------------------------------------------------------------------
@@ -263,38 +254,38 @@ def run_suites(name: str, session: Session) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(session: Session, text: Callable[[], str], machine: Callable[[], dict]):
-    """Render the result in the session's format only, and write it."""
-    if session.fmt == "machine":
+def _emit(args, text: Callable[[], str], machine: Callable[[], dict]):
+    """Render the result in the chosen --format only, and write it."""
+    if args.format == "machine":
         sys.stdout.write(dumps(machine()))
     else:
         print(text())
 
 
-def cmd_normalize(args, session: Session) -> int:
-    op = eval_operator(args.expr, session.p, session.n)
-    _emit(session, lambda: str(op), lambda: op_to_dict(op))
+def cmd_normalize(args) -> int:
+    op = eval_operator(args.expr, args.p, args.n)
+    _emit(args, lambda: str(op), lambda: op_to_dict(op))
     return EXIT_OK
 
 
-def cmd_act(args, session: Session) -> int:
-    op = eval_operator(args.expr, session.p, session.n)
-    f = eval_laurent(args.operand, session.p, session.n)
+def cmd_act(args) -> int:
+    op = eval_operator(args.expr, args.p, args.n)
+    f = eval_laurent(args.operand, args.p, args.n)
     result = op.act(f)
-    _emit(session, lambda: str(result), lambda: poly_to_dict(result))
+    _emit(args, lambda: str(result), lambda: poly_to_dict(result))
     return EXIT_OK
 
 
-def cmd_sigma(args, session: Session) -> int:
-    shift = _parse_digit_rows(args.digits, session)
-    op = eval_operator(args.expr, session.p, session.n)
+def cmd_sigma(args) -> int:
+    shift = _parse_digit_rows(args)
+    op = eval_operator(args.expr, args.p, args.n)
     result = shift_apply(shift, op)
-    _emit(session, lambda: str(result), lambda: op_to_dict(result))
+    _emit(args, lambda: str(result), lambda: op_to_dict(result))
     return EXIT_OK
 
 
-def cmd_build_sigma(args, session: Session) -> int:
-    shift = _parse_digit_rows(args.digits, session)
+def cmd_build_sigma(args) -> int:
+    shift = _parse_digit_rows(args)
     payload = dumps(images_to_dict(shift_generator_images(shift)))
     if args.out and args.out != "-":
         try:
@@ -334,37 +325,32 @@ def _shift_lines(shift: ShiftVector) -> list[str]:
     ]
 
 
-def cmd_extract(args, session: Session) -> int:
+def cmd_extract(args) -> int:
     g = _load_images(args.images)
     shift = extract_digits(g)
-    _emit(session, lambda: "\n".join(_shift_lines(shift)), lambda: shift_to_dict(shift))
+    _emit(args, lambda: "\n".join(_shift_lines(shift)), lambda: shift_to_dict(shift))
     return EXIT_OK
 
 
-def cmd_factor(args, session: Session) -> int:
+def cmd_factor(args) -> int:
     g = _load_images(args.images)
     fac = factorize(g)
     matrix = [list(row) for row in fac.tau.matrix]
     scalars = [lam.value for lam in fac.tau.scalars]
-    _emit(session,
+    _emit(args,
           lambda: "\n".join([*_shift_lines(fac.shift), f"matrix = {matrix}",
                              f"scalars = {scalars}"]),
           lambda: {"shift": shift_to_dict(fac.shift), "matrix": matrix, "scalars": scalars})
     return EXIT_OK
 
 
-def cmd_verify(args, session: Session) -> int:
-    reports = run_suites(args.suite, session)
+def cmd_verify(args) -> int:
+    reports = run_suites(args)
     passed = all(r.passed for r in reports)
-    if session.fmt == "machine":
-        sys.stdout.write(
-            dumps({"passed": passed, "suites": [r.to_dict() for r in reports]})
-        )
-    else:
-        for rep in reports:
-            for line in rep.lines():
-                print(line)
-        print("OK" if passed else "FAILED")
+    _emit(args,
+          lambda: "\n".join([*(line for r in reports for line in r.lines()),
+                             "OK" if passed else "FAILED"]),
+          lambda: {"passed": passed, "suites": [r.to_dict() for r in reports]})
     return EXIT_OK if passed else EXIT_VERIFY
 
 
@@ -433,29 +419,15 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        session = Session.from_args(args)
-        return args.func(args, session)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InsufficientPrecision as exc:
-        print(f"insufficient precision: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except InvalidAutomorphism as exc:
-        print(f"invalid automorphism input: {exc}", file=sys.stderr)
-        return EXIT_BAD_AUT
-    except (MismatchError, WindowTooLarge) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DividedOpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        _check_common(args)
+        return args.func(args)
+    except (_UsageError, DividedOpsError) as exc:
+        prefix, code = next((prefix, code) for classes, prefix, code in ERROR_EXITS
+                            if isinstance(exc, classes))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ def test_tracer_instruments_and_restores_the_library():
 
 
 def test_traced_shift_apply_multiplies_through_diffop_mul():
-    # shift_apply is conjugation by x^s: its product work is the library's
-    # one product engine, traced as two child spans
+    # shift_apply is conjugation by x^s: x^-s only shifts the coefficients,
+    # and the product by x^s is the library's one product engine, one child span
     s = autgroup.ShiftVector.from_ints([3, 1], 5, 2)
     op = DiffOp.partial(5, 2, 1, 7) * DiffOp.partial(5, 2, 2, 2)
     tracer = Tracer()
@@ -62,4 +62,4 @@ def test_traced_shift_apply_multiplies_through_diffop_mul():
     top = [rec for rec in tracer.spans if rec[NAME] == "autgroup.shift_apply"]
     assert len(top) == 1
     children = [rec[NAME] for rec in tracer.spans if rec[PARENT] == top[0][INDEX]]
-    assert children == ["diffop.mul", "diffop.mul"]
+    assert children == ["diffop.mul"]

@@ -141,20 +141,38 @@ def test_deep_nesting_is_parse_error(capsys):
     assert out.strip() == "x1"
 
 
-def test_usage_error_exit_code(capsys):
-    code, _, err = run(capsys, "normalize", "x1", "--p", "6")
-    assert code == 1
-
-
-def test_out_of_range_variable_is_usage_error(capsys):
-    code, _, err = run(capsys, "normalize", "x2", "--p", "3", "--n", "1")
-    assert code == 1
-
-
 def test_inverted_window_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "kernel", "--window", "5:1")
     assert code == 1
     assert "LO <= HI" in err
+
+
+def _extract_non_shift(tmp_path) -> list[str]:
+    tau = MonomialAut.create([[1, 1], [0, 1]], [1, 2], 3)
+    aut = FactoredAut(ShiftVector.from_digits([[1, 0], [2, 1]], 3), tau)
+    path = tmp_path / "images.json"
+    path.write_text(dumps(images_to_dict(aut.to_images())))
+    return ["extract", str(path), "--p", "3", "--n", "2"]
+
+
+# one trigger per row of the CLI's error table, in the table's order
+@pytest.mark.parametrize("argv, line, exit_code", [
+    (lambda _: ["normalize", "x1", "--p", "6"], "usage error: 6 is not prime", 1),
+    (lambda _: ["normalize", "d1[2]*", "--p", "3"],
+     "syntax error: expected an atom (offset 6)", 1),
+    (lambda _: ["sigma", "--digits", "1", "apply", "d1[2]", "--p", "2", "--precision", "1"],
+     "insufficient precision: index 2 needs 2 digits, precision is 1", 3),
+    (_extract_non_shift,
+     "invalid automorphism input: images do not fix the variables pointwise", 4),
+    (lambda _: ["normalize", "x2", "--p", "3", "--n", "1"],
+     "usage error: variable x2 out of range 1..1", 1),
+    (lambda _: ["verify", "kernel", "--p", "3", "--window=-5000:5000"],
+     "usage error: window holds 10001 monomials, budget is 10000", 1),
+    (lambda _: ["normalize", f"(x1^{'9' * 3000})^{'9' * 2000}", "--p", "3"],
+     f"error: cannot write a number of more than {sys.get_int_max_str_digits()} digits", 1),
+], ids=["usage", "parse", "precision", "bad-aut", "mismatch", "window", "other"])
+def test_error_table_row(tmp_path, capsys, argv, line, exit_code):
+    assert run(capsys, *argv(tmp_path)) == (exit_code, "", line + "\n")
 
 
 def test_act(capsys):
@@ -205,12 +223,6 @@ def test_text_format_builds_no_machine_dict(monkeypatch, capsys, argv):
     for name in ("op_to_dict", "poly_to_dict", "dumps"):
         monkeypatch.setattr(f"dividedops.cli.{name}", refuse)
     assert run(capsys, *argv) == (0, want, "")
-
-
-def test_sigma_apply_insufficient_precision(capsys):
-    code, _, err = run(capsys, "sigma", "--digits", "1", "apply", "d1[2]",
-                       "--p", "2", "--precision", "1")
-    assert code == 3
 
 
 def test_build_sigma_extract_round_trip(tmp_path, capsys):
@@ -348,10 +360,10 @@ def test_verify_transcript_matches_golden(capsys, fmt, golden):
 
 def test_verify_failure_exit_code(capsys):
     # a window that misses x^-1 makes the kernel check legitimately fail
-    code, out, _ = run(capsys, "verify", "kernel", "--p", "3", "--n", "1",
-                       "--window", "0:4")
-    assert code == 2
-    assert "FAILED" in out
+    code, out, err = run(capsys, "verify", "kernel", "--p", "3", "--n", "1",
+                         "--window", "0:4")
+    assert (code, err) == (2, "")
+    assert out.splitlines()[-1] == "FAILED"
 
 
 def test_verify_machine_format(capsys):

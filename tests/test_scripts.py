@@ -36,3 +36,11 @@ def test_bench_ladder_writes_a_number_or_capped_per_cell(tmp_path):
         assert all(v == "capped" or isinstance(v, float) for v in values)
     assert all(isinstance(v, float) for v in cells["small"])
     assert cells["starved"] == ["capped"] * 3
+
+
+def test_cli_transcript_matches_golden():
+    # every subcommand in both formats, and one trigger per row of the error table
+    done = subprocess.run([sys.executable, "scripts/cli_transcript.py"], cwd=ROOT,
+                          capture_output=True, text=True, env=subprocess_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (ROOT / "tests" / "golden" / "cli_transcript.txt").read_text()
