@@ -18,10 +18,12 @@ operator product); `monomial_apply` is the zero shift.
 `theta` alone knows the table format and the rule that picks between a
 byte table with one inverse Mahler transform and Newton differences.
 
-`GeneratorImages` presents an automorphism by finitely many images; one
-helper maps an automorphism's operator action over them, which composes
-automorphisms and builds the images of `FactoredAut.to_images` from the
-identity.  The factorization of images is read off the x images (tau)
+`GeneratorImages` presents an automorphism by finitely many images.  It
+acts only once factored: `apply_images` is `factorize(g).apply`, and one
+helper maps a `FactoredAut` over images, which composes automorphisms and
+builds `FactoredAut.to_images` from the identity.  Images that present no
+automorphism fail `factorize`, so they never act.  The factorization of
+images is read off the x images (tau)
 and the level images: the order-0 part of the image of d_i^[p^k] under
 the shift t is C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of
 t_i by Lucas' theorem; tau keeps order-0 parts, so `extract_digits`
@@ -40,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diffop import DiffOp, divided_image_from_levels
+from .diffop import DiffOp
 from .errors import (
     InsufficientPrecision,
     MismatchError,
@@ -345,6 +347,7 @@ class GeneratorImages:
     d_images: tuple[tuple[DiffOp, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_prime(self.p))
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
         if len(self.x_images) != self.n or len(self.xinv_images) != self.n:
@@ -371,10 +374,6 @@ class GeneratorImages:
                 for i in range(1, n + 1)
             ),
         )
-
-    def divided_image(self, i: int, j: int) -> DiffOp:
-        """Image of d_i^[j], reassembled p-adically from the level images."""
-        return divided_image_from_levels(self.d_images[i - 1], j)
 
     def restriction(self) -> MonomialAut:
         """The monomial automorphism read off from the x images."""
@@ -410,14 +409,13 @@ def monomial_generator_images(tau: MonomialAut, precision: int) -> GeneratorImag
     return FactoredAut(ShiftVector.zeros(tau.p, tau.n, precision), tau).to_images()
 
 
-def _map_images(fn, h: GeneratorImages, p: Prime, n: int,
-                precision: int | None = None) -> GeneratorImages:
-    """Images of phi after h, where fn applies the automorphism phi (on
-    `p`, `n` and, when given, `precision`) to one operator."""
-    if p != h.p or n != h.n:
+def _map_images(aut: FactoredAut, h: GeneratorImages) -> GeneratorImages:
+    """Images of aut after h: aut applied to every image of h."""
+    if aut.p != h.p or aut.n != h.n:
         raise MismatchError("automorphism mismatch")
-    if precision is not None and precision != h.precision:
-        raise PrecisionMismatch(f"precision mismatch: {precision} vs {h.precision}")
+    if aut.precision != h.precision:
+        raise PrecisionMismatch(f"precision mismatch: {aut.precision} vs {h.precision}")
+    fn = aut.apply
     return GeneratorImages(
         h.p,
         h.n,
@@ -429,38 +427,23 @@ def _map_images(fn, h: GeneratorImages, p: Prime, n: int,
 
 
 def apply_images(g: GeneratorImages, op: DiffOp) -> DiffOp:
-    """Apply the automorphism presented by g to an arbitrary operator.
-
-    Coefficients map through the Laurent restriction of g; each divided
-    power maps through the p-adic factorization of its index into level
-    images.  Needs every index's p-adic length to fit inside g.precision.
-    """
+    """Apply the automorphism presented by g to an arbitrary operator:
+    `factorize(g).apply(op)`.  Images that present no automorphism raise
+    `factorize`'s error; every index's p-adic length must fit inside
+    g.precision."""
     if op.p != g.p or op.n != g.n:
         raise MismatchError("operand mismatch")
-    tau = g.restriction()
-    cache: dict[tuple[int, int], DiffOp] = {}
-    result = DiffOp.zero(g.p, g.n)
-    for beta, f in op.parts.items():
-        img = None
-        for i in range(g.n):
-            if beta[i]:
-                key = (i, beta[i])
-                if key not in cache:
-                    cache[key] = g.divided_image(i + 1, beta[i])
-                img = cache[key] if img is None else img * cache[key]
-        coeff = DiffOp.from_laurent(tau.apply_laurent(f))
-        result = result + (coeff if img is None else coeff * img)
-    return result
+    return factorize(g).apply(op)
 
 
 def compose_images(g: GeneratorImages, h: GeneratorImages) -> GeneratorImages:
     """Images of the composite automorphism g after h."""
-    return _map_images(lambda img: apply_images(g, img), h, g.p, g.n, g.precision)
+    return _map_images(factorize(g), h)
 
 
 def shift_compose_images(s: ShiftVector, h: GeneratorImages) -> GeneratorImages:
     """Images of (shift s) after h, using the closed-form shift action."""
-    return _map_images(lambda img: shift_apply(s, img), h, s.p, s.n, s.precision)
+    return _map_images(FactoredAut(s, MonomialAut.identity(s.p, s.n)), h)
 
 
 def validate_generator_images(g: GeneratorImages) -> CheckReport:
@@ -605,8 +588,7 @@ class FactoredAut:
 
     def to_images(self) -> GeneratorImages:
         """Truncated generator images of the factored automorphism."""
-        ident = GeneratorImages.identity(self.p, self.n, self.precision)
-        return _map_images(self.apply, ident, self.p, self.n)
+        return _map_images(self, GeneratorImages.identity(self.p, self.n, self.precision))
 
 
 def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:

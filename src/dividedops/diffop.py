@@ -31,18 +31,11 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable
 
-from .errors import InconsistentAction, InsufficientPrecision, MismatchError
+from .errors import InconsistentAction, MismatchError
 from .laurent import LaurentPoly, term_string
-from .scalars import (
-    Prime,
-    _inverse_factorial,
-    _leibniz_terms,
-    _lucas,
-    as_prime,
-    padic_length,
-)
+from .scalars import Prime, _leibniz_terms, _lucas, as_prime
 
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
@@ -309,35 +302,6 @@ def power(base, k: int, one: Callable):
         return base if k else one()
     half = power(base, k // 2, one)
     return half * half * base if k & 1 else half * half
-
-
-def divided_image_from_levels(levels: Sequence[DiffOp], j: int) -> DiffOp:
-    """Assemble the image of d^[j] from images of the levels d^[p^k].
-
-    Writing j = sum j_k p^k in base p, the divided power factors as
-    prod_k (d^[p^k])^{j_k} / j_k!, so the same product of the level images
-    gives the image of d^[j] under any ring homomorphism.
-    """
-    if not levels:
-        raise ValueError("need at least one level image")
-    if j < 0:
-        raise ValueError("divided power index must be a natural")
-    p = levels[0].p
-    n = levels[0].n
-    if padic_length(j, p.p) > len(levels):
-        raise InsufficientPrecision(
-            f"index {j} needs {padic_length(j, p.p)} levels, have {len(levels)}"
-        )
-    result = DiffOp.one(p, n)
-    k = 0
-    while j:
-        jk = j % p.p
-        if jk:
-            factor = (levels[k] ** jk).scale(_inverse_factorial(jk, p.p))
-            result = result * factor
-        j //= p.p
-        k += 1
-    return result
 
 
 def normal_form_from_action(

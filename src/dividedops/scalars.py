@@ -64,6 +64,7 @@ class FpScalar:
     p: Prime
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_prime(self.p))
         if not 0 <= self.value < self.p.p:
             raise ValueError(f"residue {self.value} out of range for p={self.p.p}")
 
@@ -283,6 +284,7 @@ class PadicInt:
     p: Prime
 
     def __post_init__(self):
+        object.__setattr__(self, "p", as_prime(self.p))
         if len(self.digits) < 1:
             raise ValueError("precision must be at least 1")
         if any(not 0 <= d < self.p.p for d in self.digits):

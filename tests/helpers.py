@@ -8,15 +8,23 @@ import os
 import random
 import sys
 from contextlib import contextmanager
+from functools import partial
 from itertools import product as iproduct
 from pathlib import Path
 
 from dividedops import theta
 from dividedops.diffop import DiffOp
-from dividedops.errors import ParseError
+from dividedops.errors import InsufficientPrecision, MismatchError, ParseError
 from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import PadicInt, Prime, _digit_binom_table, _lucas, padic_length
+from dividedops.scalars import (
+    PadicInt,
+    Prime,
+    _digit_binom_table,
+    _inverse_factorial,
+    _lucas,
+    padic_length,
+)
 
 
 def rand_poly(rng: random.Random, p, n, max_terms=3, span=3, allow_zero=True) -> LaurentPoly:
@@ -243,6 +251,67 @@ def monomial_compose_images(tau, h):
         tuple(monomial_apply(tau, img) for img in h.x_images),
         tuple(monomial_apply(tau, img) for img in h.xinv_images),
         tuple(tuple(monomial_apply(tau, img) for img in row) for row in h.d_images))
+
+
+def divided_image_from_levels(levels, j: int) -> DiffOp:
+    """Assemble the image of d^[j] from images of the levels d^[p^k].
+
+    Writing j = sum j_k p^k in base p, the divided power factors as
+    prod_k (d^[p^k])^{j_k} / j_k!, so the same product of the level images
+    gives the image of d^[j] under any ring homomorphism.
+    """
+    if not levels:
+        raise ValueError("need at least one level image")
+    if j < 0:
+        raise ValueError("divided power index must be a natural")
+    p = levels[0].p
+    n = levels[0].n
+    if padic_length(j, p.p) > len(levels):
+        raise InsufficientPrecision(
+            f"index {j} needs {padic_length(j, p.p)} levels, have {len(levels)}"
+        )
+    result = DiffOp.one(p, n)
+    k = 0
+    while j:
+        jk = j % p.p
+        if jk:
+            factor = (levels[k] ** jk).scale(_inverse_factorial(jk, p.p))
+            result = result * factor
+        j //= p.p
+        k += 1
+    return result
+
+
+def generic_apply_images(g, op: DiffOp) -> DiffOp:
+    """Apply the ring map presented by the images g to op through products
+    of powers of the level images: coefficients map through the Laurent
+    restriction of g, each d_i^[beta_i] through divided_image_from_levels.
+    It checks the x images alone and never the level images, so it is a
+    reference for `autgroup.apply_images` on valid images only."""
+    if op.p != g.p or op.n != g.n:
+        raise MismatchError("operand mismatch")
+    tau = g.restriction()
+    result = DiffOp.zero(g.p, g.n)
+    for beta, f in op.parts.items():
+        term = DiffOp.from_laurent(tau.apply_laurent(f))
+        for i in range(g.n):
+            if beta[i]:
+                term = term * divided_image_from_levels(g.d_images[i], beta[i])
+        result = result + term
+    return result
+
+
+def generic_compose_images(g, h):
+    """Images of g after h, applying g generically to every image of h."""
+    from dividedops.autgroup import GeneratorImages
+
+    assert (g.p, g.n, g.precision) == (h.p, h.n, h.precision)
+    fn = partial(generic_apply_images, g)
+    return GeneratorImages(
+        h.p, h.n, h.precision,
+        tuple(fn(img) for img in h.x_images),
+        tuple(fn(img) for img in h.xinv_images),
+        tuple(tuple(fn(img) for img in row) for row in h.d_images))
 
 
 def rand_shift_digits(rng: random.Random, p, n, precision) -> list[list[int]]:

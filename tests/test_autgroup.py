@@ -28,14 +28,23 @@ from dividedops.autgroup import (
 from dividedops.diffop import DiffOp, normal_form_from_action
 from dividedops.errors import (
     InsufficientPrecision,
+    NotAUnit,
     NotGL,
     NotInStabilizer,
     NotSigmaForm,
 )
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import PadicInt, binom_padic
+from dividedops.scalars import PadicInt, Prime, binom_padic
 
-from helpers import monomial_compose_images, rand_gl, rand_op, rand_padic, tables_off
+from helpers import (
+    generic_apply_images,
+    generic_compose_images,
+    monomial_compose_images,
+    rand_gl,
+    rand_op,
+    rand_padic,
+    tables_off,
+)
 
 
 def sv(digit_rows, p):
@@ -470,7 +479,23 @@ def test_apply_images_matches_shift_apply():
             s = ShiftVector(tuple(rand_padic(rng, p, 4) for _ in range(n)))
             g = shift_generator_images(s)
             op = rand_op(rng, p, n, max_parts=2, max_order=4, span=2)
-            assert apply_images(g, op) == shift_apply(s, op)
+            assert apply_images(g, op) == shift_apply(s, op) == generic_apply_images(g, op)
+
+
+def test_images_that_present_no_automorphism_do_not_act():
+    # the level-power products would send d1^[2] to d1[2] + x1*d1[1] + 2*x1^2 + 2
+    ident = GeneratorImages.identity(3, 2, 2)
+    op = d(3, 2, 1, 2)
+    rows = ((d(3, 2, 1) + mono(3, 2, (1, 0)), ident.d_images[0][1]), ident.d_images[1])
+    perturbed = GeneratorImages(ident.p, 2, 2, ident.x_images, ident.xinv_images, rows)
+    not_unit = GeneratorImages(ident.p, 2, 2, (mono(3, 2, (1, 0)) + mono(3, 2, (0, 0)),
+                                               ident.x_images[1]),
+                               ident.xinv_images, ident.d_images)
+    for bad, error in ((perturbed, NotSigmaForm), (not_unit, NotAUnit)):
+        with pytest.raises(error):
+            apply_images(bad, op)
+        with pytest.raises(error):
+            compose_images(bad, ident)
 
 
 # -- validation ----------------------------------------------------------------
@@ -528,7 +553,7 @@ def test_factorize_composite():
             tau = MonomialAut.create(
                 rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p
             )
-            g = compose_images(
+            g = generic_compose_images(
                 shift_generator_images(s), monomial_generator_images(tau, prec)
             )
             fac = factorize(g)
@@ -557,10 +582,35 @@ def test_factored_to_images_matches_generic_composition():
     s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
     tau = MonomialAut.create(rand_gl(rng, n), [1, 1], p)
     fac = FactoredAut(s, tau)
-    generic = compose_images(
+    generic = generic_compose_images(
         shift_generator_images(s), monomial_generator_images(tau, prec)
     )
     assert fac.to_images() == generic
+
+
+def _rand_nontrivial_aut(rng, p, n, prec):
+    while True:
+        s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        if not s.is_zero() and not tau.is_identity():
+            return FactoredAut(s, tau)
+
+
+@pytest.mark.parametrize("p,n,prec", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2)])
+def test_group_law_agrees_across_the_three_paths(p, n, prec):
+    # images composed through factorize, factors composed in Z_p^n x| Aut_K(L_n),
+    # and the generic level-power composition all give the same images
+    rng = random.Random(400 + 100 * p + 10 * n + prec)
+    for _ in range(6):
+        f, g = _rand_nontrivial_aut(rng, p, n, prec), _rand_nontrivial_aut(rng, p, n, prec)
+        fi, gi = f.to_images(), g.to_images()
+        assert compose_images(fi, gi) == f.compose(g).to_images() == generic_compose_images(fi, gi)
+
+
+def test_generator_images_accept_an_int_prime():
+    ident = GeneratorImages.identity(3, 2, 2)
+    rebuilt = GeneratorImages(3, 2, 2, ident.x_images, ident.xinv_images, ident.d_images)
+    assert rebuilt == ident and rebuilt.p == Prime(3)
 
 
 # -- one closed form for the shift after tau -------------------------------------

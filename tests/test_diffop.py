@@ -7,12 +7,18 @@ import tracemalloc
 
 import pytest
 
-from dividedops.diffop import DiffOp, divided_image_from_levels, normal_form_from_action, power
+from dividedops.diffop import DiffOp, normal_form_from_action, power
 from dividedops.errors import InconsistentAction, InsufficientPrecision, MismatchError
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import binom_int_mod_p
 
-from helpers import leibniz_product, rand_nonzero_poly, rand_op, rand_poly
+from helpers import (
+    divided_image_from_levels,
+    leibniz_product,
+    rand_nonzero_poly,
+    rand_op,
+    rand_poly,
+)
 
 
 def d(p, n, i, k=1):

@@ -55,6 +55,16 @@ def test_fpscalar_arithmetic():
         FpScalar(5, p)
 
 
+def test_scalars_accept_an_int_prime():
+    assert FpScalar(3, 5) == FpScalar(3, Prime(5))
+    assert PadicInt((1, 2), 3) == PadicInt((1, 2), Prime(3))
+    assert PadicInt((1, 2), 3).to_int() == 7
+    with pytest.raises(ValueError):
+        PadicInt((3,), 3)
+    with pytest.raises(ValueError):
+        FpScalar(1, 4)
+
+
 def test_binom_nat_examples():
     assert binom_int_mod_p(4, 2, 3).value == math.comb(4, 2) % 3 == 0
     assert binom_int_mod_p(7, 0, 5).value == 1

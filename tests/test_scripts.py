@@ -11,6 +11,7 @@ from helpers import ROOT, subprocess_env
 
 @pytest.mark.parametrize("argv", [
     ["scripts/factor_demo.py", "--p", "2", "--n", "2", "--precision", "3"],
+    ["scripts/factor_demo.py", "--p", "3", "--n", "2", "--precision", "3", "--seed", "5"],
 ])
 def test_script_exits_cleanly(argv):
     done = subprocess.run([sys.executable, *argv], cwd=ROOT, capture_output=True, text=True,
