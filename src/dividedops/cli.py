@@ -11,20 +11,10 @@ insufficient precision 3, invalid automorphism input 4, and any other
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .autgroup import (
-    GeneratorImages,
-    ShiftVector,
-    extract_digits,
-    factorize,
-    shift_apply,
-    shift_compose_images,
-    shift_generator_images,
-)
 from .diffop import DiffOp
 from .errors import (
     DividedOpsError,
@@ -36,18 +26,16 @@ from .errors import (
     WindowTooLarge,
 )
 from .expr import eval_laurent, eval_operator
-from .interchange import (
-    dumps,
-    images_from_dict,
-    images_to_dict,
-    op_to_dict,
-    poly_to_dict,
-    shift_to_dict,
-)
 from .laurent import LaurentPoly
-from .oracles import ExponentWindow, kernel_bruteforce, pth_power_instances, relation_suite
-from .report import CheckReport
 from .scalars import Prime, as_prime
+
+# the automorphism half (autgroup, theta, oracles, report) and the JSON
+# writers are imported by the commands that use them, so that normalize
+# and act load neither
+if TYPE_CHECKING:
+    from .autgroup import ShiftVector
+    from .oracles import ExponentWindow
+    from .report import CheckReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,6 +79,8 @@ def _check_common(args):
 
 
 def _window(args) -> ExponentWindow:
+    from .oracles import ExponentWindow
+
     lo, hi = args.window or (-2 * args.p.p, 2 * args.p.p)
     return ExponentWindow.cube(lo, hi, args.n)
 
@@ -114,6 +104,8 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _parse_digit_rows(args) -> ShiftVector:
+    from .autgroup import ShiftVector
+
     rows = []
     for chunk in args.digits.split(";"):
         chunk = chunk.strip()
@@ -157,12 +149,17 @@ def format_padic_digits(digits, p: int) -> str:
 
 
 def _random_shift(rng: random.Random, p: Prime, n: int, precision: int) -> ShiftVector:
+    from .autgroup import ShiftVector
+
     return ShiftVector.from_digits(
         [[rng.randint(0, p.p - 1) for _ in range(precision)] for _ in range(n)], p
     )
 
 
 def kernel_report(args) -> CheckReport:
+    from .oracles import ExponentWindow, kernel_bruteforce
+    from .report import CheckReport
+
     p, n = args.p, args.n
     rep = CheckReport(f"frobenius kernel p={p.p} n={n}")
     window = _window(args)
@@ -180,6 +177,9 @@ def kernel_report(args) -> CheckReport:
 
 
 def corollary_report(args) -> CheckReport:
+    from .oracles import pth_power_instances
+    from .report import CheckReport
+
     p, n = args.p, args.n
     rep = CheckReport(f"binomial p-th power p={p.p} n={n}")
     instances = pth_power_instances(p, n, random.Random(args.seed), trials=30)
@@ -188,6 +188,9 @@ def corollary_report(args) -> CheckReport:
 
 
 def grouplaw_report(args) -> CheckReport:
+    from .autgroup import shift_compose_images, shift_generator_images
+    from .report import CheckReport
+
     p, n = args.p, args.n
     prec = _suite_precision(args)
     rng = random.Random(args.seed)
@@ -202,6 +205,9 @@ def grouplaw_report(args) -> CheckReport:
 
 
 def roundtrip_report(args) -> CheckReport:
+    from .autgroup import GeneratorImages, extract_digits, shift_generator_images
+    from .report import CheckReport
+
     p, n = args.p, args.n
     prec = _suite_precision(args)
     rng = random.Random(args.seed)
@@ -230,6 +236,8 @@ def roundtrip_report(args) -> CheckReport:
 
 
 def relations_report(args) -> CheckReport:
+    from .oracles import relation_suite
+
     max_index = min(args.p.p ** 3, 125)
     return relation_suite(args.p, args.n, max_index, trials=40, seed=args.seed)
 
@@ -254,17 +262,20 @@ def run_suites(args) -> list[CheckReport]:
 # ---------------------------------------------------------------------------
 
 
-def _emit(args, text: Callable[[], str], machine: Callable[[], dict]):
-    """Render the result in the chosen --format only, and write it."""
+def _emit(args, text: Callable[[], str], machine: Callable[[object], dict]):
+    """Render the result in the chosen --format only, and write it; `machine`
+    gets the interchange module, which text output never loads."""
     if args.format == "machine":
-        sys.stdout.write(dumps(machine()))
+        from . import interchange
+
+        sys.stdout.write(interchange.dumps(machine(interchange)))
     else:
         print(text())
 
 
 def cmd_normalize(args) -> int:
     op = eval_operator(args.expr, args.p, args.n)
-    _emit(args, lambda: str(op), lambda: op_to_dict(op))
+    _emit(args, lambda: str(op), lambda ic: ic.op_to_dict(op))
     return EXIT_OK
 
 
@@ -272,19 +283,24 @@ def cmd_act(args) -> int:
     op = eval_operator(args.expr, args.p, args.n)
     f = eval_laurent(args.operand, args.p, args.n)
     result = op.act(f)
-    _emit(args, lambda: str(result), lambda: poly_to_dict(result))
+    _emit(args, lambda: str(result), lambda ic: ic.poly_to_dict(result))
     return EXIT_OK
 
 
 def cmd_sigma(args) -> int:
+    from .autgroup import shift_apply
+
     shift = _parse_digit_rows(args)
     op = eval_operator(args.expr, args.p, args.n)
     result = shift_apply(shift, op)
-    _emit(args, lambda: str(result), lambda: op_to_dict(result))
+    _emit(args, lambda: str(result), lambda ic: ic.op_to_dict(result))
     return EXIT_OK
 
 
 def cmd_build_sigma(args) -> int:
+    from .autgroup import shift_generator_images
+    from .interchange import dumps, images_to_dict
+
     shift = _parse_digit_rows(args)
     payload = dumps(images_to_dict(shift_generator_images(shift)))
     if args.out and args.out != "-":
@@ -299,6 +315,10 @@ def cmd_build_sigma(args) -> int:
 
 
 def _load_images(path: str):
+    import json
+
+    from .interchange import images_from_dict
+
     try:
         # newline="" keeps "\r\n" as two characters, so JSON offsets count
         # the characters of the file, as the UTF-8 offsets below do
@@ -326,13 +346,17 @@ def _shift_lines(shift: ShiftVector) -> list[str]:
 
 
 def cmd_extract(args) -> int:
+    from .autgroup import extract_digits
+
     g = _load_images(args.images)
     shift = extract_digits(g)
-    _emit(args, lambda: "\n".join(_shift_lines(shift)), lambda: shift_to_dict(shift))
+    _emit(args, lambda: "\n".join(_shift_lines(shift)), lambda ic: ic.shift_to_dict(shift))
     return EXIT_OK
 
 
 def cmd_factor(args) -> int:
+    from .autgroup import factorize
+
     g = _load_images(args.images)
     fac = factorize(g)
     matrix = [list(row) for row in fac.tau.matrix]
@@ -340,7 +364,8 @@ def cmd_factor(args) -> int:
     _emit(args,
           lambda: "\n".join([*_shift_lines(fac.shift), f"matrix = {matrix}",
                              f"scalars = {scalars}"]),
-          lambda: {"shift": shift_to_dict(fac.shift), "matrix": matrix, "scalars": scalars})
+          lambda ic: {"shift": ic.shift_to_dict(fac.shift), "matrix": matrix,
+                      "scalars": scalars})
     return EXIT_OK
 
 
@@ -350,7 +375,7 @@ def cmd_verify(args) -> int:
     _emit(args,
           lambda: "\n".join([*(line for r in reports for line in r.lines()),
                              "OK" if passed else "FAILED"]),
-          lambda: {"passed": passed, "suites": [r.to_dict() for r in reports]})
+          lambda _: {"passed": passed, "suites": [r.to_dict() for r in reports]})
     return EXIT_OK if passed else EXIT_VERIFY
 
 

@@ -15,12 +15,15 @@ coefficient outside 1..p-1 or a repeated term raises MismatchError.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .autgroup import GeneratorImages, ShiftVector
 from .diffop import DiffOp
 from .errors import MismatchError, NumberTooLong
 from .laurent import LaurentPoly
 from .scalars import Prime, as_prime
+
+if TYPE_CHECKING:  # writing needs no autgroup; only images_from_dict builds one
+    from .autgroup import GeneratorImages, ShiftVector
 
 _OP_FIELDS = frozenset(("p", "n", "terms"))
 _TERM_FIELDS = frozenset(("coeff", "d_exp", "x_exp"))
@@ -133,6 +136,8 @@ def images_to_dict(g: GeneratorImages) -> dict:
 
 
 def images_from_dict(data: dict) -> GeneratorImages:
+    from .autgroup import GeneratorImages
+
     p, n = _header(data)
     _known_fields(data, _IMAGES_FIELDS, "generator images")
     precision = _field(data, "precision", int)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, product as iproduct
 from math import prod
 from typing import Callable, Hashable, Mapping, Sequence
@@ -153,9 +154,11 @@ def relation_suite(p, n: int, max_index: int, trials: int, seed: int) -> CheckRe
     variables, indices = range(1, n + 1), range(1, max_index + 1)
     pairs = list(combinations(variables, 2))  # i < j, in lexicographic order
 
+    @cache  # each operand is built once and shared by every instance that uses it
     def x(i):
         return DiffOp.from_laurent(LaurentPoly.variable(p, n, i))
 
+    @cache
     def dd(i, k):
         return DiffOp.partial(p, n, i, k)
 

@@ -221,7 +221,7 @@ def test_text_format_builds_no_machine_dict(monkeypatch, capsys, argv):
         raise AssertionError("machine dict built for text output")
 
     for name in ("op_to_dict", "poly_to_dict", "dumps"):
-        monkeypatch.setattr(f"dividedops.cli.{name}", refuse)
+        monkeypatch.setattr(f"dividedops.interchange.{name}", refuse)
     assert run(capsys, *argv) == (0, want, "")
 
 

@@ -1,0 +1,80 @@
+"""The package namespace: names load from their home modules on first use,
+and each command loads only the modules on its own path."""
+
+import json
+import subprocess
+import sys
+
+import pytest
+
+import dividedops
+
+from helpers import subprocess_env
+
+# prints the dividedops modules loaded after `import dividedops`, or after
+# running the command line on the given arguments
+LOADED = """
+import json, sys
+import dividedops
+if sys.argv[1:]:
+    from contextlib import redirect_stdout
+    from io import StringIO
+    from dividedops.cli import main
+    with redirect_stdout(StringIO()):
+        assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("dividedops."))))
+"""
+
+OPERATOR_RING = {"cli", "diffop", "errors", "expr", "laurent", "scalars"}
+
+
+def loaded_modules(*argv) -> set[str]:
+    out = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                         text=True, check=True, env=subprocess_env())
+    return {name.removeprefix("dividedops.") for name in json.loads(out.stdout)}
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_modules() == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "d1[2]*x1 + x2^-3", "--p", "5", "--n", "2"),
+    ("act", "d1[2]*x1 + x2^-1", "x1^5*x2 + 3", "--p", "3", "--n", "2"),
+], ids=lambda argv: argv[0])
+def test_operator_commands_load_only_the_operator_ring(argv):
+    assert loaded_modules(*argv) == OPERATOR_RING
+    assert loaded_modules(*argv, "--format", "machine") == OPERATOR_RING | {"interchange"}
+
+
+def test_public_names_are_their_home_modules_objects():
+    assert len(dividedops.__all__) == 44
+    listed = dir(dividedops)
+    for name in dividedops.__all__:
+        value = getattr(dividedops, name)
+        home = sys.modules[f"dividedops.{dividedops._HOMES[name]}"]
+        assert getattr(home, name) is value, name
+        assert name in listed, name
+
+
+def test_public_names_follow_a_rebinding_in_their_home(monkeypatch):
+    from dividedops import autgroup
+
+    def stand_in(g):
+        return g
+
+    monkeypatch.setattr(autgroup, "factorize", stand_in)
+    assert dividedops.factorize is stand_in
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        dividedops.no_such_name
+    assert not hasattr(dividedops, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from dividedops import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == dividedops.__all__
+    assert namespace["DiffOp"] is sys.modules["dividedops.diffop"].DiffOp
