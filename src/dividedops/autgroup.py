@@ -44,7 +44,6 @@ from functools import cached_property
 
 from .diffop import DiffOp
 from .errors import (
-    InsufficientPrecision,
     MismatchError,
     NotAUnit,
     NotGL,
@@ -60,9 +59,11 @@ from .scalars import (
     Prime,
     _inverse_factorial,
     as_prime,
+    check_index_digits,
+    index_digits,
     padic_length,
 )
-from .theta import ThetaTable, expansion, index_digits, tables_fit
+from .theta import ThetaTable, expansion, tables_fit
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -100,12 +101,10 @@ class ShiftVector:
 
     @classmethod
     def from_ints(cls, values, p, precision) -> "ShiftVector":
-        p = as_prime(p)
         return cls(tuple(PadicInt.from_int(v, p, precision) for v in values))
 
     @classmethod
     def from_digits(cls, digit_rows, p) -> "ShiftVector":
-        p = as_prime(p)
         return cls(tuple(PadicInt(tuple(row), p) for row in digit_rows))
 
     @classmethod
@@ -141,13 +140,7 @@ def _check_shift_operand(s: ShiftVector, op: DiffOp):
     """A shift by s needs its precision to cover every index of op."""
     if op.p != s.p or op.n != s.n:
         raise MismatchError("operand mismatch in shift application")
-    for beta in op.parts:
-        for b in beta:
-            length = padic_length(b, s.p.p)
-            if length > s.precision:
-                raise InsufficientPrecision(
-                    f"index {b} needs {length} digits, precision is {s.precision}"
-                )
+    check_index_digits(op.parts, s.p.p, s.precision)
 
 
 def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
@@ -174,52 +167,43 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def int_det(matrix) -> int:
-    """Exact integer determinant by fraction-free elimination."""
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
+def _eliminate(rows: list[list[int]]) -> int:
+    """Fraction-free Gauss-Jordan elimination, in place, of n integer rows
+    on their first n columns A; returns d = det A.  A row swap negates one
+    row, so d stays put.  Each step clears the pivot column, dividing
+    exactly by the previous pivot, so every entry stays a minor; A ends as
+    d times 1, and the columns after it multiplied by d A^-1."""
+    n, prev = len(rows), 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
             return 0
         if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
-    return sign * m[-1][-1]
+            rows[col], rows[piv] = rows[piv], [-x for x in rows[col]]
+        top = rows[col]
+        pivot = top[col]
+        for r, row in enumerate(rows):
+            if r != col:
+                a = row[col]
+                rows[r] = [(pivot * x - a * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return prev
+
+
+def int_det(matrix) -> int:
+    """Exact integer determinant."""
+    return _eliminate([list(row) for row in matrix])
 
 
 def int_inverse_unimodular(matrix) -> tuple[tuple[int, ...], ...]:
-    """Inverse of an integer matrix with determinant +-1, via the adjugate."""
+    """Inverse of an integer matrix A with determinant d = +-1, read off
+    the elimination of [A | 1], which ends as [d 1 | d A^-1]."""
     n = len(matrix)
-    det = int_det(matrix)
+    rows = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
+    det = _eliminate(rows)
     if det not in (1, -1):
         raise NotGL(f"determinant {det} is not +-1")
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            cof = int_det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            inv[j][i] = cof * det
-    return tuple(tuple(row) for row in inv)
+    return tuple(tuple(det * x for x in row[n:]) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -252,6 +236,11 @@ class MonomialAut:
     @property
     def n(self) -> int:
         return len(self.scalars)
+
+    @cached_property
+    def inverse_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """A^-1, inverted once per automorphism."""
+        return int_inverse_unimodular(self.matrix)
 
     @classmethod
     def create(cls, matrix, scalars, p) -> "MonomialAut":
@@ -313,7 +302,7 @@ class MonomialAut:
         return MonomialAut(matrix, scal)
 
     def inverse(self) -> "MonomialAut":
-        binv = int_inverse_unimodular(self.matrix)
+        binv = self.inverse_matrix
         scal = tuple(
             FpScalar(self.apply_exponents([-e for e in col])[0], self.p) for col in zip(*binv)
         )
@@ -563,7 +552,7 @@ class FactoredAut:
         once, since building the images applies it 2n + n * precision times."""
         if self.tau.is_identity():
             return None
-        ainv = int_inverse_unimodular(self.tau.matrix)
+        ainv = self.tau.inverse_matrix
         s = [c.to_int() for c in self.shift.components]
         return ainv, [sum(a * v for a, v in zip(row, s)) for row in ainv]
 

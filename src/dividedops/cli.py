@@ -27,7 +27,7 @@ from .errors import (
 )
 from .expr import eval_laurent, eval_operator
 from .laurent import LaurentPoly
-from .scalars import Prime, as_prime
+from .scalars import Prime, read_prime
 
 # the automorphism half (autgroup, theta, oracles, report) and the JSON
 # writers are imported by the commands that use them, so that normalize
@@ -68,10 +68,7 @@ ERROR_EXITS = (
 
 def _check_common(args):
     """Check the options every command shares, once; --p becomes a Prime."""
-    try:
-        args.p = as_prime(args.p)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    args.p = read_prime(args.p)
     if args.n < 1:
         raise _UsageError("need --n at least 1")
     if args.precision < 1:
@@ -315,27 +312,19 @@ def cmd_build_sigma(args) -> int:
 
 
 def _load_images(path: str):
-    import json
-
-    from .interchange import images_from_dict
+    from .interchange import images_from_dict, loads
 
     try:
         # newline="" keeps "\r\n" as two characters, so JSON offsets count
         # the characters of the file, as the UTF-8 offsets below do
         with open(path, encoding="utf-8", newline="") as fh:
-            data = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON in {path}: {exc.msg}", exc.pos)
     except UnicodeDecodeError as exc:  # exc.start counts bytes; offsets count characters
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason}",
                          len(exc.object[:exc.start].decode("utf-8")))
-    except ValueError as exc:  # an integer too long for int()
-        raise ParseError(f"bad JSON in {path}: {exc}", 0)
-    except RecursionError:
-        raise ParseError(f"JSON in {path} is nested too deeply to read", 0)
-    return images_from_dict(data)
+    return images_from_dict(loads(text, path))
 
 
 def _shift_lines(shift: ShiftVector) -> list[str]:
@@ -392,7 +381,7 @@ def build_parser() -> _Parser:
                         help="p-adic digit precision (default 8)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     common.add_argument("--window", type=_parse_window, default=None, metavar="LO:HI",
-                        help="per-variable exponent window (default -2p:2p)")
+                        help="per-variable exponent window, as --window=LO:HI (default -2p:2p)")
     common.add_argument("--order-bound", type=int, default=16,
                         help="largest operator order driven through verification suites")
     common.add_argument("--format", choices=("text", "machine"), default="text")
@@ -401,6 +390,8 @@ def build_parser() -> _Parser:
                      description="Exact divided-power differential operator arithmetic "
                                  "and order preserving automorphisms")
     sub = parser.add_subparsers(dest="command", required=True)
+    images_help = ("generator images file, which sets p, n and precision; "
+                   "--p, --n and --precision are ignored")
 
     sp = sub.add_parser("normalize", parents=[common], help="normalize an operator expression")
     sp.add_argument("expr")
@@ -428,12 +419,12 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("extract", parents=[common],
                         help="recover shift digits from a generator images file")
-    sp.add_argument("images")
+    sp.add_argument("images", help=images_help)
     sp.set_defaults(func=cmd_extract)
 
     sp = sub.add_parser("factor", parents=[common],
                         help="factor generator images into shift and monomial parts")
-    sp.add_argument("images")
+    sp.add_argument("images", help=images_help)
     sp.set_defaults(func=cmd_factor)
 
     sp = sub.add_parser("verify", parents=[common], help="run verification suites")

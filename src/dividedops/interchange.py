@@ -9,7 +9,8 @@ byte; `dumps` writes that format itself, each term object from one
 format string, and is byte for byte `json.dumps(obj, indent=2,
 sort_keys=True)` plus a newline.  The readers accept nothing else: a
 missing or unknown field, a wrongly shaped one, a non-integer number, a
-coefficient outside 1..p-1 or a repeated term raises MismatchError.
+coefficient outside 1..p-1 or a repeated term raises MismatchError,
+and `loads` raises ParseError on text that is not JSON.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import json
 from typing import TYPE_CHECKING
 
 from .diffop import DiffOp
-from .errors import MismatchError, NumberTooLong
+from .errors import MismatchError, NumberTooLong, ParseError
 from .laurent import LaurentPoly
-from .scalars import Prime, as_prime
+from .scalars import Prime, read_prime
 
 if TYPE_CHECKING:  # writing needs no autgroup; only images_from_dict builds one
     from .autgroup import GeneratorImages, ShiftVector
@@ -58,10 +59,7 @@ def _exponents(entry, key: str, n: int) -> tuple[int, ...]:
 
 
 def _header(data) -> tuple[Prime, int]:
-    try:
-        p = as_prime(_field(data, "p", int))
-    except ValueError as exc:
-        raise MismatchError(str(exc)) from None
+    p = read_prime(_field(data, "p", int))
     n = _field(data, "n", int)
     if n < 1:
         raise MismatchError(f"need n at least 1, got {n}")
@@ -235,5 +233,14 @@ def _term_template(nl: str, nd: int, nx: int) -> str:
             f'{inner}"x_exp": {array(nx)}{nl}}}')
 
 
-def loads(text: str) -> dict:
-    return json.loads(text)
+def loads(text: str, source: str = "the input"):
+    """The JSON value of text; text that is not JSON, or holds an integer too
+    long for int() or nesting too deep to read, raises ParseError naming source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON in {source}: {exc.msg}", exc.pos) from None
+    except ValueError as exc:  # an integer too long for int()
+        raise ParseError(f"bad JSON in {source}: {exc}", 0) from None
+    except RecursionError:
+        raise ParseError(f"JSON in {source} is nested too deeply to read", 0) from None

@@ -56,6 +56,15 @@ def as_prime(p: int | Prime) -> Prime:
     return p if isinstance(p, Prime) else Prime(p)
 
 
+def read_prime(value: int) -> Prime:
+    """The Prime of a value read from outside the library, a command line
+    or a file; one that is no prime below 2^16 raises MismatchError."""
+    try:
+        return as_prime(value)
+    except ValueError as exc:
+        raise MismatchError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class FpScalar:
     """A residue in [0, p) tagged with its prime."""
@@ -136,6 +145,22 @@ def padic_length(k: int, p: int) -> int:
         length += 1
         k //= p
     return length
+
+
+def index_digits(betas, p: int) -> int:
+    """K >= 1, the most base-p digits of an entry of the divided indices betas."""
+    return max([1] + [padic_length(b, p) for beta in betas for b in beta])
+
+
+def check_index_digits(betas, p: int, digits: int):
+    """Raise InsufficientPrecision, naming the first entry past p^digits,
+    unless every entry of the divided indices betas has at most `digits` digits."""
+    bound = p ** digits
+    for beta in betas:
+        if max(beta) >= bound:
+            b = next(b for b in beta if b >= bound)
+            raise InsufficientPrecision(
+                f"index {b} needs {padic_length(b, p)} digits, precision is {digits}")
 
 
 def _digits_mod(m: int, p: int, count: int) -> tuple[int, ...]:
@@ -297,9 +322,7 @@ class PadicInt:
     @classmethod
     def from_int(cls, m: int, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicInt":
         p = as_prime(p)
-        if precision < 1:
-            raise ValueError("precision must be at least 1")
-        return cls(_digits_mod(m, p.p, precision), p)
+        return cls(_digits_mod(m, p.p, precision), p)  # __post_init__ checks precision >= 1
 
     def to_int(self) -> int:
         """The canonical representative in [0, p^precision)."""
@@ -345,11 +368,5 @@ def binom_padic(s: PadicInt, k: int) -> FpScalar:
     digit at an index the truncation does not cover, the value is not
     determined and InsufficientPrecision is raised.
     """
-    if k < 0:
-        raise ValueError("lower index must be a natural")
-    p = s.p.p
-    if padic_length(k, p) > s.precision:
-        raise InsufficientPrecision(
-            f"C(s, {k}) needs {padic_length(k, p)} digits, have {s.precision}"
-        )
-    return FpScalar(_lucas(s.to_int(), k, p), s.p)
+    check_index_digits(((k,),), s.p.p, s.precision)
+    return binom_int_mod_p(s.to_int(), k, s.p)

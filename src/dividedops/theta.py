@@ -33,14 +33,14 @@ feeds the pairing of the product directly.  An array library would
 cost more to import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
-only up to TABLE_CELLS cells, by one rule (`index_digits`, `tables_fit`)
-that `validate_generator_images` and `expansion` both ask.  `expansion`
-finds and caches the Mahler coefficients of the closed form of
-`autgroup.FactoredAut.apply`: on a byte table, tabulated from slices of
-one row of p^K cells (`binomial_row`, `linear_table`) and taken through
-the inverse Pascal matrix (`mahler`: one base-p digit of the cell index
-per pass, p - 1 masked big-int steps per pass); otherwise by Newton
-differences.
+only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
+`scalars.index_digits`) that `validate_generator_images` and `expansion`
+both ask.  `expansion` finds and caches the Mahler coefficients of the
+closed form of `autgroup.FactoredAut.apply`: on a byte table, tabulated
+from slices of one row of p^K cells (`binomial_row`, `linear_table`) and
+taken through the inverse Pascal matrix (`mahler`: one base-p digit of
+the cell index per pass, p - 1 masked big-int steps per pass); otherwise
+by Newton differences.
 """
 
 from __future__ import annotations
@@ -53,17 +53,12 @@ from operator import add, mul, sub
 from types import SimpleNamespace
 
 from .diffop import DiffOp, power
-from .errors import InsufficientPrecision, MismatchError
-from .scalars import _lucas, _pascal_column, padic_length
+from .errors import MismatchError
+from .scalars import _lucas, _pascal_column, check_index_digits, index_digits
 
 TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
 
 _NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
-
-
-def index_digits(betas, p: int) -> int:
-    """K >= 1, the most base-p digits of an entry of the divided indices betas."""
-    return max([1] + [padic_length(b, p) for beta in betas for b in beta])
 
 
 def tables_fit(p: int, n: int, digits: int) -> bool:
@@ -334,12 +329,9 @@ class ThetaTable:
         per gamma, however many distinct indices `op` has."""
         p, n = op.p.p, op.n
         size, cells = p ** digits, _cells(p)
+        check_index_digits(op.parts, p, digits)
         pending: dict[tuple, object] = {}
         for beta, f in op.parts.items():
-            if max(beta) >= size:
-                raise InsufficientPrecision(
-                    f"index {max(beta)} needs {padic_length(max(beta), p)} digits, "
-                    f"tables have {digits}")
             index = 0
             for b in beta:
                 index = index * size + b

@@ -25,12 +25,13 @@ from dividedops.autgroup import (
 )
 from dividedops.cli import main
 from dividedops.diffop import DiffOp
-from dividedops.errors import DividedOpsError, NotSigmaForm, NumberTooLong
+from dividedops.errors import DividedOpsError, NotSigmaForm, NumberTooLong, ParseError
 from dividedops.expr import MAX_NESTING, eval_operator
 from dividedops.interchange import (
     dumps,
     images_from_dict,
     images_to_dict,
+    loads,
     op_from_dict,
     op_to_dict,
 )
@@ -145,6 +146,14 @@ def test_inverted_window_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "kernel", "--window", "5:1")
     assert code == 1
     assert "LO <= HI" in err
+
+
+def test_negative_window_is_written_with_an_equals_sign(capsys):
+    # argparse reads "-3:3" after a space as an option, as the help says
+    code, out, _ = run(capsys, "verify", "kernel", "--p", "3", "--window=-3:3")
+    assert code == 0 and out.endswith("OK\n")
+    code, _, err = run(capsys, "verify", "kernel", "--p", "3", "--window", "-3:3")
+    assert code == 1 and err == "usage error: argument --window: expected one argument\n"
 
 
 def _extract_non_shift(tmp_path) -> list[str]:
@@ -470,6 +479,17 @@ def test_unreadable_images_file_is_parse_error(tmp_path, capsys, raw):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("[" * 100_000, "JSON in the input is nested too deeply to read", 0),
+    ('{"p": ' + "1" * 5001 + "}", "bad JSON in the input: Exceeds the limit", 0),
+    ("{bad", "bad JSON in the input: Expecting property name enclosed in double quotes", 1),
+], ids=["nested-100000-deep", "5001-digit-integer", "not-json"])
+def test_loads_raises_the_parse_error_the_cli_prints(text, message, offset):
+    with pytest.raises(ParseError) as exc:
+        loads(text)
+    assert exc.value.reason.startswith(message) and exc.value.offset == offset
+
+
 FIELDS = ("p", "n", "precision", "terms", "coeff", "x_exp", "d_exp",
           "x_images", "xinv_images", "d_images")
 JSON_VALUES = st.recursive(
@@ -505,6 +525,27 @@ def test_interchange_readers_return_or_raise_typed_error(case):
     reader, data = case
     try:
         result = reader(data)
+    except DividedOpsError:
+        return
+    assert isinstance(result, DiffOp if reader is op_from_dict else GeneratorImages)
+
+
+# text: arbitrary, written from the dicts above and cut anywhere, nested
+# past the parser's recursion limit, or holding integers past int()'s limit
+JSON_TEXTS = (
+    st.text(max_size=40)
+    | st.tuples(near_valid(OP_FILES) | near_valid(IMAGE_FILES) | JSON_VALUES,
+                st.integers(0, 400)).map(lambda pair: json.dumps(pair[0])[:pair[1] or None])
+    | st.builds(lambda k, close: "[" * k + "]" * (k if close else 0),
+                st.integers(900, 100_000), st.booleans())
+    | st.integers(4290, 5010).map(lambda k: '{"p": ' + "7" * k + ', "n": 1, "terms": []}'))
+
+
+@given(st.sampled_from((op_from_dict, images_from_dict)), JSON_TEXTS)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_interchange_text_readers_return_or_raise_typed_error(reader, text):
+    try:
+        result = reader(loads(text))
     except DividedOpsError:
         return
     assert isinstance(result, DiffOp if reader is op_from_dict else GeneratorImages)

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dividedops.autgroup import FactoredAut, MonomialAut, ShiftVector, shift_apply
 from dividedops.errors import InsufficientPrecision, PrecisionMismatch
+from dividedops.expr import eval_operator
 from dividedops.scalars import (
     FpScalar,
     PadicInt,
@@ -22,6 +24,8 @@ from dividedops.scalars import (
     binom_padic,
     padic_length,
 )
+
+from dividedops.theta import ThetaTable
 
 from helpers import _nonzero_binoms, subprocess_env
 
@@ -238,6 +242,21 @@ def test_binom_padic_insufficient_precision():
         binom_padic(s, 2)  # k = 2 has a digit at index 1
     # high zero digits of k are harmless
     assert binom_padic(s, 1).value == 1
+
+
+# at p = 3 and precision 1, 4 is the first entry of d1^[4] d2^[9] past 3^1
+@pytest.mark.parametrize("call", [
+    lambda op, s: shift_apply(s, op),
+    lambda op, s: FactoredAut(s, MonomialAut.create(((1, 1), (0, 1)), (1, 2), 3)).apply(op),
+    lambda op, s: ThetaTable.from_diffop(op, s.precision),
+    lambda op, s: binom_padic(s.components[0], 4),
+], ids=["shift_apply", "factored-apply", "from_diffop", "binom_padic"])
+def test_insufficient_precision_has_one_message(call):
+    op = eval_operator("x1 + d1[4]*d2[9]", 3, 2)
+    s = ShiftVector.from_ints([1, 2], 3, 1)
+    with pytest.raises(InsufficientPrecision) as exc:
+        call(op, s)
+    assert str(exc.value) == "index 4 needs 2 digits, precision is 1"
 
 
 def test_binom_padic_agrees_with_integers():
