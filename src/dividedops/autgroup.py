@@ -379,9 +379,7 @@ class GeneratorImages:
             cols.append(exps)
             scal.append(lam)
         matrix = tuple(tuple(cols[j][i] for j in range(self.n)) for i in range(self.n))
-        if int_det(matrix) not in (1, -1):
-            raise NotGL(f"exponent matrix {matrix} is not invertible over the integers")
-        return MonomialAut(matrix, tuple(scal))
+        return MonomialAut(matrix, tuple(scal))  # raises NotGL unless det = +-1
 
     def fixes_variables(self) -> bool:
         ident = GeneratorImages.identity(self.p, self.n, 1)

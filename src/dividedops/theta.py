@@ -19,37 +19,49 @@ is a roll and a pointwise product,
 
 which replaces the Leibniz expansion of `DiffOp.__mul__`.
 
-Cells are residues in row-major order.  For p <= 16 a table is `bytes`,
-one residue per byte: two tables pair into one byte per cell, u << 4 | v,
-and `bytes.translate` with a 256-byte map per operation (product, sum,
-difference, scaling) takes it to the result, so pointwise loops run in C.
-Above 16 a table is a list of ints, with comprehensions; `_cells` picks
-the kernel from p, and its zero test (`nonzero`: one memcmp on bytes).
-Equality and the Kronecker step (`_kronecker`), which builds the
-conversion and `binomial_row`, are written once for both.  A product
-rolls its left table: a list table by slicing every row, a byte table as
-one big int, with two shifts and a mask per axis after the first, which
-feeds the pairing of the product directly.  An array library would
-cost more to import than these tables take to multiply.
+Cells are residues in row-major order, and a kernel (`_cells`, picked
+from p and the cell count) does the pointwise work.  There are three:
+
+- p = 2: a table is one int with one bit per cell, cell 0 the most
+  significant.  A product is AND, a sum and a difference are XOR, scaling
+  keeps the table or zeroes it, and the zero test is x == 0.  Mod 2 the
+  Pascal matrix is its own inverse, so the conversion (`_bit_tables`)
+  and its inverse (`mahler`) are the same n * K passes x ^= x >> s &
+  mask, one per base-2 digit of the cell index.
+- 3 <= p <= 16: a table is `bytes`, one residue per byte: two tables pair
+  into one byte per cell, u << 4 | v, and `bytes.translate` with a
+  256-byte map per operation (product, sum, difference, scaling) takes it
+  to the result, so pointwise loops run in C.
+- p > 16: a table is a list of ints, with comprehensions.
+
+Byte and list tables convert by Kronecker passes (`_kronecker_tables`),
+written once for both, as is the Kronecker step (`_kronecker`) that also
+builds `binomial_row`.  A product rolls its left table: a list table by
+slicing every row, a bit or byte table as one big int (`_int_roll`: two
+shifts and a mask per axis; a byte table turns its first axis by one
+slice before), which feeds the AND or the pairing of the product
+directly.  A kernel's one accessor, `items`, lists the nonzero
+cells whatever the table holds.  An array library would cost more to
+import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
 only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
 `scalars.index_digits`) that `validate_generator_images` and `expansion`
 both ask.  `expansion` finds and caches the Mahler coefficients of the
-closed form of `autgroup.FactoredAut.apply`: on a byte table, tabulated
-from slices of one row of p^K cells (`binomial_row`, `linear_table`) and
-taken through the inverse Pascal matrix (`mahler`: one base-p digit of
-the cell index per pass, p - 1 masked big-int steps per pass); otherwise
-by Newton differences.
+closed form of `autgroup.FactoredAut.apply`: for p <= 16 on a bit or byte
+table, tabulated from slices of one row of p^K cells (`binomial_row`,
+`linear_table`) and taken through the inverse Pascal matrix (`mahler`:
+one base-p digit of the cell index per pass, p - 1 masked big-int steps
+per pass); otherwise by Newton differences.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from math import prod
-from operator import add, mul, sub
+from operator import add, and_, mul, sub, xor
 from types import SimpleNamespace
 
 from .diffop import DiffOp, power
@@ -59,6 +71,7 @@ from .scalars import _lucas, _pascal_column, check_index_digits, index_digits
 TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
 
 _NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
+_ONES = re.compile("1")  # the set cells of a bit table, written in binary
 
 
 def tables_fit(p: int, n: int, digits: int) -> bool:
@@ -69,14 +82,17 @@ def tables_fit(p: int, n: int, digits: int) -> bool:
 def _list_cells(p: int) -> SimpleNamespace:
     """Cell arithmetic mod p on lists of residues."""
     join = lambda pieces: list(chain.from_iterable(pieces))  # noqa: E731
-    return SimpleNamespace(
+    cells = SimpleNamespace(
         p=p, new=list, join=join, nonzero=any,
+        items=lambda t: [(i, v) for i, v in enumerate(t) if v],
         mul=lambda f, g: [u * v % p for u, v in zip(f, g)],
         add=lambda f, g: [(u + v) % p for u, v in zip(f, g)],
         sub=lambda f, g: [(u - v) % p for u, v in zip(f, g)],
         scale=lambda f, c: [v * c % p for v in f],
         roll_mul=lambda f, shift, size, g: [
             u * v % p for u, v in zip(_roll(f, shift, size, join), g)])
+    cells.tables = partial(_kronecker_tables, cells)
+    return cells
 
 
 def _byte_map(fn, p: int) -> bytes:
@@ -96,19 +112,38 @@ def _byte_op(table: bytes):
 
 
 def _byte_cells(p: int) -> SimpleNamespace:
-    """Cell arithmetic mod p <= 16 on bytes, one residue per byte."""
+    """Cell arithmetic mod 3 <= p <= 16 on bytes, one residue per byte."""
     scales = [bytes(b * c % p for b in range(256)) for c in range(p)]
     products, differences = _byte_map(mul, p), _byte_map(sub, p)
-    return SimpleNamespace(
+    cells = SimpleNamespace(
         p=p, new=bytes, join=b"".join, nonzero=lambda t: t != bytes(len(t)),
+        items=lambda t: [(cell.start(), cell[0][0]) for cell in _NONZERO.finditer(t)],
         mul=_byte_op(products), add=_byte_op(_byte_map(add, p)), sub=_byte_op(differences),
         scale=lambda f, c: f.translate(scales[c % p]),
         roll_mul=lambda f, shift, size, g: _pair(_byte_roll(f, shift, size), g, products),
         differences=differences)
+    cells.tables = partial(_kronecker_tables, cells)
+    return cells
 
 
-@lru_cache(maxsize=None)  # one kernel per prime
-def _cells(p: int) -> SimpleNamespace:
+def _bit_cells(count: int) -> SimpleNamespace:
+    """Cell arithmetic mod 2 on one int of `count` bits, cell 0 the most
+    significant: a product is AND, a sum and a difference are XOR."""
+    return SimpleNamespace(
+        p=2, new=lambda residues: int("".join(map(str, residues)), 2), nonzero=bool,
+        items=lambda t: [(cell.start(), 1) for cell in _ONES.finditer(f"{t:0{count}b}")],
+        mul=and_, add=xor, sub=xor, scale=lambda f, c: f if c % 2 else 0,
+        roll_mul=lambda f, shift, size, g: _int_roll(f, shift, size, count, count, 1) & g,
+        tables=lambda terms, passes: _bit_tables(terms, count))
+
+
+@lru_cache(maxsize=None)  # one kernel per prime and cell count
+def _cells(p: int, count: int) -> SimpleNamespace:
+    """The kernel of tables of `count` cells mod p: bits at p = 2, bytes up
+    to 16, lists above.  An int drops its leading zeros, so the bit kernel
+    is told its cell count."""
+    if p == 2:
+        return _bit_cells(count)
     return _byte_cells(p) if p <= 16 else _list_cells(p)
 
 
@@ -125,53 +160,70 @@ def _roll(table, shift, size: int, join):
 
 
 # Masks are whole-table ints, so the cache stays small: at TABLE_CELLS
-# cells a mask is 64 kB.
+# cells a byte mask is 64 kB and a bit mask 8 kB.
 @lru_cache(maxsize=128)
-def _mask(cells: int, chunk: int, lo: int, hi: int) -> int:
-    """The cells at offsets lo .. hi - 1 of every chunk, as 0xff bytes."""
-    return int.from_bytes((bytes(lo) + b"\xff" * (hi - lo) + bytes(chunk - hi))
-                          * (cells // chunk), "big")
+def _mask(cells: int, chunk: int, lo: int, hi: int, width: int) -> int:
+    """The cells at offsets lo .. hi - 1 of every chunk, all `width` bits of
+    each set: a byte table's (width 8) or a bit table's (width 1)."""
+    zero, one = (b"\x00", b"\xff") if width == 8 else (b"0", b"1")
+    row = (zero * lo + one * (hi - lo) + zero * (chunk - hi)) * (cells // chunk)
+    return int.from_bytes(row, "big") if width == 8 else int(row, 2)
+
+
+def _int_roll(x: int, shift, size: int, cells: int, chunk: int, width: int) -> int:
+    """`_roll` on a table held as one int, `width` bits per cell, along the
+    axes of `shift`, the first of which has chunks of `chunk` cells.  On
+    each axis the head of every chunk comes from `cut` cells further on (a
+    left shift) and its tail from chunk - cut cells back (a right shift),
+    and a mask picks between them."""
+    for s in shift:
+        block = chunk // size
+        cut = s % size * block
+        if cut:
+            back = x >> width * (chunk - cut)
+            x = ((x << width * cut) ^ back) & _mask(cells, chunk, 0, chunk - cut, width) ^ back
+        chunk = block
+    return x
 
 
 def _byte_roll(table: bytes, shift, size: int) -> int:
     """`_roll` on a byte table, as one big int.  The first axis turns the
-    whole table, one slice; on every other axis the head of each chunk
-    comes from `cut` bytes further on (a left shift) and its tail from
-    chunk - cut bytes back (a right shift), and a mask picks between them.
-    The product takes the int as it is, so the roll converts only once."""
+    whole table, one slice, and `_int_roll` takes the others.  The product
+    takes the int as it is, so the roll converts only once."""
     cells = len(table)
     block = cells // size
     cut = shift[0] % size * block
     if cut:
         table = table[cut:] + table[:cut]
-    x = int.from_bytes(table, "big")
-    for s in shift[1:]:
-        chunk, block = block, block // size
-        cut = s % size * block
-        if cut:
-            back = x >> 8 * (chunk - cut)
-            x = ((x << 8 * cut) ^ back) & _mask(cells, chunk, 0, chunk - cut) ^ back
-    return x
+    return _int_roll(int.from_bytes(table, "big"), shift[1:], size, cells, block, 8)
 
 
-def mahler(table: bytes, p: int) -> bytes:
-    """The Mahler coefficients of a byte table on (Z/p^K)^n: the table c
-    with table(m) = sum_j c_j C(m, j) mod p over the j in the same box.
+def mahler(table, p: int, cells: int):
+    """The Mahler coefficients of a table of `cells` cells on (Z/p^K)^n,
+    p <= 16: the table c with table(m) = sum_j c_j C(m, j) mod p over the
+    j in the same box.
 
     That is the inverse of the Pascal matrix C(t, b) mod p, the Kronecker
     power of the p x p one, applied one base-p digit of the cell index at
-    a time (n * K passes).  A pass is p - 1 Newton steps r = 1 .. p - 1,
-    forward differences along its digit: a step subtracts from every cell
-    whose digit is at least r the cell one below it on that digit, all at
-    once, as one masked big-int shift, one pairing and one `translate`
-    over the whole table."""
-    cells = len(table)
-    step = _cells(p).differences
-    x = int.from_bytes(table, "big")
+    a time (n * K passes).  Mod 2 the Pascal matrix is its own inverse, so
+    on a bit table a pass adds to every cell whose digit is 1 the cell one
+    below it on that digit, x ^= x >> stride & mask, and the same passes
+    are the conversion of `ThetaTable.from_diffop`.  On a byte table a
+    pass is p - 1 Newton steps r = 1 .. p - 1, forward differences along
+    its digit: a step subtracts from every cell whose digit is at least r
+    the cell one below it on that digit, all at once, as one masked
+    big-int shift, one pairing and one `translate` over the whole table."""
     stride = 1
+    if p == 2:
+        while stride < cells:
+            table ^= table >> stride & _mask(cells, 2 * stride, stride, 2 * stride, 1)
+            stride *= 2
+        return table
+    step = _cells(p, cells).differences
+    x = int.from_bytes(table, "big")
     while stride < cells:
         for r in range(1, p):
-            below = x >> 8 * stride & _mask(cells, p * stride, r * stride, p * stride)
+            below = x >> 8 * stride & _mask(cells, p * stride, r * stride, p * stride, 8)
             x = int.from_bytes((x << 4 | below).to_bytes(cells, "big").translate(step), "big")
         stride *= p
     return x.to_bytes(cells, "big")
@@ -186,10 +238,57 @@ def _kronecker(cells: SimpleNamespace, column, table):
     return cells.join(map(scaled.__getitem__, column))
 
 
-def binomial_row(b: int, p: int, digits: int):
-    """C(y, b) mod p for y < p^digits as one table row: by Lucas' theorem
-    the Kronecker product of the Pascal columns of b's digits."""
-    cells = _cells(p)
+def _kronecker_tables(cells: SimpleNamespace, terms: dict, passes: int) -> dict:
+    """The table of each gamma from the terms {(gamma, cell of beta): c}
+    of an operator: the Pascal matrix applied one base-p digit of the
+    cell index at a time, lowest first.
+
+    Each term starts as a one-cell table keyed by gamma and the unread
+    digits of beta, most significant first (at the start, the cell of
+    beta in the table).  Each pass pops the lowest unread digit b of every
+    key, makes the table T into column b of the p x p Pascal matrix
+    tensor T (b becomes its most significant digit) and adds the tables
+    whose shortened keys agree.  After n * K passes one table is left per
+    gamma; the tables of a pass hold at most p^(nK) cells per gamma,
+    however many distinct indices the operator has."""
+    p = cells.p
+    pending = {key: cells.new([c]) for key, c in terms.items()}
+    columns: dict[int, object] = {}  # column b of the Pascal matrix, per digit b met
+    for _ in range(passes):
+        passed: dict[tuple, object] = {}
+        for (gamma, index), table in pending.items():
+            index, b = divmod(index, p)
+            column = columns.get(b) or columns.setdefault(b, cells.new(_pascal_column(b, p)))
+            table = _kronecker(cells, column, table)
+            acc = passed.get((gamma, index))
+            passed[gamma, index] = table if acc is None else cells.add(acc, table)
+        pending = passed
+    return {gamma: table for (gamma, _), table in pending.items()}
+
+
+def _bit_tables(terms: dict, count: int) -> dict:
+    """`_kronecker_tables` at p = 2, on bit tables of `count` cells: each
+    term sets the bit of its cell in the table of its gamma (every nonzero
+    residue is 1), and the Pascal matrix, its own inverse mod 2, is the
+    passes of `mahler`."""
+    tables: dict[tuple, int] = {}
+    for gamma, index in terms:
+        tables[gamma] = tables.get(gamma, 0) ^ 1 << count - 1 - index
+    return {gamma: mahler(t, 2, count) for gamma, t in tables.items()}
+
+
+def binomial_row(b: int, p: int, digits: int) -> bytes:
+    """C(y, b) mod p for y < p^digits, p <= 16, as one row of bytes: by
+    Lucas' theorem the Kronecker product of the Pascal columns of b's
+    digits.  At p = 2 those columns are (1, 1) and (0, 1), and the row is
+    written in binary, one b"0" or b"1" per cell, which int(row, 2) reads
+    as a bit table."""
+    if p == 2:
+        row = b"1"
+        for k in range(digits):  # lowest digit first; each becomes the outermost
+            row = (b"0" * len(row) if b >> k & 1 else row) + row
+        return row
+    cells = _cells(p, p ** digits)
     row = cells.new([1])
     for _ in range(digits):  # lowest digit first; each becomes the outermost
         b, digit = divmod(b, p)
@@ -198,8 +297,9 @@ def binomial_row(b: int, p: int, digits: int):
 
 
 def linear_table(row: bytes, ell, t: int) -> bytes:
-    """The byte table on (Z/size)^n of m -> row[(ell . m + t) mod size],
-    size = len(row), joined from slices of row.
+    """The table on (Z/size)^n of m -> row[(ell . m + t) mod size], size =
+    len(row), joined from slices of row (residues, or at p = 2 binary
+    digits).
 
     The last axis has coefficient c.  Its lines row[(o + c u) mod size],
     u < size, are the rows of the transpose of the rotations of row by c u,
@@ -228,7 +328,7 @@ def expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
               t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i + t_i, beta_i)
     equal to sum_j c_j C(m, j) as functions of m in Z^n.  With K =
-    `index_digits` of beta, they are read off a byte table
+    `index_digits` of beta, they are read off a bit or byte table
     (`_table_expansion`) when p <= 16 and p^(nK) cells fit, and taken by
     Newton differences (`_theta_expansion`) otherwise."""
     digits = index_digits([beta], p)
@@ -275,29 +375,31 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
 
 def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
                      t: tuple[int, ...], digits: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The pairs of `expansion`, read off a byte theta-table of period
-    p^digits; needs every entry of beta below p^digits.
+    """The pairs of `expansion`, read off a theta-table of period p^digits,
+    p <= 16; needs every entry of beta below p^digits.
 
     Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n
-    gathered from the row C(y, beta_i), y < p^digits (`linear_table`);
-    their pointwise product goes through one inverse Mahler transform
-    (`mahler`), and its nonzero cells are the c_j, in row-major order of j."""
+    gathered from the row C(y, beta_i), y < p^digits (`linear_table`; at
+    p = 2 it is read as a bit table); their pointwise product goes through
+    one inverse Mahler transform (`mahler`), and its nonzero cells are the
+    c_j, in row-major order of j."""
     if not any(beta):
         return (((0,) * len(beta), 1),)
-    size, pointwise = p ** digits, _cells(p).mul
+    size, count = p ** digits, p ** (digits * len(beta))
+    cells = _cells(p, count)
     table = None
     for row, b, ti in zip(ainv, beta, t):
         if b:
             factor = linear_table(binomial_row(b, p, digits), row, ti)
-            table = factor if table is None else pointwise(table, factor)
+            factor = int(factor, 2) if p == 2 else factor
+            table = factor if table is None else cells.mul(table, factor)
     pairs = []
-    coeffs = mahler(table, p)
-    for cell in _NONZERO.finditer(coeffs):
-        index, j = cell.start(), []
+    for index, c in cells.items(mahler(table, p, count)):
+        j = []
         for _ in beta:
             index, jk = divmod(index, size)
             j.append(jk)
-        pairs.append((tuple(reversed(j)), coeffs[cell.start()]))
+        pairs.append((tuple(reversed(j)), c))
     return tuple(pairs)
 
 
@@ -309,45 +411,26 @@ class ThetaTable:
 
     def __init__(self, p: int, n: int, size: int, tables: dict):
         self.p, self.n, self.size = p, n, size
-        self.cells = _cells(p)
+        self.cells = _cells(p, size ** n)
         self.tables = {gamma: t for gamma, t in tables.items() if self.cells.nonzero(t)}
 
     @classmethod
     def from_diffop(cls, op: DiffOp, digits: int) -> "ThetaTable":
         """Tables of period p^digits; needs every divided index of `op` to
-        have at most that many base-p digits.
-
-        The conversion is the Pascal matrix applied one base-p digit of
-        the index at a time, lowest first.  Each term starts as a one-cell
-        table keyed by gamma and the unread digits of beta, most
-        significant first (at the start, the cell of beta in the table).
-        Each pass pops the lowest unread digit b of every key, makes the
-        table T into column b of the p x p Pascal matrix tensor T (b
-        becomes its most significant digit) and adds the tables whose
-        shortened keys agree.  After n * digits passes one table is left
-        per gamma; the tables of a pass hold at most p^(n * digits) cells
-        per gamma, however many distinct indices `op` has."""
+        have at most that many base-p digits.  The kernel converts the
+        terms: by Kronecker passes (`_kronecker_tables`), or at p = 2 by
+        the passes of `mahler` (`_bit_tables`)."""
         p, n = op.p.p, op.n
-        size, cells = p ** digits, _cells(p)
+        size = p ** digits
         check_index_digits(op.parts, p, digits)
-        pending: dict[tuple, object] = {}
+        terms: dict[tuple, int] = {}
         for beta, f in op.parts.items():
             index = 0
             for b in beta:
                 index = index * size + b
             for exps, c in f.terms.items():
-                pending[tuple(e - b for e, b in zip(exps, beta)), index] = cells.new([c])
-        columns: dict[int, object] = {}  # column b of the Pascal matrix, per digit b met
-        for _ in range(n * digits):
-            passed: dict[tuple, object] = {}
-            for (gamma, index), table in pending.items():
-                index, b = divmod(index, p)
-                column = columns.get(b) or columns.setdefault(b, cells.new(_pascal_column(b, p)))
-                table = _kronecker(cells, column, table)
-                acc = passed.get((gamma, index))
-                passed[gamma, index] = table if acc is None else cells.add(acc, table)
-            pending = passed
-        return cls(p, n, size, {gamma: table for (gamma, _), table in pending.items()})
+                terms[tuple(e - b for e, b in zip(exps, beta)), index] = c
+        return cls(p, n, size, _cells(p, size ** n).tables(terms, n * digits))
 
     def _check(self, other: "ThetaTable"):
         if (self.p, self.n, self.size) != (other.p, other.n, other.size):
@@ -389,4 +472,4 @@ class ThetaTable:
 
     def __pow__(self, k: int) -> "ThetaTable":
         return power(self, k, lambda: ThetaTable(
-            self.p, self.n, self.size, {(0,) * self.n: self.cells.new([1]) * self.size ** self.n}))
+            self.p, self.n, self.size, {(0,) * self.n: self.cells.new([1] * self.size ** self.n)}))

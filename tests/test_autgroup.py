@@ -322,6 +322,24 @@ def test_monomial_aut_validation():
         MonomialAut.create(((1,),), (0,), 3)
 
 
+def test_factorize_decides_unimodularity_once(monkeypatch):
+    # one int_det per factorize, and a non-GL exponent matrix raises
+    # MonomialAut's NotGL
+    p = 3
+    g = FactoredAut(sv([[1, 2], [2, 0]], p), MonomialAut.create(((2, 1), (1, 1)), (2, 1), p))
+    images = g.to_images()
+    x = DiffOp.from_laurent
+    squares = GeneratorImages(p, 1, 1, (x(LaurentPoly.monomial(p, 1, (2,))),),
+                              (x(LaurentPoly.monomial(p, 1, (-2,))),), ((d(p, 1, 1, 1),),))
+    calls = []
+    monkeypatch.setattr(autgroup, "int_det", lambda m: calls.append(m) or int_det(m))
+    assert factorize(images) == g
+    assert calls == [((2, 1), (1, 1))]
+    with pytest.raises(NotGL, match=r"^matrix \(\(2,\),\) has determinant != \+-1$"):
+        factorize(squares)
+    assert len(calls) == 2
+
+
 def test_monomial_apply_identity():
     tau = MonomialAut.identity(3, 1)
     op = d(3, 1, 1, 2) + mono(3, 1, (-1,))

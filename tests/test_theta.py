@@ -43,6 +43,15 @@ def digits_for(*ops) -> int:
     return max([1] + [padic_length(b, op.p.p) for op in ops for beta in op.parts for b in beta])
 
 
+def cell_list(cells, t, count: int) -> list:
+    """Every residue of a table of `count` cells, read through the kernel's
+    one accessor, `items`, whatever the kernel holds."""
+    values = [0] * count
+    for cell, c in cells.items(t):
+        values[cell] = c
+    return values
+
+
 def rand_ops(rng, p, n, count):
     return [rand_op(rng, p, n, max_parts=3, max_order=3, span=3, max_terms=3)
             for _ in range(count)]
@@ -57,11 +66,12 @@ def test_table_is_the_module_action(p, n):
         table = ThetaTable.from_diffop(op, digits_for(op))
         many_gammas += len(table.tables) > 1
         size = table.size
+        values = {gamma: cell_list(table.cells, t, size ** n) for gamma, t in table.tables.items()}
         points = list(iproduct(range(-size, 2 * size, max(1, size // 3)), repeat=n))
         for m in rng.sample(points, min(len(points), 30)):
             cell = sum(mi % size * size ** (n - 1 - i) for i, mi in enumerate(m))
             got = {tuple(mi + gi for mi, gi in zip(m, gamma)): t[cell]
-                   for gamma, t in table.tables.items() if t[cell]}
+                   for gamma, t in values.items() if t[cell]}
             assert op.act(LaurentPoly.monomial(p, n, m)).terms == got, (op, m)
     assert many_gammas >= 4
 
@@ -88,7 +98,8 @@ def test_every_cell_is_the_sum_of_binomials(p, n, order):
                     cells[cell] += c * math.prod(math.comb(mi, b) for mi, b in zip(m, beta))
         expected = {gamma: [v % p for v in cells] for gamma, cells in expected.items()
                     if any(v % p for v in cells)}
-        assert {gamma: list(t) for gamma, t in table.tables.items()} == expected, op
+        assert {gamma: cell_list(table.cells, t, size ** n)
+                for gamma, t in table.tables.items()} == expected, op
     assert max(digits_for(op) for op in ops) >= 2
 
 
@@ -134,15 +145,18 @@ def test_power_by_squaring_matches_repeated_products():
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_byte_cells_match_list_cells(monkeypatch, p):
-    byte, lists = theta._cells(p), theta._list_cells(p)
-    assert byte.new is bytes
+    # the byte kernel, and at p = 2 the bit kernel, against lists
+    cells, lists = theta._cells(p, p * p), theta._list_cells(p)
+    cell_type = int if p == 2 else bytes
+    assert type(cells.new([0] * p * p)) is cell_type
     # every pair of residues through each pointwise operation
-    f = bytes(u for u in range(p) for _ in range(p))
-    g = bytes(v for _ in range(p) for v in range(p))
+    f = [u for u in range(p) for _ in range(p)]
+    g = [v for _ in range(p) for v in range(p)]
     for name in ("mul", "add", "sub"):
-        assert list(getattr(byte, name)(f, g)) == getattr(lists, name)(list(f), list(g)), name
+        got = getattr(cells, name)(cells.new(f), cells.new(g))
+        assert cell_list(cells, got, p * p) == getattr(lists, name)(f, g), name
     for c in range(-1, p + 1):
-        assert list(byte.scale(f, c)) == lists.scale(list(f), c), c
+        assert cell_list(cells, cells.scale(cells.new(f), c), p * p) == lists.scale(f, c), c
     # whole tables: random operators with several gamma and negative exponents
     rng = random.Random(f"cells:{p}")
     ops = rand_ops(rng, p, 3 if p == 2 else 2, 8)
@@ -157,24 +171,32 @@ def test_byte_cells_match_list_cells(monkeypatch, p):
         return out
 
     got = results()
-    monkeypatch.setattr(theta, "_cells", theta._list_cells)
+    monkeypatch.setattr(theta, "_cells", lambda p, count: theta._list_cells(p))
     want = results()
     assert sum(len(t.tables) > 1 for t in got) >= 8
     for table, reference in zip(got, want, strict=True):
-        assert all(type(t) is bytes for t in table.tables.values())
+        assert all(type(t) is cell_type for t in table.tables.values())
         assert all(type(t) is list for t in reference.tables.values())
-        assert {gamma: list(t) for gamma, t in table.tables.items()} == reference.tables
+        count = table.size ** table.n
+        assert {gamma: cell_list(table.cells, t, count)
+                for gamma, t in table.tables.items()} == reference.tables
 
 
-@pytest.mark.parametrize("p, cell_type", [(3, bytes), (17, list)])
+@pytest.mark.parametrize("p, cell_type", [(2, int), (3, bytes), (17, list)])
 def test_zero_tables_are_dropped_and_a_last_nonzero_cell_kept(p, cell_type):
-    cells, size = theta._cells(p), p ** 2
-    zero = cells.new([0] * size ** 2)
-    last = cells.new([0] * (size ** 2 - 1) + [p - 1])
+    # a bit table drops its leading zeros: only cell 0 set, only the last
+    size = p ** 2
+    count = size ** 2
+    cells = theta._cells(p, count)
+    zero = cells.new([0] * count)
+    first = cells.new([p - 1] + [0] * (count - 1))
+    last = cells.new([0] * (count - 1) + [p - 1])
     assert type(zero) is cell_type
-    assert not cells.nonzero(zero) and cells.nonzero(last)
-    table = ThetaTable(p, 2, size, {(0, 0): zero, (1, -1): last, (2, 0): cells.new(zero)})
-    assert table.tables == {(1, -1): last}
+    assert not cells.nonzero(zero) and cells.nonzero(last) and cells.nonzero(first)
+    assert cells.items(first) == [(0, p - 1)] and cells.items(last) == [(count - 1, p - 1)]
+    table = ThetaTable(p, 2, size, {(0, 0): zero, (1, -1): last, (0, 1): first,
+                                    (2, 0): cells.new([0] * count)})
+    assert table.tables == {(1, -1): last, (0, 1): first}
     assert ThetaTable(p, 2, size, {(0, 0): zero}).is_zero()
 
 
@@ -187,12 +209,11 @@ def test_mahler_undoes_from_diffop(p, n):
         size = p ** k
         table = ThetaTable.from_diffop(op, k)
         for gamma, cells in table.tables.items():
-            coeffs = theta.mahler(cells, p)
+            coeffs = theta.mahler(cells, p, size ** n)
             got = {}
-            for cell, c in enumerate(coeffs):
-                if c:
-                    beta = tuple(cell // size ** (n - 1 - i) % size for i in range(n))
-                    got[beta] = c
+            for cell, c in table.cells.items(coeffs):
+                beta = tuple(cell // size ** (n - 1 - i) % size for i in range(n))
+                got[beta] = c
             want = {beta: f.terms[tuple(g + b for g, b in zip(gamma, beta))]
                     for beta, f in op.parts.items()
                     if tuple(g + b for g, b in zip(gamma, beta)) in f.terms}
@@ -209,12 +230,43 @@ def test_byte_roll_is_the_slicing_roll(p, n):
     shifts = [(0,) * n, (-1,) * n, (size,) * n, (-size - 1,) * n, (3 * size + 2,) * n]
     shifts += [tuple(rng.randint(-3 * size, 3 * size) for _ in range(n)) for _ in range(10)]
     other = bytes(rng.randrange(p) for _ in range(size ** n))
+    cells = theta._cells(p, size ** n)
+    f, g = cells.new(list(table)), cells.new(list(other))
     for shift in shifts:
         rolled = theta._roll(table, shift, size, b"".join)
         assert theta._byte_roll(table, shift, size).to_bytes(len(table), "big") == rolled
-        product = theta._cells(p).roll_mul(table, shift, size, other)
-        assert product == theta._cells(p).mul(rolled, other)
-        assert list(product) == theta._list_cells(p).roll_mul(list(table), shift, size, list(other))
+        product = cells.roll_mul(f, shift, size, g)
+        assert product == cells.mul(cells.new(list(rolled)), g)
+        assert cell_list(cells, product, size ** n) == theta._list_cells(p).roll_mul(
+            list(table), shift, size, list(other))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_bit_cells_match_list_cells(n):
+    # the p = 2 kernel against lists, cell for cell, on random tables and
+    # on the tables with only the first or only the last cell set (an int
+    # drops its leading zeros), and its roll against slicing for zero,
+    # negative and wrapping shifts
+    rng = random.Random(f"bits:{n}")
+    size = 2 ** (12 // n)
+    count = size ** n
+    bits, lists = theta._cells(2, count), theta._list_cells(2)
+    tables = [[rng.randrange(2) for _ in range(count)] for _ in range(4)]
+    tables += [[1] + [0] * (count - 1), [0] * (count - 1) + [1], [0] * count, [1] * count]
+    shifts = [(0,) * n, (-1,) * n, (size,) * n, (-size - 1,) * n, (3 * size + 2,) * n]
+    shifts += [tuple(rng.randint(-3 * size, 3 * size) for _ in range(n)) for _ in range(10)]
+    for f, g in zip(tables, tables[1:] + tables[:1]):
+        x, y = bits.new(f), bits.new(g)
+        assert cell_list(bits, x, count) == f
+        for name in ("mul", "add", "sub"):
+            assert cell_list(bits, getattr(bits, name)(x, y), count) == getattr(lists, name)(f, g)
+        for c in (-1, 0, 1, 2, 3):
+            assert cell_list(bits, bits.scale(x, c), count) == lists.scale(f, c), c
+        for shift in shifts:
+            rolled = theta._int_roll(x, shift, size, count, count, 1)
+            assert cell_list(bits, rolled, count) == theta._roll(f, shift, size, lists.join)
+            product = bits.roll_mul(x, shift, size, y)
+            assert cell_list(bits, product, count) == lists.roll_mul(f, shift, size, g), shift
 
 
 # -- validate_generator_images on both paths ----------------------------------
@@ -385,7 +437,7 @@ def test_long_index_in_an_x_image_sizes_the_tables(monkeypatch):
     assert set(calls) == {3}
 
 
-@pytest.mark.parametrize("p, cell_type", [(13, bytes), (17, list)])
+@pytest.mark.parametrize("p, cell_type", [(2, int), (13, bytes), (17, list)])
 def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
     made = []
     original = ThetaTable.from_diffop
