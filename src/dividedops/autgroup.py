@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .diffop import DiffOp
+from .diffop import DiffOp, _add_into
 from .errors import (
     MismatchError,
     NotAUnit,
@@ -63,7 +63,9 @@ from .scalars import (
     index_digits,
     padic_length,
 )
-from .theta import ThetaTable, expansion, tables_fit
+
+# theta is imported where tables are used, validation and the closed form at
+# tau != 1, so that shift-only commands (sigma, build-sigma, extract) skip it
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -152,13 +154,16 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     reads only the digits of t below the p-adic length of beta, so any
     representative gives the same operator.  Requires the precision of s
     to cover the p-adic length of every divided index in `op`.
+
+    x^-t op only shifts the coefficients, so it is wrapped, not rebuilt;
+    the one product by x^t, (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j
+    d^[beta - j], rolls theta-tables or runs the Leibniz loop, as
+    `theta.roll_digits` decides.
     """
     _check_shift_operand(s, op)
     t = [c.to_int() for c in s.components]
-    # x^-t only shifts the coefficients; the one product by x^t writes
-    # (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j d^[beta - j]
     minus_t = tuple(-v for v in t)
-    left = DiffOp(s.p, s.n, {beta: f.times_monomial(1, minus_t) for beta, f in op.parts.items()})
+    left = op._wrap({beta: f.times_monomial(1, minus_t) for beta, f in op.parts.items()})
     return left * DiffOp.monomial(s.p, s.n, t)
 
 
@@ -465,6 +470,8 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
             report.add(f"commute x[{i + 1}] x[{j + 1}]", ok)
     xs, rows = g.x_images, g.d_images
     digits = index_digits([beta for op in (*xs, *sum(rows, ())) for beta in op.parts], pp)
+    from .theta import ThetaTable, tables_fit
+
     if tables_fit(pp, n, digits):
         xs = [ThetaTable.from_diffop(x, digits) for x in xs]
         rows = [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows]
@@ -558,20 +565,23 @@ class FactoredAut:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
         p^len(beta_i), so that residue keys the expansion of a part
-        (`theta.expansion`, which also picks its engine).  At tau = 1 it is
-        `shift_apply`, whose products write C(theta + s, beta) in time
-        proportional to their output, where Newton differences would cost
-        |beta|^2 per index."""
+        (`theta.expansion`, which also picks its engine); the terms are
+        summed per output index with no intermediate operator.  At tau = 1
+        it is `shift_apply`, one product by x^s, which rolls theta-tables
+        where `theta.roll_digits` finds the Leibniz loop's contributions
+        (about five per output term on shift images at p = 2) dearer."""
         if self._ainv_and_t is None:
             return shift_apply(self.shift, op)
+        from .theta import expansion
+
         _check_shift_operand(self.shift, op)
         tau, (ainv, t), pp = self.tau, self._ainv_and_t, self.p.p
-        parts = []
+        acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for beta, f in op.parts.items():
-            coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta)))
+            coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta))).terms.items()
             residue = tuple(v % pp ** padic_length(b, pp) for v, b in zip(t, beta))
-            parts += [(j, coeff.times_monomial(c, j)) for j, c in expansion(ainv, beta, pp, residue)]
-        return DiffOp(self.p, self.n, parts)
+            _add_into(acc, [((j, j), c) for j, c in expansion(ainv, beta, pp, residue)], coeff, pp)
+        return op._from_terms(acc)
 
     def to_images(self) -> GeneratorImages:
         """Truncated generator images of the factored automorphism."""
@@ -601,10 +611,10 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
             digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
     aut = FactoredAut(matrix_shift(tau.matrix, ShiftVector.from_digits(digits, p)), tau)
     for i, k in levels:
-        image = g.d_images[i][k]
-        wrong = image - aut.apply(DiffOp.partial(p, n, i + 1, pp ** k))
-        if wrong.is_zero():
+        image, rebuilt = g.d_images[i][k], aut.apply(DiffOp.partial(p, n, i + 1, pp ** k))
+        if image == rebuilt:
             continue
+        wrong = image - rebuilt
         name = f"perturbation of d{i + 1}^[{pp ** k}]"
         if not wrong.is_laurent():
             raise NotSigmaForm(f"{name} has positive order")

@@ -24,6 +24,11 @@ j_i + (beta_i - j_i) = beta_i (one interval of j_i when beta_i < p, the
 digit box of delta_i when eps_i cannot carry).  Powers of an order-0
 operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits
 of the exponent; other powers square and multiply.
+
+A right factor c x^delta translates theta_i = x_i d_i by delta, so when
+p <= 16 and the left factor has at least ROLL_PARTS parts (so positive
+order), `theta.roll_digits` may find rolling theta-tables cheaper
+(`theta.roll_product`); a smaller left factor never imports `theta`.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .scalars import Prime, _leibniz_terms, _lucas, as_prime
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
 REPLAY_PROBES = 8  # random monomials normal_form_from_action replays after solving
+ROLL_PARTS = 8  # fewer left parts rarely repay a table's fixed cost: the rule is not asked
 
 
 class DiffOp:
@@ -215,6 +221,19 @@ class DiffOp:
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
         self._check(other)
+        if len(self._parts) >= ROLL_PARTS and len(other._parts) == 1 and self.p.p <= 16:
+            right = other._parts.get((0,) * self.n)
+            if right is not None and len(right.terms) == 1:
+                from .theta import roll_digits, roll_product
+
+                (delta, c), = right.terms.items()
+                digits = roll_digits(self, delta)
+                if digits:
+                    return roll_product(self, delta, c, digits)
+        return self._leibniz(other)
+
+    def _leibniz(self, other: "DiffOp") -> "DiffOp":
+        """The product by the Leibniz rule of the module docstring."""
         pp = self.p.p
         right = [(eps, delta, cg) for eps, g in other._parts.items()
                  for delta, cg in g.terms.items()]
@@ -227,18 +246,11 @@ class DiffOp:
                 for newbeta, shift, c in _leibniz_terms(beta, delta, eps, pp):
                     pair = (newbeta, shift)
                     coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
-            fterms = f.terms.items()
-            for (newbeta, shift), cj in coeffs.items():
-                if not cj:
-                    continue
-                bucket = acc.setdefault(newbeta, {})
-                for gam, cf in fterms:
-                    key = tuple(map(add, gam, shift))
-                    s = (bucket.get(key, 0) + cf * cj) % pp
-                    if s:
-                        bucket[key] = s
-                    else:
-                        bucket.pop(key, None)
+            _add_into(acc, coeffs.items(), f.terms.items(), pp)
+        return self._from_terms(acc)
+
+    def _from_terms(self, acc: dict) -> "DiffOp":
+        """The operator of acc = {beta: {exps: residue}}, residues nonzero."""
         proto = LaurentPoly.zero(self.p, self.n)
         return self._wrap({b: proto._wrap(t) for b, t in acc.items() if t})
 
@@ -292,6 +304,22 @@ class DiffOp:
     def action(self) -> MonomialAction:
         """The operator as a black-box action on monomial exponent vectors."""
         return lambda exps: self.act_monomial(tuple(exps))
+
+
+def _add_into(acc: dict, pairs, terms, p: int):
+    """acc[beta] += c x^shift f mod p for each ((beta, shift), c) of pairs,
+    f given by its `terms` (exponents, residue); a zero sum drops its term."""
+    for (beta, shift), c in pairs:
+        if not c:
+            continue
+        bucket = acc.setdefault(beta, {})
+        for gam, cf in terms:
+            key = tuple(map(add, gam, shift))
+            s = (bucket.get(key, 0) + cf * c) % p
+            if s:
+                bucket[key] = s
+            else:
+                bucket.pop(key, None)
 
 
 def power(base, k: int, one: Callable):

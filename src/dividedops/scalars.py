@@ -149,7 +149,7 @@ def padic_length(k: int, p: int) -> int:
 
 def index_digits(betas, p: int) -> int:
     """K >= 1, the most base-p digits of an entry of the divided indices betas."""
-    return max([1] + [padic_length(b, p) for beta in betas for b in beta])
+    return max(1, padic_length(max(map(max, betas), default=0), p))
 
 
 def check_index_digits(betas, p: int, digits: int):

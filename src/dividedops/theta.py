@@ -46,13 +46,22 @@ import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
 only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
-`scalars.index_digits`) that `validate_generator_images` and `expansion`
-both ask.  `expansion` finds and caches the Mahler coefficients of the
-closed form of `autgroup.FactoredAut.apply`: for p <= 16 on a bit or byte
-table, tabulated from slices of one row of p^K cells (`binomial_row`,
-`linear_table`) and taken through the inverse Pascal matrix (`mahler`:
-one base-p digit of the cell index per pass, p - 1 masked big-int steps
-per pass); otherwise by Newton differences.
+`scalars.index_digits`) that `validate_generator_images`, `expansion`
+and `roll_digits` ask.  `expansion` finds and caches the Mahler
+coefficients of the closed form of `autgroup.FactoredAut.apply`: for
+p <= 16 on a bit or byte table, tabulated from slices of one row of p^K
+cells (`binomial_row`, `linear_table`) and taken through the inverse
+Pascal matrix (`mahler`: one base-p digit of the cell index per pass,
+p - 1 masked big-int steps per pass); otherwise by Newton differences.
+
+A product by c x^delta on the right is a roll alone, x^gamma c(theta)
+x^delta = x^(gamma + delta) c(theta + delta): `roll_product` rolls each
+table by delta and reads its Mahler coefficients a_j back as the terms
+c a_j x^(gamma + delta + j) d^[j].  `DiffOp.__mul__` takes it where
+`roll_digits` finds it cheaper, in Leibniz contributions (a j of a part,
+about 0.3 us): 10, plus 4 per term beyond one a part, plus n K passes over
+p^(nK) cells for each gamma (at least the terms of one part), against
+the loop's terms * prod_i min(beta_i + 1, prod_r (delta_ir + 1)).
 """
 
 from __future__ import annotations
@@ -66,7 +75,7 @@ from types import SimpleNamespace
 
 from .diffop import DiffOp, power
 from .errors import MismatchError
-from .scalars import _lucas, _pascal_column, check_index_digits, index_digits
+from .scalars import _digits_mod, _lucas, _pascal_column, check_index_digits, index_digits
 
 TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
 
@@ -393,14 +402,54 @@ def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
             factor = linear_table(binomial_row(b, p, digits), row, ti)
             factor = int(factor, 2) if p == 2 else factor
             table = factor if table is None else cells.mul(table, factor)
-    pairs = []
-    for index, c in cells.items(mahler(table, p, count)):
-        j = []
-        for _ in beta:
-            index, jk = divmod(index, size)
-            j.append(jk)
-        pairs.append((tuple(reversed(j)), c))
-    return tuple(pairs)
+    return tuple(_mahler_pairs(table, p, len(beta), size))
+
+
+def _mahler_pairs(table, p: int, n: int, size: int) -> list:
+    """The nonzero Mahler coefficients (`mahler`) of a table on (Z/size)^n,
+    size = p^K and p <= 16, as pairs (j, c_j) in row-major order of j."""
+    count, strides = size ** n, [size ** k for k in reversed(range(n))]
+    return [(tuple([index // stride % size for stride in strides]), c)
+            for index, c in _cells(p, count).items(mahler(table, p, count))]
+
+
+def roll_digits(op: DiffOp, delta) -> int:
+    """K, the period digits of the tables on which `roll_product` finds
+    op * x^delta (p <= 16, op of positive order), or 0 where they do not
+    fit or cost more than the Leibniz loop, by the rule of the module
+    docstring; the j_i of a nonzero C(delta_i, j_i) have every digit at
+    most delta_i's (mod p^K), which bounds the loop's contributions."""
+    p, n = op.p.p, op.n
+    digits = index_digits(op.parts, p)
+    if not tables_fit(p, n, digits):
+        return 0
+    boxes = [prod(r + 1 for r in _digits_mod(d, p, digits)) for d in delta]
+    terms = [len(f.terms) for f in op.parts.values()]
+    contributions = 0
+    for beta, count in zip(op.parts, terms):
+        for b, box in zip(beta, boxes):
+            count *= b + 1 if b < box else box
+        contributions += count
+    cells = p ** (n * digits)  # a pass costs one bit a cell at p = 2, p - 1 bytes above
+    per_pass = 2 + cells / 3000 if p == 2 else (p - 1) * (6 + cells / 150)
+    table = 10 + 4 * (sum(terms) - len(terms)) + max(terms) * n * digits * per_pass
+    return digits if contributions > table else 0
+
+
+def roll_product(op: DiffOp, delta, c: int, digits: int) -> DiffOp:
+    """op * c x^delta on theta-tables of period p^digits, p <= 16: each
+    table rolls by delta, and its Mahler coefficients a_j are the terms
+    c a_j x^(gamma + delta + j) of part j (see the module docstring)."""
+    table = ThetaTable.from_diffop(op, digits)
+    p, size, count = table.p, table.size, table.size ** op.n
+    parts: dict[tuple[int, ...], dict] = {}
+    for gamma, t in table.tables.items():
+        t = (_int_roll(t, delta, size, count, count, 1) if p == 2
+             else _byte_roll(t, delta, size).to_bytes(count, "big"))
+        base = tuple(map(add, gamma, delta))
+        for j, a in _mahler_pairs(t, p, op.n, size):
+            parts.setdefault(j, {})[tuple(map(add, base, j))] = a * c % p
+    return op._from_terms(parts)
 
 
 class ThetaTable:

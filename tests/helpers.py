@@ -337,6 +337,14 @@ def rand_gl(rng: random.Random, n, lo=-2, hi=2) -> tuple[tuple[int, ...], ...]:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def table_digits(p, n) -> int:
+    """The most digits K with p^(nK) cells in a small table."""
+    k = 1
+    while p ** (n * (k + 1)) <= 2 ** 12:
+        k += 1
+    return k
+
+
 def subprocess_env() -> dict:
     """Environment for a child Python that imports this checkout's sources."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]

@@ -43,6 +43,7 @@ from helpers import (
     rand_gl,
     rand_op,
     rand_padic,
+    table_digits,
     tables_off,
 )
 
@@ -696,14 +697,6 @@ def test_theta_expansion_with_a_shift_is_the_shifted_product(p, n):
 # -- the closed form on byte theta-tables ------------------------------------
 
 
-def table_digits(p, n) -> int:
-    """The most digits K with p^(nK) cells in a small table."""
-    k = 1
-    while p ** (n * (k + 1)) <= 2 ** 12:
-        k += 1
-    return k
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_table_expansion_is_the_newton_expansion(p, n):
@@ -747,6 +740,60 @@ def test_table_path_is_the_operator_recovered_from_its_action():
                 return tau.apply_laurent(op.act(probe)).times_monomial(1, [-v for v in s])
 
             assert aut.apply(op) == normal_form_from_action(action, p, n, op.order()), op
+
+
+@pytest.mark.parametrize("p, n, prec", [(3, 2, 3), (5, 1, 3), (2, 3, 3), (7, 2, 2)])
+def test_closed_form_is_the_operator_recovered_from_its_action(p, n, prec):
+    # tau != 1 with scalars other than 1 and a nonzero shift, on random
+    # operators of several parts, whose terms meet in one output index
+    rng = random.Random(f"closed:{p}:{n}:{prec}")
+    for _ in range(3):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randrange(1, p) for _ in range(n)], p)
+        aut = FactoredAut(ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n))), tau)
+        s = [c.to_int() for c in aut.shift.components]
+        inv = tau.inverse()
+        for _ in range(3):
+            op = rand_op(rng, p, n, max_parts=4, max_order=p if n < 3 else 2, span=2, max_terms=3)
+            if op.is_zero():
+                continue
+
+            def action(m, op=op):
+                probe = inv.apply_laurent(LaurentPoly.monomial(p, n, [a + b for a, b in zip(m, s)]))
+                return tau.apply_laurent(op.act(probe)).times_monomial(1, [-v for v in s])
+
+            assert aut.apply(op) == normal_form_from_action(action, p, n, op.order()), op
+
+
+def test_closed_form_and_certificate_build_no_intermediate_operator(monkeypatch):
+    # FactoredAut.apply sums into one dictionary and wraps it; shift_apply
+    # builds only its factor x^t; factorize subtracts only to name a failure
+    made, subtracted = [], []
+    init, sub = DiffOp.__init__, DiffOp.__sub__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def counted_sub(self, other):
+        subtracted.append(1)
+        return sub(self, other)
+
+    p, n = 3, 2
+    fac = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], p), MonomialAut.create(((2, 1), (1, 1)), (2, 1), p))
+    ops = [rand_op(random.Random(9), p, n, max_parts=3, max_order=4, max_terms=3) for _ in range(4)]
+    g = fac.to_images()
+    monkeypatch.setattr(DiffOp, "__init__", counted_init)
+    monkeypatch.setattr(DiffOp, "__sub__", counted_sub)
+    for op in ops:
+        fac.apply(op)
+    assert not made
+    shift_apply(fac.shift, ops[0])
+    assert len(made) == 1
+    assert factorize(g) == fac and not subtracted
+    bad = with_image(g, 0, 1, g.d_images[0][1] + mono(p, n, (1, 1)))
+    with pytest.raises(NotSigmaForm):
+        factorize(bad)
+    assert len(subtracted) == 1
 
 
 def perturbed_messages(g, monkeypatch) -> tuple[str, str]:

@@ -78,3 +78,25 @@ def test_star_import_binds_every_public_name():
     exec("from dividedops import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == dividedops.__all__
     assert namespace["DiffOp"] is sys.modules["dividedops.diffop"].DiffOp
+
+
+def test_shift_commands_skip_the_tables(tmp_path):
+    # sigma, build-sigma and extract act by shifts alone: no table, no theta
+    images = str(tmp_path / "sigma.json")
+    shift = ["--digits", "0,2,1;2,0,1", "--p", "3", "--n", "2", "--precision", "3"]
+    sigma = loaded_modules("sigma", *shift, "apply", "d1[5]*d2[7]")
+    assert sigma == OPERATOR_RING | {"autgroup", "report"}
+    assert loaded_modules("build-sigma", *shift, "--out", images) == sigma | {"interchange"}
+    assert loaded_modules("extract", images, "--p", "3", "--n", "2", "--precision", "3") \
+        == sigma | {"interchange"}
+    assert loaded_modules("factor", images, "--p", "3", "--n", "2", "--precision", "3") \
+        == sigma | {"interchange"}
+    # with tau != 1 the closed form reads its expansions off theta
+    from dividedops.autgroup import FactoredAut, MonomialAut, ShiftVector
+    from dividedops.interchange import dumps, images_to_dict
+
+    twisted = FactoredAut(ShiftVector.from_digits([[0, 2, 1], [2, 0, 1]], 3),
+                          MonomialAut.create(((2, 1), (1, 1)), (2, 1), 3))
+    (tmp_path / "aut.json").write_text(dumps(images_to_dict(twisted.to_images())))
+    assert "theta" in loaded_modules("factor", str(tmp_path / "aut.json"), "--p", "3",
+                                     "--n", "2", "--precision", "3")

@@ -12,6 +12,7 @@ import pytest
 
 from dividedops import theta
 from dividedops.autgroup import (
+    FactoredAut,
     GeneratorImages,
     MonomialAut,
     ShiftVector,
@@ -33,6 +34,7 @@ from helpers import (
     rand_padic,
     rand_poly,
     subprocess_env,
+    table_digits,
     tables_off,
 )
 
@@ -454,3 +456,132 @@ def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
     bad = with_level(g, 1, 0, g.d_images[1][0] + DiffOp.partial(p, 2, 1, 2))
     table, sparse = both_reports(bad, monkeypatch)
     assert table == sparse and not all(ok for _, ok in table)
+
+
+# -- products by a monomial: a roll of the tables ------------------------------
+
+# perfbench's aut_roundtrip shapes (p, n, precision)
+AUT_SHAPES = ((2, 2, 5), (2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2))
+
+
+def rand_gamma_op(rng, p, n, digits, gammas=3, terms=12) -> DiffOp:
+    """An operator sum_gamma x^gamma c_gamma(theta) with several gamma and
+    indices of up to `digits` base-p digits, of positive order."""
+    size = p ** digits
+    centres = rng.sample(list(iproduct(range(-4, 5), repeat=n)), gammas)
+    parts: dict = {}
+    for t in range(terms):
+        beta = tuple(rng.randrange(size) for _ in range(n))
+        if t == 0:  # one index of full length
+            beta = (size - 1,) + beta[1:]
+        gamma = centres[t % gammas]
+        poly = parts.setdefault(beta, {})
+        poly[tuple(g + b for g, b in zip(gamma, beta))] = rng.randrange(1, p)
+    return DiffOp(p, n, {beta: LaurentPoly(p, n, t) for beta, t in parts.items()})
+
+
+def rand_delta(rng, p, n, digits) -> tuple[int, ...]:
+    size = p ** digits
+    return tuple(rng.choice([rng.randint(-3 * size, -1), rng.randint(size, 3 * size),
+                             rng.randint(-3, 3)]) for _ in range(n))
+
+
+def roll_and_loop(op: DiffOp, delta, c: int, digits: int) -> tuple[DiffOp, DiffOp]:
+    """op * c x^delta by `theta.roll_product` and by the Leibniz loop."""
+    right = DiffOp.monomial(op.p, op.n, delta, c)
+    return theta.roll_product(op, delta, c, digits), op._leibniz(right)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_roll_is_the_leibniz_loop(p, n):
+    rng = random.Random(f"roll:{p}:{n}")
+    top = table_digits(p, n)
+    for trial in range(8):
+        digits = rng.randint(1, top)
+        op = rand_gamma_op(rng, p, n, digits, gammas=rng.randint(2, 4))
+        assert len({tuple(e - b for e, b in zip(exps, beta))
+                    for beta, f in op.parts.items() for exps in f.terms}) > 1
+        # delta_1 below 0 on even trials and at least p^K on odd ones
+        far = rng.randint(1, 3 * p ** digits)
+        delta = (-far if trial % 2 == 0 else far + p ** digits,) + rand_delta(rng, p, n, digits)[1:]
+        c = rng.randrange(2, p) if p > 2 else 1
+        rolled, loop = roll_and_loop(op, delta, c, digits)
+        assert rolled.parts == loop.parts, (op, delta, c)
+        if digits < top:  # a longer period is the same product
+            assert theta.roll_product(op, delta, c, top) == loop
+
+
+@pytest.mark.parametrize("p, n", ((2, 2), (3, 2), (5, 1), (7, 3), (13, 1)))
+def test_roll_cancels_back_to_a_short_operator(p, n):
+    # (P x^-delta) x^delta = P: the many terms of P x^-delta cancel
+    rng = random.Random(f"cancel:{p}:{n}")
+    digits = table_digits(p, n)
+    for _ in range(4):
+        small = rand_gamma_op(rng, p, n, digits, gammas=2, terms=3)
+        delta = rand_delta(rng, p, n, digits)
+        op = small._leibniz(DiffOp.monomial(p, n, tuple(-v for v in delta)))
+        rolled, loop = roll_and_loop(op, delta, 1, digits)
+        assert rolled == loop == small
+        c = rng.randrange(1, p)
+        assert theta.roll_product(op, delta, c, digits) == small.scale(c)
+
+
+@pytest.mark.parametrize("p, n, prec", AUT_SHAPES)
+def test_roll_is_the_leibniz_loop_on_level_images(p, n, prec):
+    # the products of shift_apply on the level images of random automorphisms
+    rng = random.Random(f"levels:{p}:{n}:{prec}")
+    for _ in range(3):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randrange(1, p) for _ in range(n)], p)
+        s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+        images = FactoredAut(s, tau).to_images()
+        t = tuple(rng.randrange(p ** prec) for _ in range(n))
+        minus_t = tuple(-v for v in t)
+        for level in (d for row in images.d_images for d in row):
+            op = DiffOp(p, n, {b: f.times_monomial(1, minus_t) for b, f in level.parts.items()})
+            rolled, loop = roll_and_loop(op, t, 1, prec)
+            assert rolled.parts == loop.parts
+
+
+def test_the_rule_sends_single_levels_and_large_tables_to_the_loop(monkeypatch):
+    rng = random.Random(5)
+    # d_1^[p^(K-1)] x^t: a handful of contributions against 2^14 .. 3^10 cells
+    for p, n, digits in ((3, 2, 5), (5, 2, 3), (2, 2, 7)):
+        level = DiffOp.partial(p, n, 1, p ** (digits - 1))
+        for t in [(p ** digits - 1,) * n] + [rand_delta(rng, p, n, digits) for _ in range(4)]:
+            assert theta.roll_digits(level, t) == 0, (p, n, digits, t)
+    # the top level image at (2,2,5) shifted by all-ones digits rolls ...
+    images = shift_generator_images(ShiftVector.from_ints([13, 22], 2, 5))
+    top, t = images.d_images[0][4], (31, 31)
+    assert theta.roll_digits(top, t) == 5
+    # ... unless its tables are over the budget, or the operator is one
+    # long index, whose tables never fit
+    monkeypatch.setattr(theta, "TABLE_CELLS", 2 ** 9)
+    assert theta.roll_digits(top, t) == 0
+    monkeypatch.undo()
+    wide = DiffOp(2, 1, {(2 ** 16 + b,): LaurentPoly.monomial(2, 1, (b,)) for b in range(40)})
+    assert theta.roll_digits(wide, (2 ** 17 - 1,)) == 0
+
+
+def test_products_by_a_monomial_roll_where_the_rule_says(monkeypatch):
+    calls = []
+    original = theta.roll_product
+
+    def spy(op, delta, c, digits):
+        calls.append(digits)
+        return original(op, delta, c, digits)
+
+    monkeypatch.setattr(theta, "roll_product", spy)
+    images = shift_generator_images(ShiftVector.from_ints([13, 22], 2, 5))
+    top = images.d_images[0][4]
+    x_t = DiffOp.monomial(2, 2, (31, 31))
+    assert top * x_t == top._leibniz(x_t) and calls == [5]
+    # a right factor that is not one monomial, a Laurent left factor, a
+    # left factor of few parts, and p > 16 take the loop
+    for left, right in ((top, x_t + DiffOp.monomial(2, 2, (1, 0))),
+                        (DiffOp.monomial(2, 2, (3, 1)), x_t),
+                        (images.d_images[0][0], x_t),
+                        (shift_generator_images(ShiftVector.from_ints([5], 17, 2)).d_images[0][1],
+                         DiffOp.monomial(17, 1, (288,)))):
+        assert left * right == left._leibniz(right)
+    assert calls == [5]
