@@ -10,7 +10,9 @@ random.Random.  Every cell is the minimum over --repeat runs, measured in
 a fresh child process that imports this checkout's src/; the one
 expansion cache of the closed form (`theta.expansion`, both engines) is
 cleared before each run, so build and factorize pay for their expansions
-as a first call does.  A child that
+as a first call does, and each run gets a fresh copy of the images, so
+validate converts its tables as a first call does (validation keeps its
+theta-tables on the images it checked).  A child that
 has not finished within --cap seconds (its import and inputs included)
 is stopped, and the cell records the minimum of the runs it finished, or
 "capped" when it finished none.  Every result is checked: the images
@@ -25,6 +27,7 @@ under other labels are kept, so two checkouts can share one file.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -59,13 +62,14 @@ def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     images = aut.to_images()
     for _ in range(repeat):
         expansion.cache_clear()
+        fresh = dataclasses.replace(images)  # equal images with nothing kept
         t0 = time.perf_counter()
         if step == "build":
             ok = FactoredAut(aut.shift, aut.tau).to_images() == images
         elif step == "factorize":
-            ok = factorize(images) == aut
+            ok = factorize(fresh) == aut
         else:
-            ok = validate_generator_images(images).passed
+            ok = validate_generator_images(fresh).passed
         seconds = time.perf_counter() - t0
         if not ok:
             sys.exit(f"wrong {step} result at {(p, n, prec)}")

@@ -28,18 +28,22 @@ and the level images: the order-0 part of the image of d_i^[p^k] under
 the shift t is C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of
 t_i by Lucas' theorem; tau keeps order-0 parts, so `extract_digits`
 (tau = 1) and `factorize` read the digits of t = A^{-1} s off them, then
-certify the reading by rebuilding every level image with the closed form.
+certify the reading by comparing every level image with the closed form:
+on the theta-tables that validation kept of the same images, or else by
+rebuilding the level with `FactoredAut.apply`.
 
 `validate_generator_images` checks the defining relations of the level
 images on theta-tables (`theta.ThetaTable`), a faithful image of the
 operators in which a product is a roll and a pointwise product instead
 of a Leibniz expansion, when theta's table rule admits the x and level
-images; otherwise on `DiffOp`s, where sparse operators stay cheap.
+images; otherwise on `DiffOp`s, where sparse operators stay cheap.  It
+keeps the tables on the images, for its next call and for the
+certificate of `factorize`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .diffop import DiffOp, _add_into
@@ -339,6 +343,9 @@ class GeneratorImages:
     x_images: tuple[DiffOp, ...]
     xinv_images: tuple[DiffOp, ...]
     d_images: tuple[tuple[DiffOp, ...], ...]
+    # (K, x tables, level tables, one): the theta-tables of period p^K that
+    # validation converted, kept for its next call and factorize's certificate
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", as_prime(self.p))
@@ -450,9 +457,10 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     level relations run on theta-tables (`theta.ThetaTable`) when the x
     and level images fit `theta.tables_fit`, and on `DiffOp`s otherwise;
     the tables are a faithful image of the operators, so both give the
-    same report.  The image of d_i^[p^k - 1] is prod_{l<k} (d_i^[p^l])^{p-1}
-    / (p-1)!, one running product per variable that shares its powers with
-    the p-th power checks.
+    same report.  The tables are converted once and kept on g, where
+    `factorize` also reads them.  The image of d_i^[p^k - 1] is prod_{l<k}
+    (d_i^[p^l])^{p-1} / (p-1)!, one running product per variable that
+    shares its powers with the p-th power checks.
     """
     report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
@@ -473,9 +481,12 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     from .theta import ThetaTable, tables_fit
 
     if tables_fit(pp, n, digits):
-        xs = [ThetaTable.from_diffop(x, digits) for x in xs]
-        rows = [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows]
-        one = ThetaTable.from_diffop(one, digits)
+        if g._tables is None:
+            object.__setattr__(g, "_tables", (
+                digits, [ThetaTable.from_diffop(x, digits) for x in xs],
+                [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
+                ThetaTable.from_diffop(one, digits)))
+        _, xs, rows, one = g._tables
     below, nilpotent = {}, {}  # image of d_i^[p^k - 1]; is (image of d_i^[p^k])^p zero
     inv_fact = _inverse_factorial(pp - 1, pp)
     for i in range(n):
@@ -565,7 +576,8 @@ class FactoredAut:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
         p^len(beta_i), so that residue keys the expansion of a part
-        (`theta.expansion`, which also picks its engine); the terms are
+        (`theta.expansion`, which also picks its engine) with the rows of
+        A^{-1} that it reads, those of the nonzero beta_i; the terms are
         summed per output index with no intermediate operator.  At tau = 1
         it is `shift_apply`, one product by x^s, which rolls theta-tables
         where `theta.roll_digits` finds the Leibniz loop's contributions
@@ -576,11 +588,13 @@ class FactoredAut:
 
         _check_shift_operand(self.shift, op)
         tau, (ainv, t), pp = self.tau, self._ainv_and_t, self.p.p
+        zero = (0,) * self.n
         acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for beta, f in op.parts.items():
             coeff = tau.apply_laurent(f.times_monomial(1, tuple(-b for b in beta))).terms.items()
             residue = tuple(v % pp ** padic_length(b, pp) for v, b in zip(t, beta))
-            _add_into(acc, [((j, j), c) for j, c in expansion(ainv, beta, pp, residue)], coeff, pp)
+            rows = tuple([row if b else zero for row, b in zip(ainv, beta)])  # the rows it reads
+            _add_into(acc, [((j, j), c) for j, c in expansion(rows, beta, pp, residue)], coeff, pp)
         return op._from_terms(acc)
 
     def to_images(self) -> GeneratorImages:
@@ -588,16 +602,42 @@ class FactoredAut:
         return _map_images(self, GeneratorImages.identity(self.p, self.n, self.precision))
 
 
+def _table_certificate(g: GeneratorImages, tau: MonomialAut, t, unit):
+    """Whether the kept table of the image of level (i, k) is the closed
+    form's, {gamma: lambda C((A^{-1} m)_i + t_i, p^k)} for (lambda, gamma)
+    = unit[i, k]; both operators have every index below p^K, so equal
+    tables mean equal operators.  None when validation kept no tables of
+    g, or p > 16, K < precision or `theta.tables_fit` refuses them now."""
+    if g._tables is None:
+        return None
+    from .theta import ThetaTable, binomial_table, tables_fit
+
+    digits, _, rows, _ = g._tables
+    pp, n = g.p.p, g.n
+    if pp > 16 or digits < g.precision or not tables_fit(pp, n, digits):
+        return None
+    ainv = tau.inverse_matrix
+
+    def certified(i: int, k: int) -> bool:
+        scale, exps = unit[i, k]
+        table = binomial_table(ainv[i], pp ** k, pp, t[i], digits)
+        return rows[i][k] == ThetaTable(pp, n, pp ** digits, {exps: table}).scale(scale)
+
+    return certified
+
+
 def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
     """Read g = (shift s) after tau off the order-0 parts of the level
-    images, then certify it by rebuilding them, lowest level first.
+    images, then certify it level by level, lowest first.
 
     g is also tau after the shift t = A^{-1} s, so the order-0 part of the
     image of d_i^[p^k] is digit k of t_i times tau(x_i^{-p^k}) =
     lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.  The
-    certificate compares each level image with `FactoredAut.apply` on
-    d_i^[p^k], the closed form x^{-p^k A e_i} lambda_i^{-1}
-    C((A^{-1} theta)_i + t_i, p^k); the x images are never conjugated.
+    certificate compares each level image with the closed form on
+    d_i^[p^k], x^{-p^k A e_i} lambda_i^{-1} C((A^{-1} theta)_i + t_i,
+    p^k), on the tables validation kept (`_table_certificate`), or else,
+    and to word an error, rebuilt by `FactoredAut.apply`; the x images are
+    never conjugated.
     """
     p, n, prec = g.p, g.n, g.precision
     pp, zero = p.p, (0,) * n
@@ -609,8 +649,12 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
         order0 = g.d_images[i][k].parts.get(zero)
         if order0 is not None:
             digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
-    aut = FactoredAut(matrix_shift(tau.matrix, ShiftVector.from_digits(digits, p)), tau)
+    t = ShiftVector.from_digits(digits, p)
+    aut = FactoredAut(matrix_shift(tau.matrix, t), tau)
+    certified = _table_certificate(g, tau, [c.to_int() for c in t.components], unit)
     for i, k in levels:
+        if certified is not None and certified(i, k):
+            continue
         image, rebuilt = g.d_images[i][k], aut.apply(DiffOp.partial(p, n, i + 1, pp ** k))
         if image == rebuilt:
             continue

@@ -9,8 +9,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import InsufficientPrecision, MismatchError, PrecisionMismatch
 
@@ -30,13 +30,48 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
+_assign = object.__setattr__  # sets a field of a _Value once, in __init__
+
+
+class _Value:
+    """An immutable value: its fields, named in __slots__ in the order of
+    the constructor's arguments, are set once; equality, hash, copy and
+    pickle go by them, as for a frozen dataclass (whose import costs more
+    than the classes that use it)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields as one value (a tuple when there are several); an
+        # attrgetter is no method, so self._key(x) reads x
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Prime(_Value):
     """A prime modulus below 2^16, so scalar products fit native ints."""
 
-    p: int
+    __slots__ = ("p",)
 
-    def __post_init__(self):
+    def __init__(self, p: int):
+        _assign(self, "p", p)
         if not (2 <= self.p < MAX_PRIME):
             raise ValueError(f"prime must lie in [2, 2^16), got {self.p}")
         if not _is_prime(self.p):
@@ -65,15 +100,14 @@ def read_prime(value: int) -> Prime:
         raise MismatchError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class FpScalar:
+class FpScalar(_Value):
     """A residue in [0, p) tagged with its prime."""
 
-    value: int
-    p: Prime
+    __slots__ = ("value", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
+    def __init__(self, value: int, p: int | Prime):
+        _assign(self, "value", value)
+        _assign(self, "p", as_prime(p))
         if not 0 <= self.value < self.p.p:
             raise ValueError(f"residue {self.value} out of range for p={self.p.p}")
 
@@ -296,8 +330,7 @@ def binom_int_mod_p(m: int, k: int, p: int | Prime) -> FpScalar:
     return FpScalar(_lucas(m, k, p.p), p)
 
 
-@dataclass(frozen=True)
-class PadicInt:
+class PadicInt(_Value):
     """A p-adic integer truncated to `precision` base-p digits.
 
     Represents the residue class sum(d_k p^k) mod p^precision.  Digits are
@@ -305,11 +338,11 @@ class PadicInt:
     and precision; mismatches are hard errors, never silent truncation.
     """
 
-    digits: tuple[int, ...]
-    p: Prime
+    __slots__ = ("digits", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
+    def __init__(self, digits: tuple[int, ...], p: int | Prime):
+        _assign(self, "digits", digits)
+        _assign(self, "p", as_prime(p))
         if len(self.digits) < 1:
             raise ValueError("precision must be at least 1")
         if any(not 0 <= d < self.p.p for d in self.digits):
@@ -322,7 +355,7 @@ class PadicInt:
     @classmethod
     def from_int(cls, m: int, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicInt":
         p = as_prime(p)
-        return cls(_digits_mod(m, p.p, precision), p)  # __post_init__ checks precision >= 1
+        return cls(_digits_mod(m, p.p, precision), p)  # __init__ checks precision >= 1
 
     def to_int(self) -> int:
         """The canonical representative in [0, p^precision)."""

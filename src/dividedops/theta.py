@@ -50,9 +50,12 @@ only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
 and `roll_digits` ask.  `expansion` finds and caches the Mahler
 coefficients of the closed form of `autgroup.FactoredAut.apply`: for
 p <= 16 on a bit or byte table, tabulated from slices of one row of p^K
-cells (`binomial_row`, `linear_table`) and taken through the inverse
-Pascal matrix (`mahler`: one base-p digit of the cell index per pass,
-p - 1 masked big-int steps per pass); otherwise by Newton differences.
+cells and taken through the inverse Pascal matrix (`mahler`: one base-p
+digit of the cell index per pass, p - 1 masked big-int steps per pass);
+otherwise by Newton differences.  One helper gathers each factor,
+C(ell . m + t, b), from the row C(y, b) (`binomial_table`); factorize's
+certificate compares the level images' tables, kept by validation, with
+the same gathered tables.
 
 A product by c x^delta on the right is a roll alone, x^gamma c(theta)
 x^delta = x^(gamma + delta) c(theta + delta): `roll_product` rolls each
@@ -388,21 +391,27 @@ def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
     p <= 16; needs every entry of beta below p^digits.
 
     Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n
-    gathered from the row C(y, beta_i), y < p^digits (`linear_table`; at
-    p = 2 it is read as a bit table); their pointwise product goes through
-    one inverse Mahler transform (`mahler`), and its nonzero cells are the
-    c_j, in row-major order of j."""
+    (`binomial_table`); their pointwise product goes through one inverse
+    Mahler transform (`mahler`), and its nonzero cells are the c_j, in
+    row-major order of j."""
     if not any(beta):
         return (((0,) * len(beta), 1),)
-    size, count = p ** digits, p ** (digits * len(beta))
-    cells = _cells(p, count)
+    cells = _cells(p, p ** (digits * len(beta)))
     table = None
     for row, b, ti in zip(ainv, beta, t):
         if b:
-            factor = linear_table(binomial_row(b, p, digits), row, ti)
-            factor = int(factor, 2) if p == 2 else factor
+            factor = binomial_table(row, b, p, ti, digits)
             table = factor if table is None else cells.mul(table, factor)
-    return tuple(_mahler_pairs(table, p, len(beta), size))
+    return tuple(_mahler_pairs(table, p, len(beta), p ** digits))
+
+
+def binomial_table(ell, b: int, p: int, t: int, digits: int):
+    """The table of m -> C(ell . m + t, b) mod p on (Z/p^digits)^n, p <= 16
+    and b < p^digits, in its kernel's format: gathered from the row C(y, b),
+    y < p^digits (`linear_table` of `binomial_row`), and at p = 2 read as
+    a bit table."""
+    table = linear_table(binomial_row(b, p, digits), ell, t)
+    return int(table, 2) if p == 2 else table
 
 
 def _mahler_pairs(table, p: int, n: int, size: int) -> list:

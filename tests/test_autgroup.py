@@ -796,18 +796,39 @@ def test_closed_form_and_certificate_build_no_intermediate_operator(monkeypatch)
     assert len(subtracted) == 1
 
 
-def perturbed_messages(g, monkeypatch) -> tuple[str, str]:
-    """factorize's NotSigmaForm message with the closed form on tables, and
+def perturbed_messages(g, monkeypatch) -> tuple[str, str, str]:
+    """factorize's NotSigmaForm message three ways: with the closed form
+    rebuilt on tables; validated first, where the level tables that
+    validation kept are compared first, and one of them must differ; and
     with Newton differences alone (no table anywhere).  The cache is
     cleared first, so the table side computes its own expansions."""
     theta.expansion.cache_clear()
     with pytest.raises(NotSigmaForm) as tables:
         factorize(g)
+    verdicts = []
+    certificate = autgroup._table_certificate
+
+    def recorded(*args):
+        certified = certificate(*args)
+
+        def verdict(i, k):
+            verdicts.append(certified(i, k))
+            return verdicts[-1]
+
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(autgroup, "_table_certificate", recorded)
+        validate_generator_images(g)
+        with pytest.raises(NotSigmaForm) as validated:
+            factorize(g)
+    assert verdicts and verdicts[-1] is False
     with tables_off(monkeypatch) as m:
         m.setattr(theta, "_table_expansion", None)  # a table call would raise
+        m.setattr(theta, "binomial_table", None)
         with pytest.raises(NotSigmaForm) as diffops:
             factorize(g)
-    return str(tables.value), str(diffops.value)
+    return str(tables.value), str(validated.value), str(diffops.value)
 
 
 def with_image(g, i, k, image):
@@ -834,10 +855,73 @@ def test_factorize_messages_are_the_diffop_certificates(monkeypatch, i, k):
     elsewhere = image + DiffOp(p, n, {(0, 0): LaurentPoly.monomial(p, n, (5, -4))})
     got = {case: perturbed_messages(with_image(g, i, k, bad), monkeypatch)
            for case, bad in (("changed", changed), ("longer", longer), ("elsewhere", elsewhere))}
-    for tables, diffops in got.values():
-        assert tables == diffops
+    for tables, validated, diffops in got.values():
+        assert tables == validated == diffops
     assert got["longer"][0] == f"perturbation of {name} has positive order"
     assert got["elsewhere"][0].startswith(f"perturbation of {name} ")
+
+
+def refuse_rebuilds(monkeypatch):
+    """Make `FactoredAut.apply` raise, so that factorize can certify only
+    on the tables that validation kept."""
+    def refused(self, op):
+        raise AssertionError("a level image was rebuilt")
+
+    monkeypatch.setattr(FactoredAut, "apply", refused)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_validation_first_or_last_factors_the_same(monkeypatch, p, n):
+    rng = random.Random(f"kept:{p}:{n}")
+    prec = min(table_digits(p, n), 3)
+    for trial in range(3):
+        scalars = [rng.randint(1, p - 1) for _ in range(n)]
+        tau = MonomialAut.identity(p, n) if trial == 0 else \
+            MonomialAut.create(rand_gl(rng, n), scalars, p)
+        fac = FactoredAut(ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n))), tau)
+        first, last, alone = fac.to_images(), fac.to_images(), fac.to_images()
+        assert factorize(alone) == fac
+        assert factorize(last) == fac
+        assert validate_generator_images(last).passed
+        assert validate_generator_images(first).passed
+        with monkeypatch.context() as m:
+            refuse_rebuilds(m)
+            assert factorize(first) == fac
+
+
+def test_validation_converts_its_tables_once(monkeypatch):
+    g = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], 3),
+                    MonomialAut.create(((2, 1), (1, 1)), (2, 1), 3)).to_images()
+    assert validate_generator_images(g).passed
+    monkeypatch.setattr(theta.ThetaTable, "from_diffop", None)  # a conversion would raise
+    assert validate_generator_images(g).passed
+
+
+def test_levels_beyond_the_kept_period_are_rebuilt():
+    # every index of these images has one digit, so validation keeps tables
+    # of period p; there C(y, p) reads as C(y, 0), and the unit x^-p at the
+    # second level would pass for the closed form of d^[p] under the shift 3
+    p = 3
+    ident = GeneratorImages.identity(p, 1, 2)
+    g = with_image(ident, 0, 1, mono(p, 1, (-p,)))
+    validate_generator_images(g)
+    assert g._tables[0] == 1
+    with pytest.raises(NotSigmaForm, match=r"d1\^\[3\] has positive order"):
+        factorize(g)
+
+
+def test_kept_tables_are_ignored_once_tables_off(monkeypatch):
+    fac = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], 3),
+                      MonomialAut.create(((2, 1), (1, 1)), (2, 1), 3))
+    g = fac.to_images()
+    assert validate_generator_images(g).passed
+    with tables_off(monkeypatch) as m:
+        for name in ("__eq__", "__mul__", "__sub__", "is_zero"):
+            m.setattr(theta.ThetaTable, name, None)  # any use of a kept table would raise
+        m.setattr(theta, "binomial_table", None)
+        assert factorize(g) == fac
+        assert validate_generator_images(g).passed
 
 
 def test_building_and_factoring_multiply_only_the_units(monkeypatch):

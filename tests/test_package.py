@@ -11,8 +11,8 @@ import dividedops
 
 from helpers import subprocess_env
 
-# prints the dividedops modules loaded after `import dividedops`, or after
-# running the command line on the given arguments
+# prints the modules loaded after `import dividedops`, or after running the
+# command line on the given arguments
 LOADED = """
 import json, sys
 import dividedops
@@ -22,16 +22,22 @@ if sys.argv[1:]:
     from dividedops.cli import main
     with redirect_stdout(StringIO()):
         assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("dividedops."))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 OPERATOR_RING = {"cli", "diffop", "errors", "expr", "laurent", "scalars"}
 
 
-def loaded_modules(*argv) -> set[str]:
+def all_modules(*argv) -> set[str]:
     out = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
                          text=True, check=True, env=subprocess_env())
-    return {name.removeprefix("dividedops.") for name in json.loads(out.stdout)}
+    return set(json.loads(out.stdout))
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The dividedops submodules among `all_modules`."""
+    return {name.removeprefix("dividedops.") for name in all_modules(*argv)
+            if name.startswith("dividedops.")}
 
 
 def test_package_import_loads_no_submodule():
@@ -45,6 +51,12 @@ def test_package_import_loads_no_submodule():
 def test_operator_commands_load_only_the_operator_ring(argv):
     assert loaded_modules(*argv) == OPERATOR_RING
     assert loaded_modules(*argv, "--format", "machine") == OPERATOR_RING | {"interchange"}
+
+
+def test_normalize_leaves_dataclasses_unloaded():
+    # the scalars are plain classes: dataclasses would pull in inspect, ast,
+    # dis and tokenize, a few ms of every operator command's start
+    assert "dataclasses" not in all_modules("normalize", "d1[2]*x1 + x2^-3", "--p", "5", "--n", "2")
 
 
 def test_public_names_are_their_home_modules_objects():
