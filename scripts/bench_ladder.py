@@ -7,10 +7,10 @@ building them (`FactoredAut.to_images`), `factorize` and
 `validate_generator_images`.  A is [[1,1],[0,1]] at n = 2 and
 [[1,1,0],[0,1,1],[0,0,1]] at n = 3; s is drawn from a seeded
 random.Random.  Every cell is the minimum over --repeat runs, measured in
-a fresh child process that imports this checkout's src/; the one
-expansion cache of the closed form (`theta.expansion`, both engines) is
-cleared before each run, so build and factorize pay for their expansions
-as a first call does, and each run gets a fresh copy of the images, so
+a fresh child process that imports this checkout's src/; the caches of
+the closed form (`theta.expansion`, both engines, and the rows of
+`theta.binomial_row`) are cleared before each run, so build and
+factorize pay for their expansions as a first call does, and each run gets a fresh copy of the images, so
 validate converts its tables as a first call does (validation keeps its
 theta-tables on the images it checked).  A child that
 has not finished within --cap seconds (its import and inputs included)
@@ -27,7 +27,7 @@ under other labels are kept, so two checkouts can share one file.
 """
 
 import argparse
-import dataclasses
+import copy
 import json
 import os
 import platform
@@ -54,7 +54,7 @@ def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     sys.path.insert(0, str(ROOT / "src"))
     from dividedops.autgroup import (FactoredAut, MonomialAut, ShiftVector, factorize,
                                      validate_generator_images)
-    from dividedops.theta import expansion
+    from dividedops.theta import binomial_row, expansion
 
     rng = random.Random(f"ladder:{seed}:{p},{n},{prec}")
     shift = ShiftVector.from_ints([rng.randrange(p ** prec) for _ in range(n)], p, prec)
@@ -62,7 +62,8 @@ def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
     images = aut.to_images()
     for _ in range(repeat):
         expansion.cache_clear()
-        fresh = dataclasses.replace(images)  # equal images with nothing kept
+        binomial_row.cache_clear()
+        fresh = copy.copy(images)  # equal images with nothing kept
         t0 = time.perf_counter()
         if step == "build":
             ok = FactoredAut(aut.shift, aut.tau).to_images() == images

@@ -16,7 +16,7 @@ operator product); `monomial_apply` is the zero shift.
 
 `theta.expansion` finds and caches the Mahler coefficients of a part;
 `theta` alone knows the table format and the rule that picks between a
-byte table with one inverse Mahler transform and Newton differences.
+bit or byte table with one inverse Mahler transform and Newton differences.
 
 `GeneratorImages` presents an automorphism by finitely many images.  It
 acts only once factored: `apply_images` is `factorize(g).apply`, and one
@@ -43,9 +43,6 @@ certificate of `factorize`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 from .diffop import DiffOp, _add_into
 from .errors import (
     MismatchError,
@@ -61,7 +58,9 @@ from .scalars import (
     FpScalar,
     PadicInt,
     Prime,
+    _assign,
     _inverse_factorial,
+    _Value,
     as_prime,
     check_index_digits,
     index_digits,
@@ -76,14 +75,13 @@ from .scalars import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftVector:
+class ShiftVector(_Value):
     """A vector of truncated p-adic integers, one per variable; the
     parameter of a shift automorphism."""
 
-    components: tuple[PadicInt, ...]
+    __slots__ = ("components",)  # tuple[PadicInt, ...]
 
-    def __post_init__(self):
+    def _validate(self):
         if not self.components:
             raise ValueError("need at least one component")
         first = self.components[0]
@@ -215,15 +213,13 @@ def int_inverse_unimodular(matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(det * x for x in row[n:]) for row in rows)
 
 
-@dataclass(frozen=True)
-class MonomialAut:
+class MonomialAut(_Value):
     """x_j -> scalars[j] * x^(column j of matrix), a Laurent algebra
     automorphism; acts on operators by conjugation."""
 
-    matrix: tuple[tuple[int, ...], ...]
-    scalars: tuple[FpScalar, ...]
+    __slots__ = ("matrix", "scalars", "_inverse")  # _inverse: inverse_matrix, once found
 
-    def __post_init__(self):
+    def _validate(self):
         n = len(self.scalars)
         if n < 1:
             raise ValueError("need at least one variable")
@@ -246,10 +242,12 @@ class MonomialAut:
     def n(self) -> int:
         return len(self.scalars)
 
-    @cached_property
+    @property
     def inverse_matrix(self) -> tuple[tuple[int, ...], ...]:
         """A^-1, inverted once per automorphism."""
-        return int_inverse_unimodular(self.matrix)
+        if self._inverse is None:
+            _assign(self, "_inverse", int_inverse_unimodular(self.matrix))
+        return self._inverse
 
     @classmethod
     def create(cls, matrix, scalars, p) -> "MonomialAut":
@@ -332,23 +330,15 @@ def monomial_apply(tau: MonomialAut, op: DiffOp) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorImages:
+class GeneratorImages(_Value):
     """A truncated presentation of an automorphism: images of x_i, of
     x_i^{-1}, and of the divided-power levels d_i^[p^k] for k < precision."""
 
-    p: Prime
-    n: int
-    precision: int
-    x_images: tuple[DiffOp, ...]
-    xinv_images: tuple[DiffOp, ...]
-    d_images: tuple[tuple[DiffOp, ...], ...]
-    # (K, x tables, level tables, one): the theta-tables of period p^K that
-    # validation converted, kept for its next call and factorize's certificate
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # _tables: (K, x tables, level tables, one), what validation converted
+    __slots__ = ("p", "n", "precision", "x_images", "xinv_images", "d_images", "_tables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", as_prime(self.p))
+    def _validate(self):
+        _assign(self, "p", as_prime(self.p))
         if self.precision < 1:
             raise ValueError("precision must be at least 1")
         if len(self.x_images) != self.n or len(self.xinv_images) != self.n:
@@ -482,7 +472,7 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 
     if tables_fit(pp, n, digits):
         if g._tables is None:
-            object.__setattr__(g, "_tables", (
+            _assign(g, "_tables", (
                 digits, [ThetaTable.from_diffop(x, digits) for x in xs],
                 [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
                 ThetaTable.from_diffop(one, digits)))
@@ -521,15 +511,13 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactoredAut:
+class FactoredAut(_Value):
     """An order preserving automorphism in factored form: a shift followed
     after a monomial automorphism (apply tau first, then the shift)."""
 
-    shift: ShiftVector
-    tau: MonomialAut
+    __slots__ = ("shift", "tau", "_ainv_and_t")  # (A^{-1}, A^{-1} s) for apply; () at tau = 1
 
-    def __post_init__(self):
+    def _validate(self):
         if self.shift.p != self.tau.p or self.shift.n != self.tau.n:
             raise MismatchError("factors disagree on prime or variable count")
 
@@ -562,16 +550,6 @@ class FactoredAut:
         tinv = self.tau.inverse()
         return FactoredAut(-matrix_shift(tinv.matrix, self.shift), tinv)
 
-    @cached_property
-    def _ainv_and_t(self):
-        """(A^{-1}, t = A^{-1} s) for `apply`, or None at tau = 1; computed
-        once, since building the images applies it 2n + n * precision times."""
-        if self.tau.is_identity():
-            return None
-        ainv = self.tau.inverse_matrix
-        s = [c.to_int() for c in self.shift.components]
-        return ainv, [sum(a * v for a, v in zip(row, s)) for row in ainv]
-
     def apply(self, op: DiffOp) -> DiffOp:
         """Apply the shift s after tau to an operator in closed form (see
         the module docstring).  C(m + t_i, beta_i) mod p reads only t_i mod
@@ -583,6 +561,11 @@ class FactoredAut:
         where `theta.roll_digits` finds the Leibniz loop's contributions
         (about five per output term on shift images at p = 2) dearer."""
         if self._ainv_and_t is None:
+            ainv = () if self.tau.is_identity() else self.tau.inverse_matrix
+            s = [c.to_int() for c in self.shift.components]
+            t = [sum(a * v for a, v in zip(row, s)) for row in ainv]
+            _assign(self, "_ainv_and_t", ainv and (ainv, t))
+        if not self._ainv_and_t:
             return shift_apply(self.shift, op)
         from .theta import expansion
 

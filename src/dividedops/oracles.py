@@ -10,7 +10,6 @@ under a seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, product as iproduct
 from math import prod
@@ -20,19 +19,17 @@ from .diffop import DiffOp
 from .errors import MismatchError, WindowTooLarge
 from .laurent import LaurentPoly
 from .report import CheckReport
-from .scalars import Prime, as_prime, binom_int_mod_p
+from .scalars import Prime, _Value, as_prime, binom_int_mod_p
 
 MAX_WINDOW_MONOMIALS = 10_000
 
 
-@dataclass(frozen=True)
-class ExponentWindow:
+class ExponentWindow(_Value):
     """A box of exponent vectors, per-variable bounds inclusive."""
 
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
+    __slots__ = ("lo", "hi")  # tuple[int, ...] each
 
-    def __post_init__(self):
+    def _validate(self):
         if len(self.lo) != len(self.hi):
             raise MismatchError("window bounds disagree on dimension")
         if any(l > h for l, h in zip(self.lo, self.hi)):

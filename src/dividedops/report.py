@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
+from .scalars import _Value
 
-@dataclass
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+
+class Check(_Value):
+    __slots__ = ("name", "passed", "detail")  # str, bool, str
+    _defaults = {"detail": str}
+    __hash__ = None  # unhashable, as the report that holds it
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -18,10 +18,9 @@ class Check:
         return f"{tag} {self.name}{suffix}"
 
 
-@dataclass
-class CheckReport:
-    title: str
-    checks: list[Check] = field(default_factory=list)
+class CheckReport(_Value):
+    __slots__ = ("title", "checks")  # str, list[Check]
+    _defaults = {"checks": list}  # a list, so a report is unhashable
 
     def add(self, name: str, passed: bool, detail: str = ""):
         self.checks.append(Check(name, passed, detail))

@@ -30,21 +30,44 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-_assign = object.__setattr__  # sets a field of a _Value once, in __init__
+_assign = object.__setattr__  # sets a slot of a _Value: a memo, or a field _validate normalizes
 
 
 class _Value:
-    """An immutable value: its fields, named in __slots__ in the order of
-    the constructor's arguments, are set once; equality, hash, copy and
-    pickle go by them, as for a frozen dataclass (whose import costs more
-    than the classes that use it)."""
+    """An immutable value, the one base of the package's value classes (see
+    the README).  Its fields are the __slots__ names with no leading
+    underscore, in constructor order; equality, hash, repr, copy and pickle
+    go by them.  A slot with a leading underscore is a memo, set at most once."""
 
     __slots__ = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
-        # the fields as one value (a tuple when there are several); an
-        # attrgetter is no method, so self._key(x) reads x
-        cls._key = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        memos = tuple(name for name in cls.__slots__ if name[0] == "_")
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls._fields + memos)
+        cls._unset = (None,) * len(memos)  # the memos' values at construction
+        # the fields as one value, a tuple if several (self._key(x) reads x)
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for set_slot, value in zip(self._setters, args + self._unset):
+            set_slot(self, value)
+        self._validate()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """The fields in order from the arguments and `_defaults`, or TypeError."""
+        given = dict(zip(cls._fields, args))
+        values = {name: make() for name, make in cls._defaults.items()} | given | kwargs
+        if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes the arguments {', '.join(cls._fields)}")
+        return tuple(values[name] for name in cls._fields)
+
+    def _validate(self):
+        """Check the fields; a subclass may normalize one with _assign."""
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -52,17 +75,19 @@ class _Value:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        if other is self:
-            return True
         if other.__class__ is self.__class__:
-            return self._key(self) == self._key(other)
+            return other is self or self._key(self) == self._key(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self._key(self))
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
 
 
 class Prime(_Value):
@@ -70,8 +95,9 @@ class Prime(_Value):
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int):
-        _assign(self, "p", p)
+    def _validate(self):
+        if type(self.p) is not int:
+            raise ValueError(f"prime must be an int, got {self.p!r}")
         if not (2 <= self.p < MAX_PRIME):
             raise ValueError(f"prime must lie in [2, 2^16), got {self.p}")
         if not _is_prime(self.p):
@@ -105,9 +131,10 @@ class FpScalar(_Value):
 
     __slots__ = ("value", "p")
 
-    def __init__(self, value: int, p: int | Prime):
-        _assign(self, "value", value)
-        _assign(self, "p", as_prime(p))
+    def _validate(self):
+        _assign(self, "p", as_prime(self.p))
+        if type(self.value) is not int:
+            raise ValueError(f"residue must be an int, got {self.value!r}")
         if not 0 <= self.value < self.p.p:
             raise ValueError(f"residue {self.value} out of range for p={self.p.p}")
 
@@ -340,12 +367,13 @@ class PadicInt(_Value):
 
     __slots__ = ("digits", "p")
 
-    def __init__(self, digits: tuple[int, ...], p: int | Prime):
-        _assign(self, "digits", digits)
-        _assign(self, "p", as_prime(p))
+    def _validate(self):
+        _assign(self, "p", as_prime(self.p))
         if len(self.digits) < 1:
             raise ValueError("precision must be at least 1")
-        if any(not 0 <= d < self.p.p for d in self.digits):
+        if any(type(d) is not int or not 0 <= d < self.p.p for d in self.digits):
+            if any(type(d) is not int for d in self.digits):
+                raise ValueError(f"each digit must be an int, got {self.digits}")
             raise ValueError(f"digits out of range for p={self.p.p}: {self.digits}")
 
     @property
@@ -355,7 +383,7 @@ class PadicInt(_Value):
     @classmethod
     def from_int(cls, m: int, p: int | Prime, precision: int = DEFAULT_PRECISION) -> "PadicInt":
         p = as_prime(p)
-        return cls(_digits_mod(m, p.p, precision), p)  # __init__ checks precision >= 1
+        return cls(_digits_mod(m, p.p, precision), p)  # _validate checks precision >= 1
 
     def to_int(self) -> int:
         """The canonical representative in [0, p^precision)."""

@@ -35,8 +35,8 @@ from p and the cell count) does the pointwise work.  There are three:
 - p > 16: a table is a list of ints, with comprehensions.
 
 Byte and list tables convert by Kronecker passes (`_kronecker_tables`),
-written once for both, as is the Kronecker step (`_kronecker`) that also
-builds `binomial_row`.  A product rolls its left table: a list table by
+written once for both; `binomial_row`, the row C(y, b), is the conversion
+of d^[b] in no variables.  A product rolls its left table: a list table by
 slicing every row, a bit or byte table as one big int (`_int_roll`: two
 shifts and a mask per axis; a byte table turns its first axis by one
 slice before), which feeds the AND or the pairing of the product
@@ -289,23 +289,14 @@ def _bit_tables(terms: dict, count: int) -> dict:
     return {gamma: mahler(t, 2, count) for gamma, t in tables.items()}
 
 
+@lru_cache(maxsize=64)  # rows of at most TABLE_CELLS cells; certificates reuse b = p^k
 def binomial_row(b: int, p: int, digits: int) -> bytes:
-    """C(y, b) mod p for y < p^digits, p <= 16, as one row of bytes: by
-    Lucas' theorem the Kronecker product of the Pascal columns of b's
-    digits.  At p = 2 those columns are (1, 1) and (0, 1), and the row is
-    written in binary, one b"0" or b"1" per cell, which int(row, 2) reads
-    as a bit table."""
-    if p == 2:
-        row = b"1"
-        for k in range(digits):  # lowest digit first; each becomes the outermost
-            row = (b"0" * len(row) if b >> k & 1 else row) + row
-        return row
-    cells = _cells(p, p ** digits)
-    row = cells.new([1])
-    for _ in range(digits):  # lowest digit first; each becomes the outermost
-        b, digit = divmod(b, p)
-        row = _kronecker(cells, cells.new(_pascal_column(digit, p)), row)
-    return row
+    """C(y, b) mod p for y < p^digits, p <= 16, as one row: the table of
+    d^[b] in no variables, converted by its kernel, and at p = 2 written in
+    binary, one b"0" or b"1" per cell, which int(row, 2) reads back."""
+    count = p ** digits
+    row = _cells(p, count).tables({((), b): 1}, digits)[()]
+    return f"{row:0{count}b}".encode() if p == 2 else row
 
 
 def linear_table(row: bytes, ell, t: int) -> bytes:

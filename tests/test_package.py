@@ -53,10 +53,29 @@ def test_operator_commands_load_only_the_operator_ring(argv):
     assert loaded_modules(*argv, "--format", "machine") == OPERATOR_RING | {"interchange"}
 
 
-def test_normalize_leaves_dataclasses_unloaded():
-    # the scalars are plain classes: dataclasses would pull in inspect, ast,
-    # dis and tokenize, a few ms of every operator command's start
-    assert "dataclasses" not in all_modules("normalize", "d1[2]*x1 + x2^-3", "--p", "5", "--n", "2")
+SHIFT = ("--digits", "1,1;0,1", "--p", "2", "--n", "2", "--precision", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("normalize", "d1[2]*x1 + x2^-3", "--p", "5", "--n", "2"),
+    ("act", "d1[2]*x1 + x2^-1", "x1^5*x2 + 3", "--p", "3", "--n", "2"),
+    ("sigma", *SHIFT, "apply", "d1[3]*d2[1]"),
+    ("build-sigma", *SHIFT, "--out", "{images}"),
+    ("extract", "{images}"),
+    ("factor", "{images}"),
+    ("verify", "all", "--p", "2", "--n", "1", "--precision", "2"),
+], ids=lambda argv: argv[0])
+def test_no_command_loads_dataclasses(tmp_path, argv):
+    # every value class is a scalars._Value: dataclasses would pull in
+    # inspect, ast, dis and tokenize, a few ms of every command's start
+    from dividedops.autgroup import ShiftVector, shift_generator_images
+    from dividedops.interchange import dumps, images_to_dict
+
+    images = tmp_path / "sigma.json"
+    shift = ShiftVector.from_digits([[1, 1], [0, 1]], 2)
+    images.write_text(dumps(images_to_dict(shift_generator_images(shift))))
+    loaded = all_modules(*(arg.format(images=images) for arg in argv))
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_public_names_are_their_home_modules_objects():

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dividedops.autgroup import FactoredAut, MonomialAut, ShiftVector, shift_apply
-from dividedops.errors import InsufficientPrecision, PrecisionMismatch
+from dividedops.errors import InsufficientPrecision, MismatchError, PrecisionMismatch
 from dividedops.expr import eval_operator
+from dividedops.laurent import LaurentPoly
 from dividedops.scalars import (
     FpScalar,
     PadicInt,
@@ -23,6 +24,7 @@ from dividedops.scalars import (
     binom_int_mod_p,
     binom_padic,
     padic_length,
+    read_prime,
 )
 
 from dividedops.theta import ThetaTable
@@ -67,6 +69,24 @@ def test_scalars_accept_an_int_prime():
         PadicInt((3,), 3)
     with pytest.raises(ValueError):
         FpScalar(1, 4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Prime(7.5), lambda: Prime(5.0), lambda: Prime("7"), lambda: Prime(True),
+    lambda: FpScalar(3.0, 5), lambda: FpScalar(True, 5), lambda: FpScalar(3, 5.0),
+    lambda: PadicInt((1.0, 2), 5), lambda: PadicInt((1, False), 5),
+    lambda: LaurentPoly(5.0, 1, {(1,): 7}),
+], ids=["prime-7.5", "prime-5.0", "prime-str", "prime-bool", "residue-float", "residue-bool",
+        "residue-float-prime", "digit-float", "digit-bool", "laurent-float-prime"])
+def test_scalars_take_genuine_ints_only(make):
+    with pytest.raises(ValueError, match="must be an int"):
+        make()
+
+
+@pytest.mark.parametrize("value", [7.5, 5.0, "7", True])
+def test_read_prime_turns_a_non_int_into_a_mismatch(value):
+    with pytest.raises(MismatchError, match="must be an int"):
+        read_prime(value)
 
 
 def test_binom_nat_examples():
