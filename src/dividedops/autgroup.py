@@ -11,12 +11,14 @@ So the shift s after tau acts by one closed form, `FactoredAut.apply`:
 
 t = A^{-1} s, the product expanded as sum_j c_j x^j d^[j] by its Mahler
 coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
-conjugation by the unit x^s for any integer representative of s (one
-operator product); `monomial_apply` is the zero shift.
+conjugation by the unit x^s for any integer representative of s: a roll
+of theta-tables, theta -> theta + s, or one operator product;
+`monomial_apply` is the zero shift.
 
 `theta.expansion` finds and caches the Mahler coefficients of a part;
-`theta` alone knows the table format and the rule that picks between a
-bit or byte table with one inverse Mahler transform and Newton differences.
+`theta` alone knows the table format and the rules that pick between a
+bit or byte table with one inverse Mahler transform and Newton differences,
+and between a roll and the product for a shift (`theta.roll_digits`).
 
 `GeneratorImages` presents an automorphism by finitely many images.  It
 acts only once factored: `apply_images` is `factorize(g).apply`, and one
@@ -67,8 +69,10 @@ from .scalars import (
     padic_length,
 )
 
-# theta is imported where tables are used, validation and the closed form at
-# tau != 1, so that shift-only commands (sigma, build-sigma, extract) skip it
+# theta is imported where tables are used, validation, the closed form at
+# tau != 1 and the shift of at least ROLL_PARTS parts, so that shift-only
+# commands (sigma, build-sigma, extract) skip it
+ROLL_PARTS = 8  # fewer parts rarely repay a table's fixed cost: the rule is not asked
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -157,13 +161,21 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     representative gives the same operator.  Requires the precision of s
     to cover the p-adic length of every divided index in `op`.
 
-    x^-t op only shifts the coefficients, so it is wrapped, not rebuilt;
-    the one product by x^t, (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j
-    d^[beta - j], rolls theta-tables or runs the Leibniz loop, as
-    `theta.roll_digits` decides.
+    With at least ROLL_PARTS parts and p <= 16, where `theta.roll_digits`
+    finds it cheaper, each theta-table of op rolls by t (`theta.roll_shift`:
+    x^-t x^gamma c(theta) x^t = x^gamma c(theta + t)).  Otherwise x^-t op,
+    which only shifts the coefficients, is wrapped, not rebuilt, and the
+    one product by x^t, (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j
+    d^[beta - j], runs the Leibniz loop of `DiffOp.__mul__`.
     """
     _check_shift_operand(s, op)
-    t = [c.to_int() for c in s.components]
+    t = tuple(c.to_int() for c in s.components)
+    if len(op.parts) >= ROLL_PARTS and s.p.p <= 16:
+        from .theta import roll_digits, roll_shift
+
+        digits = roll_digits(op, t)
+        if digits:
+            return roll_shift(op, t, digits)
     minus_t = tuple(-v for v in t)
     left = op._wrap({beta: f.times_monomial(1, minus_t) for beta, f in op.parts.items()})
     return left * DiffOp.monomial(s.p, s.n, t)
@@ -557,9 +569,10 @@ class FactoredAut(_Value):
         (`theta.expansion`, which also picks its engine) with the rows of
         A^{-1} that it reads, those of the nonzero beta_i; the terms are
         summed per output index with no intermediate operator.  At tau = 1
-        it is `shift_apply`, one product by x^s, which rolls theta-tables
-        where `theta.roll_digits` finds the Leibniz loop's contributions
-        (about five per output term on shift images at p = 2) dearer."""
+        it is `shift_apply`, which rolls theta-tables where
+        `theta.roll_digits` finds the Leibniz loop of its one product by
+        x^s (about five contributions per output term on shift images at
+        p = 2) dearer."""
         if self._ainv_and_t is None:
             ainv = () if self.tau.is_identity() else self.tau.inverse_matrix
             s = [c.to_int() for c in self.shift.components]

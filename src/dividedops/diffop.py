@@ -24,11 +24,6 @@ j_i + (beta_i - j_i) = beta_i (one interval of j_i when beta_i < p, the
 digit box of delta_i when eps_i cannot carry).  Powers of an order-0
 operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits
 of the exponent; other powers square and multiply.
-
-A right factor c x^delta translates theta_i = x_i d_i by delta, so when
-p <= 16 and the left factor has at least ROLL_PARTS parts (so positive
-order), `theta.roll_digits` may find rolling theta-tables cheaper
-(`theta.roll_product`); a smaller left factor never imports `theta`.
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from .scalars import Prime, _leibniz_terms, _lucas, as_prime
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
 REPLAY_PROBES = 8  # random monomials normal_form_from_action replays after solving
-ROLL_PARTS = 8  # fewer left parts rarely repay a table's fixed cost: the rule is not asked
 
 
 class DiffOp:
@@ -220,20 +214,8 @@ class DiffOp:
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        self._check(other)
-        if len(self._parts) >= ROLL_PARTS and len(other._parts) == 1 and self.p.p <= 16:
-            right = other._parts.get((0,) * self.n)
-            if right is not None and len(right.terms) == 1:
-                from .theta import roll_digits, roll_product
-
-                (delta, c), = right.terms.items()
-                digits = roll_digits(self, delta)
-                if digits:
-                    return roll_product(self, delta, c, digits)
-        return self._leibniz(other)
-
-    def _leibniz(self, other: "DiffOp") -> "DiffOp":
         """The product by the Leibniz rule of the module docstring."""
+        self._check(other)
         pp = self.p.p
         right = [(eps, delta, cg) for eps, g in other._parts.items()
                  for delta, cg in g.terms.items()]

@@ -58,8 +58,10 @@ def _exponents(entry, key: str, n: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _header(data) -> tuple[Prime, int]:
-    p = read_prime(_field(data, "p", int))
+def _header(data, prime: Prime | None = None) -> tuple[Prime, int]:
+    """(p, n) of an object; a p equal to the given `prime` reuses it."""
+    value = _field(data, "p", int)
+    p = prime if prime is not None and value == prime.p else read_prime(value)
     n = _field(data, "n", int)
     if n < 1:
         raise MismatchError(f"need n at least 1, got {n}")
@@ -101,8 +103,9 @@ def _term(entry, n: int, pp: int) -> tuple[tuple[int, ...], tuple[int, ...], int
     return beta, exps, c
 
 
-def op_from_dict(data: dict) -> DiffOp:
-    p, n = _header(data)
+def op_from_dict(data: dict, prime: Prime | None = None) -> DiffOp:
+    """The operator of data; `prime`, if given, is reused for an equal p."""
+    p, n = _header(data, prime)
     _known_fields(data, _OP_FIELDS, "an operator")
     parts: dict[tuple[int, ...], dict] = {}
     for entry in _field(data, "terms", list):
@@ -150,9 +153,9 @@ def images_from_dict(data: dict) -> GeneratorImages:
         p,
         n,
         precision,
-        tuple(op_from_dict(e) for e in _field(data, "x_images", list)),
-        tuple(op_from_dict(e) for e in _field(data, "xinv_images", list)),
-        tuple(tuple(op_from_dict(e) for e in row) for row in rows),
+        tuple(op_from_dict(e, p) for e in _field(data, "x_images", list)),
+        tuple(op_from_dict(e, p) for e in _field(data, "xinv_images", list)),
+        tuple(tuple(op_from_dict(e, p) for e in row) for row in rows),
     )
 
 

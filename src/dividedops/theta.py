@@ -1,6 +1,7 @@
 """Operators as theta-tables, the representation in which
-`validate_generator_images` multiplies generator images and the closed
-form of `autgroup.FactoredAut` is tabulated.
+`validate_generator_images` multiplies generator images, the closed form
+of `autgroup.FactoredAut` is tabulated and `autgroup.shift_apply` rolls
+a shift.
 
 With theta_i = x_i d_i every divided power is d^[beta] = x^{-beta}
 C(theta, beta), so an operator is a finite sum sum_gamma x^gamma
@@ -57,14 +58,14 @@ C(ell . m + t, b), from the row C(y, b) (`binomial_table`); factorize's
 certificate compares the level images' tables, kept by validation, with
 the same gathered tables.
 
-A product by c x^delta on the right is a roll alone, x^gamma c(theta)
-x^delta = x^(gamma + delta) c(theta + delta): `roll_product` rolls each
-table by delta and reads its Mahler coefficients a_j back as the terms
-c a_j x^(gamma + delta + j) d^[j].  `DiffOp.__mul__` takes it where
-`roll_digits` finds it cheaper, in Leibniz contributions (a j of a part,
-about 0.3 us): 10, plus 4 per term beyond one a part, plus n K passes over
-p^(nK) cells for each gamma (at least the terms of one part), against
-the loop's terms * prod_i min(beta_i + 1, prod_r (delta_ir + 1)).
+A shift by t is a roll alone, x^-t x^gamma c(theta) x^t = x^gamma
+c(theta + t): `roll_shift` rolls each table by t and reads its Mahler
+coefficients a_j back as the terms a_j x^(gamma + j) d^[j].
+`autgroup.shift_apply` takes it where `roll_digits` finds it cheaper than
+the Leibniz loop of (x^-t op) x^t, in Leibniz contributions (a j of a
+part, about 0.3 us): 10, plus 4 per term beyond one a part, plus n K
+passes over p^(nK) cells for each gamma (at least the terms of one part),
+against the loop's terms * prod_i min(beta_i + 1, prod_r (t_ir + 1)).
 """
 
 from __future__ import annotations
@@ -413,17 +414,17 @@ def _mahler_pairs(table, p: int, n: int, size: int) -> list:
             for index, c in _cells(p, count).items(mahler(table, p, count))]
 
 
-def roll_digits(op: DiffOp, delta) -> int:
-    """K, the period digits of the tables on which `roll_product` finds
-    op * x^delta (p <= 16, op of positive order), or 0 where they do not
+def roll_digits(op: DiffOp, t) -> int:
+    """K, the period digits of the tables on which `roll_shift` finds
+    x^-t op x^t (p <= 16, op of positive order), or 0 where they do not
     fit or cost more than the Leibniz loop, by the rule of the module
-    docstring; the j_i of a nonzero C(delta_i, j_i) have every digit at
-    most delta_i's (mod p^K), which bounds the loop's contributions."""
+    docstring; the j_i of a nonzero C(t_i, j_i) have every digit at most
+    t_i's (mod p^K), which bounds the loop's contributions."""
     p, n = op.p.p, op.n
     digits = index_digits(op.parts, p)
     if not tables_fit(p, n, digits):
         return 0
-    boxes = [prod(r + 1 for r in _digits_mod(d, p, digits)) for d in delta]
+    boxes = [prod(r + 1 for r in _digits_mod(d, p, digits)) for d in t]
     terms = [len(f.terms) for f in op.parts.values()]
     contributions = 0
     for beta, count in zip(op.parts, terms):
@@ -436,19 +437,18 @@ def roll_digits(op: DiffOp, delta) -> int:
     return digits if contributions > table else 0
 
 
-def roll_product(op: DiffOp, delta, c: int, digits: int) -> DiffOp:
-    """op * c x^delta on theta-tables of period p^digits, p <= 16: each
-    table rolls by delta, and its Mahler coefficients a_j are the terms
-    c a_j x^(gamma + delta + j) of part j (see the module docstring)."""
+def roll_shift(op: DiffOp, t, digits: int) -> DiffOp:
+    """x^-t op x^t on theta-tables of period p^digits, p <= 16: each table
+    rolls by t, and its Mahler coefficients a_j are the terms
+    a_j x^(gamma + j) of part j (see the module docstring)."""
     table = ThetaTable.from_diffop(op, digits)
     p, size, count = table.p, table.size, table.size ** op.n
     parts: dict[tuple[int, ...], dict] = {}
-    for gamma, t in table.tables.items():
-        t = (_int_roll(t, delta, size, count, count, 1) if p == 2
-             else _byte_roll(t, delta, size).to_bytes(count, "big"))
-        base = tuple(map(add, gamma, delta))
-        for j, a in _mahler_pairs(t, p, op.n, size):
-            parts.setdefault(j, {})[tuple(map(add, base, j))] = a * c % p
+    for gamma, c in table.tables.items():
+        c = (_int_roll(c, t, size, count, count, 1) if p == 2
+             else _byte_roll(c, t, size).to_bytes(count, "big"))
+        for j, a in _mahler_pairs(c, p, op.n, size):
+            parts.setdefault(j, {})[tuple(map(add, gamma, j))] = a
     return op._from_terms(parts)
 
 

@@ -115,6 +115,43 @@ def test_shift_apply_is_conjugation_by_any_representative(p):
                 assert img.act_monomial(m) == shifted.times_monomial(1, tuple(-b for b in r))
 
 
+def wide_op(rng, p, n, digits, parts=10) -> DiffOp:
+    """An operator of `parts` parts on two gamma, indices below p^digits,
+    one of them of full length."""
+    size = p ** digits
+    gammas = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(2)]
+    betas = {(size - 1,) * n}
+    while len(betas) < parts:
+        betas.add(tuple(rng.randrange(size) for _ in range(n)))
+    return DiffOp(p, n, {beta: LaurentPoly(p, n, {
+        tuple(g + b for g, b in zip(gamma, beta)): rng.randrange(1, p) for gamma in gammas})
+        for beta in betas})
+
+
+@pytest.mark.parametrize("p, n, digits", [(2, 1, 5), (2, 2, 4), (3, 1, 3), (3, 2, 2),
+                                          (5, 1, 2), (5, 2, 1), (7, 1, 2), (13, 1, 2)])
+def test_rolled_shift_is_conjugation_by_any_representative(p, n, digits, monkeypatch):
+    # operands of at least ROLL_PARTS parts, shifted by digits near p - 1,
+    # roll their theta-tables; the module action is the oracle, as above
+    rolls = []
+    original = theta.roll_shift
+    monkeypatch.setattr(theta, "roll_shift", lambda op, t, k: rolls.append(k) or original(op, t, k))
+    rng = random.Random(f"rolled:{p}:{n}:{digits}")
+    for _ in range(3):
+        op = wide_op(rng, p, n, digits)
+        assert len(op.parts) >= autgroup.ROLL_PARTS
+        s = ShiftVector.from_digits(
+            [[rng.choice((p - 1, p - 1, rng.randrange(p))) for _ in range(digits)]
+             for _ in range(n)], p)
+        img = shift_apply(s, op)
+        for _ in range(4):
+            r = tuple(c.to_int() + p ** digits * rng.randint(-3, 3) for c in s.components)
+            m = tuple(rng.randint(-2 * p ** digits, 2 * p ** digits) for _ in range(n))
+            shifted = op.act_monomial(tuple(a + b for a, b in zip(m, r)))
+            assert img.act_monomial(m) == shifted.times_monomial(1, tuple(-b for b in r))
+    assert rolls and set(rolls) == {digits}
+
+
 def test_shift_apply_fixes_laurent():
     rng = random.Random(8)
     s = ShiftVector((rand_padic(rng, 3, 4), rand_padic(rng, 3, 4)))

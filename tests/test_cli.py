@@ -393,6 +393,27 @@ def test_images_file_round_trip(tmp_path):
     assert dumps(images_to_dict(images_from_dict(json.loads(text)))) == text
 
 
+def test_images_file_reads_its_prime_once(monkeypatch):
+    # the embedded operators reuse the file's Prime: one prime test per file,
+    # not one per operator (2n + n * precision = 14 of them at (2,2,5))
+    from dividedops.scalars import Prime
+
+    data = json.loads(dumps(images_to_dict(shift_generator_images(
+        ShiftVector.from_digits([[1, 0, 1, 1, 0], [0, 1, 1, 0, 1]], 2)))))
+    built = []
+    validate = Prime._validate
+    monkeypatch.setattr(Prime, "_validate", lambda self: built.append(self.p) or validate(self))
+    images = images_from_dict(data)
+    assert built == [2]
+    assert all(op.p is images.p for op in (*images.x_images, *images.d_images[1]))
+    # an embedded p that differs is read on its own, with the same errors
+    monkeypatch.undo()
+    for p, error in ((4, "4 is not prime"), (3, "image operator mismatch")):
+        data["d_images"][1][4]["p"] = p
+        with pytest.raises(DividedOpsError, match=error):
+            images_from_dict(data)
+
+
 def test_operator_dict_round_trip():
     op = eval_operator("d1[3]*x1^-2 + 2*x2*d2[1] + 1", 5, 2)
     assert op_from_dict(op_to_dict(op)) == op

@@ -111,6 +111,22 @@ def test_star_import_binds_every_public_name():
     assert namespace["DiffOp"] is sys.modules["dividedops.diffop"].DiffOp
 
 
+def test_the_product_never_loads_theta():
+    # an operator of 8 parts at p = 3 times x^5: the product is the Leibniz
+    # rule alone, whatever a table would cost
+    code = """
+import sys
+from dividedops.diffop import DiffOp
+from dividedops.laurent import LaurentPoly
+op = DiffOp(3, 1, {(b,): LaurentPoly.one(3, 1) for b in range(1, 9)})
+assert len(op.parts) == 8 and op * DiffOp.monomial(3, 1, (5,))
+print("dividedops.theta" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=subprocess_env())
+    assert out.stdout == "False\n"
+
+
 def test_shift_commands_skip_the_tables(tmp_path):
     # sigma, build-sigma and extract act by shifts alone: no table, no theta
     images = str(tmp_path / "sigma.json")

@@ -45,3 +45,26 @@ def test_cli_transcript_matches_golden():
                           capture_output=True, text=True, env=subprocess_env(), timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (ROOT / "tests" / "golden" / "cli_transcript.txt").read_text()
+
+
+def test_src_lines_totals_match_a_plain_line_count():
+    done = subprocess.run([sys.executable, "scripts/src_lines.py"], cwd=ROOT,
+                          capture_output=True, text=True, env=subprocess_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    rows = [line.strip("|").split("|") for line in done.stdout.splitlines()[2:]]
+    counts = {name.strip(): (int(total), int(code)) for name, total, code in rows}
+    modules = sorted((ROOT / "src" / "dividedops").glob("*.py"))
+    assert sorted(counts) == sorted([path.name for path in modules] + ["total"])
+    for path in modules:
+        total, code = counts[path.name]
+        assert total == len(path.read_text().splitlines()) and 0 < code < total
+    assert counts["total"] == tuple(map(sum, zip(*(counts[path.name] for path in modules))))
+    assert counts["total"][0] == sum(len(path.read_text().splitlines()) for path in modules)
+
+
+def test_src_lines_leaves_out_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "m.py").write_text('"""A module\n\ndocstring."""\n\n# a comment\n'
+                                   'def f(x):\n    """One line."""\n    return """a\nb"""  # c\n')
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.splitlines()[2:] == ["| m.py | 9 | 3 |", "| total | 9 | 3 |"]

@@ -10,12 +10,13 @@ from itertools import product as iproduct
 
 import pytest
 
-from dividedops import theta
+from dividedops import autgroup, theta
 from dividedops.autgroup import (
     FactoredAut,
     GeneratorImages,
     MonomialAut,
     ShiftVector,
+    shift_apply,
     shift_compose_images,
     shift_generator_images,
     validate_generator_images,
@@ -458,7 +459,7 @@ def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
     assert table == sparse and not all(ok for _, ok in table)
 
 
-# -- products by a monomial: a roll of the tables ------------------------------
+# -- shifts: a roll of the tables -----------------------------------------------
 
 # perfbench's aut_roundtrip shapes (p, n, precision)
 AUT_SHAPES = ((2, 2, 5), (2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2))
@@ -486,10 +487,15 @@ def rand_delta(rng, p, n, digits) -> tuple[int, ...]:
                              rng.randint(-3, 3)]) for _ in range(n))
 
 
-def roll_and_loop(op: DiffOp, delta, c: int, digits: int) -> tuple[DiffOp, DiffOp]:
-    """op * c x^delta by `theta.roll_product` and by the Leibniz loop."""
-    right = DiffOp.monomial(op.p, op.n, delta, c)
-    return theta.roll_product(op, delta, c, digits), op._leibniz(right)
+def conjugate(op: DiffOp, t) -> DiffOp:
+    """x^-t op x^t by two Leibniz products."""
+    return (DiffOp.monomial(op.p, op.n, tuple(-v for v in t)) * op
+            * DiffOp.monomial(op.p, op.n, t))
+
+
+def roll_and_loop(op: DiffOp, t, digits: int) -> tuple[DiffOp, DiffOp]:
+    """x^-t op x^t by `theta.roll_shift` and by the Leibniz loop."""
+    return theta.roll_shift(op, t, digits), conjugate(op, t)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
@@ -505,41 +511,39 @@ def test_roll_is_the_leibniz_loop(p, n):
         # delta_1 below 0 on even trials and at least p^K on odd ones
         far = rng.randint(1, 3 * p ** digits)
         delta = (-far if trial % 2 == 0 else far + p ** digits,) + rand_delta(rng, p, n, digits)[1:]
-        c = rng.randrange(2, p) if p > 2 else 1
-        rolled, loop = roll_and_loop(op, delta, c, digits)
-        assert rolled.parts == loop.parts, (op, delta, c)
-        if digits < top:  # a longer period is the same product
-            assert theta.roll_product(op, delta, c, top) == loop
+        rolled, loop = roll_and_loop(op, delta, digits)
+        assert rolled.parts == loop.parts, (op, delta)
+        if digits < top:  # a longer period is the same shift
+            assert theta.roll_shift(op, delta, top) == loop
 
 
 @pytest.mark.parametrize("p, n", ((2, 2), (3, 2), (5, 1), (7, 3), (13, 1)))
 def test_roll_cancels_back_to_a_short_operator(p, n):
-    # (P x^-delta) x^delta = P: the many terms of P x^-delta cancel
+    # the shift by -delta, then by delta, gives P back: the many terms of
+    # x^delta P x^-delta cancel
     rng = random.Random(f"cancel:{p}:{n}")
     digits = table_digits(p, n)
     for _ in range(4):
         small = rand_gamma_op(rng, p, n, digits, gammas=2, terms=3)
         delta = rand_delta(rng, p, n, digits)
-        op = small._leibniz(DiffOp.monomial(p, n, tuple(-v for v in delta)))
-        rolled, loop = roll_and_loop(op, delta, 1, digits)
+        minus = tuple(-v for v in delta)
+        op = theta.roll_shift(small, minus, digits)
+        assert op == conjugate(small, minus)
+        rolled, loop = roll_and_loop(op, delta, digits)
         assert rolled == loop == small
-        c = rng.randrange(1, p)
-        assert theta.roll_product(op, delta, c, digits) == small.scale(c)
 
 
 @pytest.mark.parametrize("p, n, prec", AUT_SHAPES)
 def test_roll_is_the_leibniz_loop_on_level_images(p, n, prec):
-    # the products of shift_apply on the level images of random automorphisms
+    # the shifts of shift_apply on the level images of random automorphisms
     rng = random.Random(f"levels:{p}:{n}:{prec}")
     for _ in range(3):
         tau = MonomialAut.create(rand_gl(rng, n), [rng.randrange(1, p) for _ in range(n)], p)
         s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
         images = FactoredAut(s, tau).to_images()
         t = tuple(rng.randrange(p ** prec) for _ in range(n))
-        minus_t = tuple(-v for v in t)
         for level in (d for row in images.d_images for d in row):
-            op = DiffOp(p, n, {b: f.times_monomial(1, minus_t) for b, f in level.parts.items()})
-            rolled, loop = roll_and_loop(op, t, 1, prec)
+            rolled, loop = roll_and_loop(level, t, prec)
             assert rolled.parts == loop.parts
 
 
@@ -565,23 +569,22 @@ def test_the_rule_sends_single_levels_and_large_tables_to_the_loop(monkeypatch):
 
 def test_products_by_a_monomial_roll_where_the_rule_says(monkeypatch):
     calls = []
-    original = theta.roll_product
+    original = theta.roll_shift
 
-    def spy(op, delta, c, digits):
+    def spy(op, t, digits):
         calls.append(digits)
-        return original(op, delta, c, digits)
+        return original(op, t, digits)
 
-    monkeypatch.setattr(theta, "roll_product", spy)
+    monkeypatch.setattr(theta, "roll_shift", spy)
     images = shift_generator_images(ShiftVector.from_ints([13, 22], 2, 5))
     top = images.d_images[0][4]
-    x_t = DiffOp.monomial(2, 2, (31, 31))
-    assert top * x_t == top._leibniz(x_t) and calls == [5]
-    # a right factor that is not one monomial, a Laurent left factor, a
-    # left factor of few parts, and p > 16 take the loop
-    for left, right in ((top, x_t + DiffOp.monomial(2, 2, (1, 0))),
-                        (DiffOp.monomial(2, 2, (3, 1)), x_t),
-                        (images.d_images[0][0], x_t),
-                        (shift_generator_images(ShiftVector.from_ints([5], 17, 2)).d_images[0][1],
-                         DiffOp.monomial(17, 1, (288,)))):
-        assert left * right == left._leibniz(right)
+    s = ShiftVector.from_ints([31, 31], 2, 5)
+    assert shift_apply(s, top) == conjugate(top, (31, 31)) and calls == [5]
+    # a Laurent operator, an operator of few parts, and p > 16 take the loop
+    s17 = ShiftVector.from_ints([288], 17, 2)
+    wide17 = shift_generator_images(ShiftVector.from_ints([16], 17, 2)).d_images[0][1]
+    assert len(wide17.parts) >= autgroup.ROLL_PARTS
+    for s, op in ((s, DiffOp.monomial(2, 2, (3, 1))), (s, images.d_images[0][0]), (s17, wide17)):
+        t = tuple(c.to_int() for c in s.components)
+        assert shift_apply(s, op) == conjugate(op, t)
     assert calls == [5]
