@@ -41,8 +41,14 @@ of d^[b] in no variables.  A product rolls its left table: a list table by
 slicing every row, a bit or byte table as one big int (`_int_roll`: two
 shifts and a mask per axis; a byte table turns its first axis by one
 slice before), which feeds the AND or the pairing of the product
-directly.  A kernel's one accessor, `items`, lists the nonzero
-cells whatever the table holds.  An array library would cost more to
+directly.  The masks, whole-table ints, are cached in one `_Masks`
+dict bounded in bytes, MASK_BYTES = 2 MB as sys.getsizeof counts them:
+a roll's mask per axis shape, and the whole sequence of one `mahler` per
+(p, cells), fetched by one lookup per call.  The largest such sequence
+within TABLE_CELLS, p = 13 on 13^4 cells, takes 1.27 MB; aut_roundtrip
+and op_algebra use about 64 kB and 61 kB of masks, which stay resident.
+A kernel's one accessor, `items`, lists the nonzero cells whatever the
+table holds.  An array library would cost more to
 import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
@@ -71,8 +77,9 @@ against the loop's terms * prod_i min(beta_i + 1, prod_r (t_ir + 1)).
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, islice
 from math import prod
 from operator import add, and_, mul, sub, xor
 from types import SimpleNamespace
@@ -172,15 +179,43 @@ def _roll(table, shift, size: int, join):
     return table
 
 
-# Masks are whole-table ints, so the cache stays small: at TABLE_CELLS
-# cells a byte mask is 64 kB and a bit mask 8 kB.
-@lru_cache(maxsize=128)
-def _mask(cells: int, chunk: int, lo: int, hi: int, width: int) -> int:
+MASK_BYTES = 2 ** 21  # the most bytes of masks kept, as sys.getsizeof counts; read at call time
+
+
+def _new_mask(cells: int, chunk: int, lo: int, hi: int, width: int) -> int:
     """The cells at offsets lo .. hi - 1 of every chunk, all `width` bits of
     each set: a byte table's (width 8) or a bit table's (width 1)."""
     zero, one = (b"\x00", b"\xff") if width == 8 else (b"0", b"1")
     row = (zero * lo + one * (hi - lo) + zero * (chunk - hi)) * (cells // chunk)
     return int.from_bytes(row, "big") if width == 8 else int(row, 2)
+
+
+def _nbytes(masks) -> int:
+    """The bytes, as sys.getsizeof counts them, of a mask or a tuple of masks."""
+    return sum(map(sys.getsizeof, masks)) if type(masks) is tuple else sys.getsizeof(masks)
+
+
+class _Masks(dict):
+    """Masks by key, at most MASK_BYTES bytes in all: a roll's mask under
+    (cells, chunk, hi, width), the whole sequence of a `mahler` under
+    (p, cells)."""
+
+    nbytes = 0
+
+    def keep(self, key, masks):
+        """masks, an int or a tuple of ints, kept under key unless they
+        alone pass MASK_BYTES; a full cache is emptied to make room."""
+        size = _nbytes(masks)
+        if size <= MASK_BYTES:
+            if self.nbytes + size > MASK_BYTES:
+                self.clear()
+                self.nbytes = 0
+            self[key] = masks
+            self.nbytes += size
+        return masks
+
+
+_masks = _Masks()
 
 
 def _int_roll(x: int, shift, size: int, cells: int, chunk: int, width: int) -> int:
@@ -194,7 +229,10 @@ def _int_roll(x: int, shift, size: int, cells: int, chunk: int, width: int) -> i
         cut = s % size * block
         if cut:
             back = x >> width * (chunk - cut)
-            x = ((x << width * cut) ^ back) & _mask(cells, chunk, 0, chunk - cut, width) ^ back
+            key = (cells, chunk, chunk - cut, width)
+            mask = _masks.get(key) or _masks.keep(
+                key, _new_mask(cells, chunk, 0, chunk - cut, width))
+            x = ((x << width * cut) ^ back) & mask ^ back
         chunk = block
     return x
 
@@ -226,20 +264,35 @@ def mahler(table, p: int, cells: int):
     its digit: a step subtracts from every cell whose digit is at least r
     the cell one below it on that digit, all at once, as one masked
     big-int shift, one pairing and one `translate` over the whole table."""
-    stride = 1
+    masks = iter(_masks.get((p, cells)) or _mahler_masks(p, cells))
     if p == 2:
-        while stride < cells:
-            table ^= table >> stride & _mask(cells, 2 * stride, stride, 2 * stride, 1)
-            stride *= 2
+        for stride, mask in zip(_strides(2, cells), masks):
+            table ^= table >> stride & mask
         return table
     step = _cells(p, cells).differences
     x = int.from_bytes(table, "big")
-    while stride < cells:
-        for r in range(1, p):
-            below = x >> 8 * stride & _mask(cells, p * stride, r * stride, p * stride, 8)
+    for stride in _strides(p, cells):
+        for mask in islice(masks, p - 1):
+            below = x >> 8 * stride & mask
             x = int.from_bytes((x << 4 | below).to_bytes(cells, "big").translate(step), "big")
-        stride *= p
     return x.to_bytes(cells, "big")
+
+
+def _strides(p: int, cells: int) -> list:
+    """The strides 1, p, p^2, ... below `cells` of `mahler`'s passes."""
+    stride, strides = 1, []
+    while stride < cells:
+        strides.append(stride)
+        stride *= p
+    return strides
+
+
+def _mahler_masks(p: int, cells: int) -> tuple:
+    """The masks of `mahler`'s steps in order, the cells whose digit at the
+    pass's stride is at least r, for r = 1 .. p - 1; kept under (p, cells)."""
+    return _masks.keep((p, cells), tuple(
+        _new_mask(cells, p * stride, r * stride, p * stride, 1 if p == 2 else 8)
+        for stride in _strides(p, cells) for r in range(1, p)))
 
 
 def _kronecker(cells: SimpleNamespace, column, table):

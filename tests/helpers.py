@@ -12,7 +12,7 @@ from functools import partial
 from itertools import product as iproduct
 from pathlib import Path
 
-from dividedops import theta
+from dividedops import interchange, theta
 from dividedops.diffop import DiffOp
 from dividedops.errors import InsufficientPrecision, MismatchError, ParseError
 from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
@@ -239,6 +239,24 @@ class _ReferenceParser:
             self._expect("]")
             return Partial(idx, order)
         self._fail("expected an atom")
+
+
+def reference_op_from_dict(data, prime=None) -> DiffOp:
+    """Read an operator object one term at a time, each term's fields
+    checked in turn and every part built through the normalizing
+    constructors: the reference that `interchange.op_from_dict`, which
+    checks a whole term list at once, is tested against, operators and
+    MismatchErrors alike."""
+    p, n = interchange._header(data, prime)
+    interchange._known_fields(data, interchange._OP_FIELDS, "an operator")
+    parts: dict = {}
+    for entry in interchange._field(data, "terms", list):
+        beta, exps, c = interchange._term(entry, n, p.p)
+        terms = parts.setdefault(beta, {})
+        if exps in terms:
+            raise MismatchError(f"repeated term with x_exp {list(exps)} and d_exp {list(beta)}")
+        terms[exps] = c
+    return DiffOp(p, n, {b: LaurentPoly(p, n, t) for b, t in parts.items()})
 
 
 def monomial_compose_images(tau, h):

@@ -3,15 +3,18 @@
 import copy
 import json
 import math
+import random
 import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dividedops import interchange
 from dividedops.autgroup import (
     FactoredAut,
     GeneratorImages,
@@ -37,7 +40,7 @@ from dividedops.interchange import (
 )
 from dividedops.laurent import LaurentPoly, term_string
 
-from helpers import subprocess_env
+from helpers import rand_gl, reference_op_from_dict, subprocess_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -551,6 +554,112 @@ def test_interchange_readers_return_or_raise_typed_error(case):
     assert isinstance(result, DiffOp if reader is op_from_dict else GeneratorImages)
 
 
+def _roundtrip_images():
+    """Images, as dicts, like the benchmark's round trip: a seeded shift
+    after a seeded monomial automorphism, at small shapes."""
+    rng = random.Random("reader-oracle")
+    images = []
+    for p, n, prec in ((2, 2, 5), (2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2)):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        s = ShiftVector.from_ints([rng.randrange(p ** prec) for _ in range(n)], p, prec)
+        images.append(images_to_dict(shift_compose_images(s, monomial_generator_images(tau, prec))))
+    return tuple(images)
+
+
+def image_ops(data) -> list:
+    """The operator objects of an images object, in reading order."""
+    return [*data["x_images"], *data["xinv_images"], *sum(data["d_images"], [])]
+
+
+ROUNDTRIP_IMAGES = _roundtrip_images()
+ROUNDTRIP_OPS = tuple(op for data in ROUNDTRIP_IMAGES for op in image_ops(data)
+                      if len(op["terms"]) > 1)
+CORRUPTIONS = ("none", "bool", "float", "length", "missing", "extra", "coeff", "repeat",
+               "negative", "not-a-dict")
+
+
+def corrupt(draw, doc):
+    """Corrupt at most one term entry of the operator object doc, at a
+    random position, in place."""
+    p, n, terms = doc["p"], doc["n"], doc["terms"]
+    i = draw(st.integers(0, len(terms) - 1))
+    entry = terms[i]
+    key = draw(st.sampled_from(("d_exp", "x_exp")))
+    k = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(CORRUPTIONS))
+    if kind in ("bool", "float"):
+        value = draw(st.booleans()) if kind == "bool" else float(entry["coeff"])
+        if draw(st.booleans()):
+            entry["coeff"] = value
+        else:
+            entry[key][k] = value if kind == "bool" else entry[key][k] + 0.5
+    elif kind == "length":
+        entry[key] = entry[key][:-1] if draw(st.booleans()) else entry[key] + [0]
+    elif kind == "missing":
+        del entry[draw(st.sampled_from(("coeff", "d_exp", "x_exp")))]
+    elif kind == "extra":
+        entry[draw(st.sampled_from(("junk", "p", "terms")))] = 0
+    elif kind == "coeff":
+        entry["coeff"] = draw(st.sampled_from((0, p)))
+    elif kind == "repeat" and len(terms) > 1:
+        terms[i] = copy.deepcopy(terms[draw(st.integers(0, len(terms) - 1).filter(i.__ne__))])
+    elif kind == "negative":
+        entry["d_exp"][k] = -draw(st.integers(1, 3))
+    elif kind == "not-a-dict":
+        terms[i] = draw(st.none() | st.integers(-2, 2) | st.text(max_size=2)
+                        | st.lists(st.integers(0, 2), max_size=3))
+
+
+@st.composite
+def corrupted_terms(draw):
+    """An operator of ROUNDTRIP_OPS with at most one term entry corrupted."""
+    doc = copy.deepcopy(draw(st.sampled_from(ROUNDTRIP_OPS)))
+    corrupt(draw, doc)
+    return doc
+
+
+@st.composite
+def corrupted_images(draw):
+    """Images of ROUNDTRIP_IMAGES with at most one operator corrupted: a
+    term entry, or a field of the operator object itself."""
+    data = copy.deepcopy(draw(st.sampled_from(ROUNDTRIP_IMAGES)))
+    op = draw(st.sampled_from(image_ops(data)))
+    field = draw(st.sampled_from(("terms", "p", "n", "junk")))
+    if field == "terms":
+        corrupt(draw, op)
+    elif draw(st.booleans()):
+        op.pop(field, None)
+    else:
+        op[field] = draw(st.sampled_from((0, 1, 2, 3, 4, True, 2.0, [])))
+    return data
+
+
+def read_outcome(reader, doc):
+    """What reader reads from doc, or its typed error's class and message."""
+    try:
+        return reader(doc)
+    except DividedOpsError as exc:
+        return type(exc), str(exc)
+
+
+@given(corrupted_terms())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_op_reader_matches_the_per_term_reference(doc):
+    # the list-level pass and the per-term reader give equal operators, or
+    # the same message naming the same first faulty entry
+    assert read_outcome(op_from_dict, doc) == read_outcome(reference_op_from_dict, doc)
+
+
+@given(corrupted_images())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_images_reader_matches_reading_one_operator_at_a_time(data):
+    # all operators read as one, or each through op_from_dict, as the
+    # reader does whenever one of them fails the bulk checks
+    got = read_outcome(images_from_dict, data)
+    with mock.patch.object(interchange, "_read_ops", lambda *args: None):
+        assert got == read_outcome(images_from_dict, data)
+
+
 # text: arbitrary, written from the dicts above and cut anywhere, nested
 # past the parser's recursion limit, or holding integers past int()'s limit
 JSON_TEXTS = (
@@ -574,8 +683,41 @@ def test_interchange_text_readers_return_or_raise_typed_error(reader, text):
 
 WRONG_SCALARS = (st.none() | st.booleans() | st.floats() | st.text(max_size=3)
                  | st.integers(-3, 3))
+
+
+@st.composite
+def operator_objects(draw):
+    """Operator objects {n, p, terms} whose term lists are plain and of one
+    shape, which the writer takes in one pass, or the same with one item
+    that breaks the shape, which it writes item by item: a list of them,
+    one of them, or one term list."""
+    nd, nx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    term = st.fixed_dictionaries({
+        "coeff": st.integers(), "d_exp": st.lists(st.integers(), min_size=nd, max_size=nd),
+        "x_exp": st.lists(st.integers(), min_size=nx, max_size=nx)})
+    ops = draw(st.lists(st.fixed_dictionaries({
+        "n": st.integers(), "p": st.integers(), "terms": st.lists(term, max_size=4)}),
+        min_size=1, max_size=3))
+    op = draw(st.sampled_from(ops))
+    terms = op["terms"]
+    entry = draw(st.sampled_from(terms)) if terms else op
+    vector = entry[draw(st.sampled_from(("d_exp", "x_exp")))] if terms else None
+    how = draw(st.sampled_from(("none", "bool", "extra", "length", "nested")))
+    if how == "extra":
+        entry[draw(st.text(max_size=4))] = draw(st.integers())
+    elif how == "length" and vector:
+        vector.append(draw(st.integers()))
+    elif how in ("bool", "nested"):
+        value = draw(st.booleans() if how == "bool" else st.lists(st.integers(), max_size=2))
+        if vector:
+            vector[0] = value
+        else:
+            op[draw(st.sampled_from(("n", "p")))] = value
+    return draw(st.sampled_from((ops, op, terms)))
+
+
 DUMPS_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | operator_objects(),
     lambda inner: st.lists(inner, max_size=4)
     | st.lists(inner, max_size=3).map(tuple)
     | st.dictionaries(st.text(max_size=4) | st.sampled_from(FIELDS), inner, max_size=4)
@@ -599,6 +741,9 @@ def test_dumps_rejects_non_string_keys():
 
 @pytest.mark.parametrize("obj", [
     {"terms": [{"coeff": 1, "d_exp": [0], "x_exp": [10 ** 5000]}]},
+    {"n": 1, "p": 2, "terms": [{"coeff": 1, "d_exp": [0], "x_exp": [1]},
+                               {"coeff": 10 ** 5000, "d_exp": [0], "x_exp": [0]}]},
+    [{"n": 1, "p": 10 ** 5000, "terms": [{"coeff": 1, "d_exp": [0], "x_exp": [0]}]}],
     {"precision": 10 ** 5000},
 ])
 def test_dumps_rejects_ints_too_long_to_write(obj):

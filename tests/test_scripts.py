@@ -29,14 +29,19 @@ def test_bench_ladder_writes_a_number_or_capped_per_cell(tmp_path):
                               text=True, env=subprocess_env(), timeout=60)
         assert done.returncode == 0, done.stdout + done.stderr
     data = json.loads(out.read_text())
-    assert data["steps"] == ["build", "factorize", "validate"]
+    assert data["steps"] == ["build", "factorize", "validate", "write", "read"]
     cells = {label: [v for row in run["seconds"].values() for v in row.values()]
              for label, run in data["runs"].items()}
-    assert len(cells["small"]) == 6 and len(cells["starved"]) == 3
+    assert len(cells["small"]) == 10 and len(cells["starved"]) == 5
     for values in cells.values():
         assert all(v == "capped" or isinstance(v, float) for v in values)
     assert all(isinstance(v, float) for v in cells["small"])
-    assert cells["starved"] == ["capped"] * 3
+    assert cells["starved"] == ["capped"] * 5
+    # the images' term count, for the boundary's cost per term
+    terms = data["runs"]["small"]["terms"]
+    assert sorted(terms) == ["2,1,2", "3,2,2"]
+    assert all(type(t) is int and t > 0 for t in terms.values())
+    assert data["runs"]["starved"]["terms"] == {"2,1,2": None}
 
 
 def test_cli_transcript_matches_golden():

@@ -223,6 +223,70 @@ def test_mahler_undoes_from_diffop(p, n):
             assert got == want, (op, gamma)
 
 
+def fresh_masks(monkeypatch, budget=None):
+    """An empty mask cache, under `budget` bytes if given; the list of the
+    keys of the masks built from then on."""
+    monkeypatch.setattr(theta, "_masks", theta._Masks())
+    if budget is not None:
+        monkeypatch.setattr(theta, "MASK_BYTES", budget)
+    built = []
+    new_mask = theta._new_mask
+    monkeypatch.setattr(theta, "_new_mask", lambda *key: built.append(key) or new_mask(*key))
+    return built
+
+
+def test_masks_stay_within_their_byte_budget(monkeypatch):
+    # a budget below what the shapes need: a full cache is emptied and its
+    # masks built again, a set larger than the whole budget is never kept,
+    # and every Mahler transform and roll gives what it gives with every
+    # mask kept
+    rng = random.Random("masks")
+    cases = []
+    for p, n, k in ((2, 2, 3), (3, 2, 2), (5, 1, 3), (3, 3, 2), (2, 3, 3)):
+        cells = p ** (k * n)
+        table = rng.getrandbits(cells) if p == 2 else bytes(rng.randrange(p) for _ in range(cells))
+        cases.append((p, n, p ** k, cells, table))
+
+    def run(p, n, size, cells, table):
+        shift = tuple(rng.randrange(size) for _ in range(n))
+        rolled = (theta._int_roll(table, shift, size, cells, cells, 1) if p == 2
+                  else theta._byte_roll(table, shift, size))
+        return theta.mahler(table, p, cells), rolled
+
+    rng.seed("shifts")
+    want = [run(*case) for case in cases]
+    budget = 4_000
+    built = fresh_masks(monkeypatch, budget)
+    for _ in range(2):
+        rng.seed("shifts")
+        for case, result in zip(cases, want):
+            assert run(*case) == result
+            assert theta._masks.nbytes == sum(map(theta._nbytes, theta._masks.values())) <= budget
+    assert len(built) > len(set(built))
+    # mahler's 12 byte masks on 3^6 cells take more than the budget
+    assert theta._nbytes(theta._mahler_masks(3, 3 ** 6)) > budget
+    assert (3, 3 ** 6) not in theta._masks
+
+
+def test_a_second_pass_builds_no_mask(monkeypatch):
+    # images like the benchmark's, built (mahler) and validated (rolls) twice
+    rng = random.Random("mask-pass")
+    auts = []
+    for p, n, prec in ((2, 2, 5), (3, 2, 3), (2, 3, 3), (5, 2, 2)):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        auts.append(FactoredAut(ShiftVector.from_ints(
+            [rng.randrange(p ** prec) for _ in range(n)], p, prec), tau))
+    built = fresh_masks(monkeypatch)
+    for expect_built in (True, False):
+        theta.expansion.cache_clear()
+        for aut in auts:
+            assert validate_generator_images(aut.to_images()).passed
+        assert bool(built) == expect_built
+        assert theta._masks.nbytes <= theta.MASK_BYTES
+        assert len(built) == len(set(built))
+        built.clear()
+
+
 @pytest.mark.parametrize("p, n", SHAPES)
 def test_byte_roll_is_the_slicing_roll(p, n):
     # the big-int roll against slicing, alone and inside the product of
