@@ -16,7 +16,8 @@ engines, and the rows of `theta.binomial_row`) are cleared before each
 run, so build and factorize pay for their expansions as a first call
 does, and each run gets a fresh copy of the images, so validate converts
 its tables as a first call does (validation keeps its theta-tables on
-the images it checked).  A child that has not finished within --cap
+the images it checked); a full garbage collection runs just before each
+timed run, so no collection falls due inside one from the setup.  A child that has not finished within --cap
 seconds (its import and inputs included) is stopped, and the cell
 records the minimum of the runs it finished, or "capped" when it
 finished none.  Every result is checked: the images must validate and
@@ -33,6 +34,7 @@ under other labels are kept, so two checkouts can share one file.
 
 import argparse
 import copy
+import gc
 import json
 import os
 import platform
@@ -74,6 +76,7 @@ def run_cell(p: int, n: int, prec: int, step: str, repeat: int, seed: int):
         expansion.cache_clear()
         binomial_row.cache_clear()
         fresh = copy.copy(images)  # equal images with nothing kept
+        gc.collect()  # no collection left due from the setup falls inside the run
         t0 = time.perf_counter()
         if step == "build":
             result = FactoredAut(aut.shift, aut.tau).to_images()

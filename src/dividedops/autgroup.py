@@ -40,10 +40,16 @@ operators in which a product is a roll and a pointwise product instead
 of a Leibniz expansion, when theta's table rule admits the x and level
 images; otherwise on `DiffOp`s, where sparse operators stay cheap.  It
 keeps the tables on the images, for its next call and for the
-certificate of `factorize`.
+certificate of `factorize`.  It multiplies each level image by each x
+image for the brackets; once those pass and the x images are monomials
+on a unimodular matrix, Jacobi's identity leaves the commutators and
+the p-th powers to the module action, acting on 1, so valid images
+cost O(n * precision) products, not one per pair of levels.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .diffop import DiffOp, _add_into
 from .errors import (
@@ -159,7 +165,8 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     C(m + t, beta) x^{m - beta}, and by Lucas' theorem C(m + t, beta) mod p
     reads only the digits of t below the p-adic length of beta, so any
     representative gives the same operator.  Requires the precision of s
-    to cover the p-adic length of every divided index in `op`.
+    to cover the p-adic length of every divided index in `op`.  An
+    operand of order 0 comes back as it is: x^-t commutes with it.
 
     With at least ROLL_PARTS parts and p <= 16, where `theta.roll_digits`
     finds it cheaper, each theta-table of op rolls by t (`theta.roll_shift`:
@@ -169,6 +176,8 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     d^[beta - j], runs the Leibniz loop of `DiffOp.__mul__`.
     """
     _check_shift_operand(s, op)
+    if op.is_laurent():
+        return op
     t = tuple(c.to_int() for c in s.components)
     if len(op.parts) >= ROLL_PARTS and s.p.p <= 16:
         from .theta import roll_digits, roll_shift
@@ -452,17 +461,32 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
 
     Exactly: x images are two-sided units against their declared inverses;
     x images commute; level images commute; [d_i^[p^k], x_j] equals
-    delta_ij times the image of d_i^[p^k - 1]; and every level image has
-    vanishing p-th power.
+    delta_ij times E_ik, the image of d_i^[p^k - 1]; and every level image
+    has vanishing p-th power.
 
     The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
     level relations run on theta-tables (`theta.ThetaTable`) when the x
     and level images fit `theta.tables_fit`, and on `DiffOp`s otherwise;
     the tables are a faithful image of the operators, so both give the
     same report.  The tables are converted once and kept on g, where
-    `factorize` also reads them.  The image of d_i^[p^k - 1] is prod_{l<k}
-    (d_i^[p^l])^{p-1} / (p-1)!, one running product per variable that
-    shares its powers with the p-th power checks.
+    `factorize` also reads them.  E_ik = prod_{l<k} (d_i^[p^l])^{p-1} /
+    (p-1)!, one running product per variable, and the brackets multiply
+    each level image by each x image: O(n * n * precision) products.
+
+    The commutators and the p-th powers are decided by the module action
+    where it suffices.  Let the x images X_j be monomials lambda_j x^(a_j)
+    with det [a_1 ... a_n] = +-1, so that an operator commuting with every
+    X_j is a Laurent polynomial C, and C = 0 iff C(1) = 0.  Take level
+    images D_a = d_i^[p^k] and D_b = d_j^[p^l] whose brackets pass, where
+    D_a commutes with the lower levels of variable j, so with E_jl, and D_b
+    with those of variable i.  By Jacobi, [[D_a, D_b], X_r] = [D_a, [D_b,
+    X_r]] - [D_b, [D_a, X_r]] = delta_jr [D_a, E_jl] - delta_ir [D_b, E_ik]
+    = 0, so D_a D_b = D_b D_a iff D_a(D_b(1)) = D_b(D_a(1)).  Likewise, if
+    D = D_a also commutes with the lower levels of variable i, [D^p, X_r] =
+    delta_ir p D^{p-1} E_ik = 0, so D^p = 0 iff p actions take 1 to 0.  The
+    pairs are decided by increasing k + l, since a pair's condition reads
+    only pairs of smaller level sum; where a condition fails, the check
+    multiplies the images.
     """
     report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
@@ -479,6 +503,10 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
             ok = g.x_images[i] * g.x_images[j] == g.x_images[j] * g.x_images[i]
             report.add(f"commute x[{i + 1}] x[{j + 1}]", ok)
     xs, rows = g.x_images, g.d_images
+    try:  # are the x images monomials on a unimodular matrix
+        spans = int_det([x.to_laurent().unit_decompose()[1] for x in xs]) in (1, -1)
+    except (MismatchError, NotAUnit):  # positive order, or not one term
+        spans = False
     digits = index_digits([beta for op in (*xs, *sum(rows, ())) for beta in op.parts], pp)
     from .theta import ThetaTable, tables_fit
 
@@ -489,32 +517,62 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
                 [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
                 ThetaTable.from_diffop(one, digits)))
         _, xs, rows, one = g._tables
-    below, nilpotent = {}, {}  # image of d_i^[p^k - 1]; is (image of d_i^[p^k])^p zero
+    below = {}  # E_ik, the image of d_i^[p^k - 1]
     inv_fact = _inverse_factorial(pp - 1, pp)
     for i in range(n):
         running = one
         for k in range(prec):
             below[i, k] = running
-            top = rows[i][k] ** (pp - 1)
-            nilpotent[i, k] = (top * rows[i][k]).is_zero()
             if k + 1 < prec:
-                running = running * top.scale(inv_fact)
+                step = (rows[i][k] ** (pp - 1)).scale(inv_fact)
+                running = step if k == 0 else running * step
     levels = [(i, k) for i in range(n) for k in range(prec)]
-    for a in range(len(levels)):
-        for b in range(a + 1, len(levels)):
-            (i, k), (j, l) = levels[a], levels[b]
-            di = rows[i][k]
-            dj = rows[j][l]
-            ok = di * dj == dj * di
-            report.add(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", ok)
+    brackets = {}
     for i, k in levels:
         dik = rows[i][k]
         for j in range(n):
             com = dik * xs[j] - xs[j] * dik
-            ok = com == below[i, k] if i == j else com.is_zero()
-            report.add(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", ok)
+            brackets[i, k, j] = com == below[i, k] if i == j else com.is_zero()
+    # the levels whose relations the module action may decide, with their image of 1
+    constant = LaurentPoly.one(p, n)
+    at_one = {(i, k): rows[i][k].act(constant) for i, k in levels
+              if spans and all(brackets[i, k, j] for j in range(n))}
+    commute = {}  # (a, b), a before b in levels: do the two level images commute
+    # (level a, variable j): the lowest level of j that a fails to commute
+    # with; pairs of one level a go by increasing level of j, so the first
+    # failure found is the lowest
+    fails: dict = {}
+    pairs = list(combinations(levels, 2))
+    for a, b in sorted(pairs, key=lambda ab: ab[0][1] + ab[1][1]):
+        (i, k), (j, l) = a, b
+        da, db = rows[i][k], rows[j][l]
+        # a commutes with the levels of j below l, and b with those of i below k
+        if (a in at_one and b in at_one and fails.get((a, j), l) >= l
+                and fails.get((b, i), k) >= k):
+            ok = da.act(at_one[b]) == db.act(at_one[a])
+        else:
+            ok = da * db == db * da
+        commute[a, b] = ok
+        if not ok:
+            fails.setdefault((a, j), l)
+            fails.setdefault((b, i), k)
+    for (i, k), (j, l) in pairs:
+        report.add(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", commute[(i, k), (j, l)])
     for i, k in levels:
-        report.add(f"p-th power d[{i + 1}]^[p^{k}]", nilpotent[i, k])
+        for j in range(n):
+            report.add(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", brackets[i, k, j])
+    for i, k in levels:
+        dik = rows[i][k]
+        if (i, k) in at_one and fails.get(((i, k), i), k) >= k:
+            f = at_one[i, k]
+            for _ in range(pp - 1):
+                if not f:
+                    break
+                f = dik.act(f)
+            nilpotent = not f
+        else:
+            nilpotent = (dik ** pp).is_zero()
+        report.add(f"p-th power d[{i + 1}]^[p^{k}]", nilpotent)
     return report
 
 

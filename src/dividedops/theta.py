@@ -47,9 +47,10 @@ a roll's mask per axis shape, and the whole sequence of one `mahler` per
 (p, cells), fetched by one lookup per call.  The largest such sequence
 within TABLE_CELLS, p = 13 on 13^4 cells, takes 1.27 MB; aut_roundtrip
 and op_algebra use about 64 kB and 61 kB of masks, which stay resident.
-A kernel's one accessor, `items`, lists the nonzero cells whatever the
-table holds.  An array library would cost more to
-import than these tables take to multiply.
+A kernel's two accessors, `cell` and `items`, read one cell and list the
+nonzero cells whatever the table holds; `ThetaTable.act` reads one cell
+per gamma and term, x^gamma c(theta) x^m = c(m) x^(m + gamma).  An array
+library would cost more to import than these tables take to multiply.
 
 A table has p^(nK) cells however sparse the operator, so tables are used
 only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
@@ -81,11 +82,12 @@ import sys
 from functools import lru_cache, partial
 from itertools import chain, islice
 from math import prod
-from operator import add, and_, mul, sub, xor
+from operator import add, and_, getitem, mul, sub, xor
 from types import SimpleNamespace
 
 from .diffop import DiffOp, power
 from .errors import MismatchError
+from .laurent import LaurentPoly
 from .scalars import _digits_mod, _lucas, _pascal_column, check_index_digits, index_digits
 
 TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
@@ -103,7 +105,7 @@ def _list_cells(p: int) -> SimpleNamespace:
     """Cell arithmetic mod p on lists of residues."""
     join = lambda pieces: list(chain.from_iterable(pieces))  # noqa: E731
     cells = SimpleNamespace(
-        p=p, new=list, join=join, nonzero=any,
+        p=p, new=list, join=join, nonzero=any, cell=getitem,
         items=lambda t: [(i, v) for i, v in enumerate(t) if v],
         mul=lambda f, g: [u * v % p for u, v in zip(f, g)],
         add=lambda f, g: [(u + v) % p for u, v in zip(f, g)],
@@ -136,7 +138,7 @@ def _byte_cells(p: int) -> SimpleNamespace:
     scales = [bytes(b * c % p for b in range(256)) for c in range(p)]
     products, differences = _byte_map(mul, p), _byte_map(sub, p)
     cells = SimpleNamespace(
-        p=p, new=bytes, join=b"".join, nonzero=lambda t: t != bytes(len(t)),
+        p=p, new=bytes, join=b"".join, nonzero=lambda t: t != bytes(len(t)), cell=getitem,
         items=lambda t: [(cell.start(), cell[0][0]) for cell in _NONZERO.finditer(t)],
         mul=_byte_op(products), add=_byte_op(_byte_map(add, p)), sub=_byte_op(differences),
         scale=lambda f, c: f.translate(scales[c % p]),
@@ -151,6 +153,7 @@ def _bit_cells(count: int) -> SimpleNamespace:
     significant: a product is AND, a sum and a difference are XOR."""
     return SimpleNamespace(
         p=2, new=lambda residues: int("".join(map(str, residues)), 2), nonzero=bool,
+        cell=lambda t, index: t >> count - 1 - index & 1,
         items=lambda t: [(cell.start(), 1) for cell in _ONES.finditer(f"{t:0{count}b}")],
         mul=and_, add=xor, sub=xor, scale=lambda f, c: f if c % 2 else 0,
         roll_mul=lambda f, shift, size, g: _int_roll(f, shift, size, count, count, 1) & g,
@@ -533,6 +536,29 @@ class ThetaTable:
             for exps, c in f.terms.items():
                 terms[tuple(e - b for e, b in zip(exps, beta)), index] = c
         return cls(p, n, size, _cells(p, size ** n).tables(terms, n * digits))
+
+    def act(self, f: LaurentPoly) -> LaurentPoly:
+        """Apply the operator to a Laurent polynomial, as `DiffOp.act`:
+        x^gamma c(theta) sends x^m to c(m mod size) x^(m + gamma), one cell
+        of each table per term of f."""
+        if f.p.p != self.p or f.n != self.n:
+            raise MismatchError("operand mismatch in action")
+        p, size, cell = self.p, self.size, self.cells.cell
+        out: dict[tuple[int, ...], int] = {}
+        for m, c in f.terms.items():
+            index = 0
+            for e in m:
+                index = index * size + e % size
+            for gamma, table in self.tables.items():
+                v = cell(table, index)
+                if v:
+                    key = tuple(map(add, m, gamma))
+                    v = (out.get(key, 0) + c * v) % p
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+        return f._wrap(out)
 
     def _check(self, other: "ThetaTable"):
         if (self.p, self.n, self.size) != (other.p, other.n, other.size):

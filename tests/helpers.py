@@ -332,6 +332,34 @@ def generic_compose_images(g, h):
         tuple(tuple(fn(img) for img in row) for row in h.d_images))
 
 
+def reference_relations(g) -> list[tuple[str, bool]]:
+    """(name, passed) of every defining relation of the images g, with the
+    names and in the order of `validate_generator_images`, each decided by
+    full products of `DiffOp`s: every pair of level images multiplied both
+    ways, every bracket against the image of d_i^[p^k - 1] assembled by
+    `divided_image_from_levels`, and every p-th power taken.  The oracle of
+    validation's module-action shortcut and of its theta-tables."""
+    p, n, prec = g.p, g.n, g.precision
+    xs, xinv, ds = g.x_images, g.xinv_images, g.d_images
+    one = DiffOp.one(p, n)
+    rows = [(f"unit x[{i + 1}]", xs[i] * xinv[i] == one and xinv[i] * xs[i] == one)
+            for i in range(n)]
+    rows += [(f"commute x[{i + 1}] x[{j + 1}]", xs[i] * xs[j] == xs[j] * xs[i])
+             for i in range(n) for j in range(i + 1, n)]
+    levels = [(i, k) for i in range(n) for k in range(prec)]
+    rows += [(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]",
+              ds[i][k] * ds[j][l] == ds[j][l] * ds[i][k])
+             for a, (i, k) in enumerate(levels) for j, l in levels[a + 1:]]
+    for i, k in levels:
+        below = divided_image_from_levels(ds[i], p.p ** k - 1)
+        for j in range(n):
+            com = ds[i][k] * xs[j] - xs[j] * ds[i][k]
+            rows.append((f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]",
+                         com == below if i == j else com.is_zero()))
+    rows += [(f"p-th power d[{i + 1}]^[p^{k}]", (ds[i][k] ** p.p).is_zero()) for i, k in levels]
+    return rows
+
+
 def rand_shift_digits(rng: random.Random, p, n, precision) -> list[list[int]]:
     pp = int(p)
     return [[rng.randint(0, pp - 1) for _ in range(precision)] for _ in range(n)]

@@ -39,10 +39,12 @@ from dividedops.scalars import PadicInt, Prime, binom_padic
 from helpers import (
     generic_apply_images,
     generic_compose_images,
+    leibniz_product,
     monomial_compose_images,
     rand_gl,
     rand_op,
     rand_padic,
+    rand_poly,
     table_digits,
     tables_off,
 )
@@ -157,6 +159,21 @@ def test_shift_apply_fixes_laurent():
     s = ShiftVector((rand_padic(rng, 3, 4), rand_padic(rng, 3, 4)))
     f = LaurentPoly(3, 2, {(1, -2): 2, (0, 0): 1})
     assert shift_apply(s, DiffOp.from_laurent(f)) == DiffOp.from_laurent(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_shift_returns_laurent_operands_as_the_leibniz_product(p):
+    # x^-t f x^t = f: the operand comes back unchanged, and equal to the
+    # Leibniz product by x^t of x^-t f
+    rng = random.Random(f"laurent-shift:{p}")
+    for n in (1, 2, 3):
+        for _ in range(6):
+            f = DiffOp.from_laurent(rand_poly(rng, p, n, max_terms=4, span=4))
+            s = ShiftVector(tuple(rand_padic(rng, p, 3) for _ in range(n)))
+            t = [c.to_int() for c in s.components]
+            left = leibniz_product(mono(p, n, [-v for v in t]), f)
+            assert shift_apply(s, f) is f
+            assert f == leibniz_product(left, mono(p, n, t))
 
 
 def test_shift_apply_examples():

@@ -2,6 +2,7 @@
 validate_generator_images checked to report the same on tables as on
 DiffOps."""
 
+import copy
 import math
 import random
 import subprocess
@@ -32,8 +33,10 @@ from helpers import (
     monomial_compose_images,
     rand_gl,
     rand_op,
+    rand_nonzero_poly,
     rand_padic,
     rand_poly,
+    reference_relations,
     subprocess_env,
     table_digits,
     tables_off,
@@ -77,6 +80,17 @@ def test_table_is_the_module_action(p, n):
                    for gamma, t in values.items() if t[cell]}
             assert op.act(LaurentPoly.monomial(p, n, m)).terms == got, (op, m)
     assert many_gammas >= 4
+
+
+@pytest.mark.parametrize("p, n", SHAPES + ((17, 1), (17, 2)))
+def test_table_action_is_the_operator_action(p, n):
+    # one cell per gamma and term, from the bit, byte or list kernel
+    rng = random.Random(f"act:{p}:{n}")
+    for op in rand_ops(rng, p, n, 12):
+        table = ThetaTable.from_diffop(op, digits_for(op))
+        for _ in range(4):
+            f = rand_poly(rng, p, n, max_terms=4, span=2 * table.size)
+            assert table.act(f) == op.act(f), (op, f)
 
 
 @pytest.mark.parametrize("p, n, order", [(2, 3, 7), (3, 2, 8), (5, 2, 24), (17, 1, 288)])
@@ -405,15 +419,101 @@ def test_reports_agree_on_both_paths(monkeypatch):
     verdicts = []
     for g in sets:
         table, sparse = both_reports(g, monkeypatch)
-        assert table == sparse
+        assert table == sparse == reference_relations(g)
         verdicts.append(all(ok for _, ok in table))
     assert True in verdicts and False in verdicts
 
 
 def failing(g, monkeypatch) -> list[str]:
     table, sparse = both_reports(g, monkeypatch)
-    assert table == sparse
+    assert table == sparse == reference_relations(g)
     return [name for name, ok in table if not ok]
+
+
+def valid_images(rng, p, n, prec) -> GeneratorImages:
+    s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+    tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+    return FactoredAut(s, tau).to_images()
+
+
+def with_x(g: GeneratorImages, x: DiffOp, xinv: DiffOp) -> GeneratorImages:
+    return GeneratorImages(g.p, g.n, g.precision, (x, *g.x_images[1:]),
+                           (xinv, *g.xinv_images[1:]), g.d_images)
+
+
+def perturbations(rng, g: GeneratorImages) -> dict:
+    """Five ways to break valid images g, by name."""
+    p, n, prec = g.p.p, g.n, g.precision
+    ds, (x, *_), (xinv, *_) = g.d_images, g.x_images, g.xinv_images
+    i, k, top = rng.randrange(n), rng.randrange(prec), prec - 1
+    # the top level feeds no bracket, so its own brackets still pass
+    laurent = DiffOp.from_laurent(rand_nonzero_poly(rng, p, n, max_terms=2, span=2))
+    bump = rand_op(rng, p, n, max_parts=2, max_order=2, span=2, max_terms=3)
+    a, b = rng.sample([(i, k) for i in range(n) for k in range(prec)], 2)
+    swapped = with_level(g, *a, ds[b[0]][b[1]])
+    return {
+        "laurent": with_level(g, i, top, ds[i][top] + laurent),
+        "operator": with_level(g, i, k, ds[i][k] + bump),
+        "swap": with_level(swapped, *b, ds[a[0]][a[1]]),
+        "square": with_x(g, x * x, xinv * xinv),  # det 2: no lattice of monomials
+        "sum": with_x(g, x + DiffOp.one(g.p, n), xinv),  # not a monomial
+    }
+
+
+ORACLE_SHAPES = ((2, 1, 3), (2, 2, 3), (2, 2, 4), (3, 1, 3), (3, 2, 2), (5, 2, 2), (2, 3, 2),
+                 (7, 1, 2))
+
+
+def test_reports_equal_the_reference_relations(monkeypatch):
+    # valid images and five perturbations of each, on both paths; the
+    # Laurent term added to the top level keeps its brackets, so the module
+    # action decides some of its failing commutators
+    decided = failed = 0
+    for p, n, prec in ORACLE_SHAPES:
+        rng = random.Random(f"oracle:{p}:{n}:{prec}")
+        for _ in range(14):
+            g = valid_images(rng, p, n, prec)
+            assert all(ok for _, ok in reference_relations(g))
+            for name, bad in {"valid": g, **perturbations(rng, g)}.items():
+                table, sparse = both_reports(bad, monkeypatch)
+                reference = reference_relations(bad)
+                assert table == sparse == reference, (name, p, n, prec)
+                failed += not all(ok for _, ok in reference)
+                brackets = all(ok for name, ok in reference if name.startswith("bracket"))
+                decided += name == "laurent" and brackets and not all(ok for _, ok in reference)
+    assert failed >= 500 and decided >= 100
+
+
+def counted_products(m, cls, counts) -> list:
+    """Patch cls.__mul__ to record each product that `counts`."""
+    calls, original = [], cls.__mul__
+
+    def spy(a, b):
+        if counts(a, b):
+            calls.append((a, b))
+        return original(a, b)
+
+    m.setattr(cls, "__mul__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p, n, prec", [(2, 2, 5), (2, 3, 4), (2, 1, 6)])
+def test_valid_images_make_linearly_many_products(monkeypatch, p, n, prec):
+    # at p = 2 with L = n * prec levels: the brackets multiply each level
+    # image by each x image both ways, 2 n L products, and the running
+    # products of the images of d_i^[p^k - 1] make fewer than L more; no
+    # commutator or p-th power is multiplied out (148 products at (2, 2, 5)
+    # when every pair was)
+    g = valid_images(random.Random(f"count:{p}:{n}:{prec}"), p, n, prec)
+    bound = 2 * n * n * prec + n * prec
+    with monkeypatch.context() as m:
+        tables = counted_products(m, ThetaTable, lambda a, b: True)
+        assert validate_generator_images(copy.copy(g)).passed
+    with tables_off(monkeypatch) as m:
+        # the unit and x checks multiply Laurent polynomials, not level images
+        ops = counted_products(m, DiffOp, lambda a, b: not (a.is_laurent() and b.is_laurent()))
+        assert validate_generator_images(copy.copy(g)).passed
+    assert len(tables) == len(ops) <= bound
 
 
 def test_nonzero_pth_power_fails_on_both_paths(monkeypatch):
