@@ -17,12 +17,12 @@ run, so build and factorize pay for their expansions as a first call
 does, and each run gets a fresh copy of the images, so validate converts
 its tables as a first call does (validation keeps its theta-tables on
 the images it checked); a full garbage collection runs just before each
-timed run, so no collection falls due inside one from the setup.  A child that has not finished within --cap
-seconds (its import and inputs included) is stopped, and the cell
-records the minimum of the runs it finished, or "capped" when it
-finished none.  Every result is checked: the images must validate and
-factor back into s and A, and the text written must read back into the
-same images.
+timed run, so no collection falls due inside one from the setup.  A
+child that has not finished within --cap seconds (its import and
+inputs included) is stopped, and the cell records the minimum of the
+runs it finished, or "capped" when it finished none.  Every result is
+checked: the images must validate and factor back into s and A, and the
+text written must read back into the same images.
 
 Usage:
     python3 scripts/bench_ladder.py --label NAME [--out BENCH.json]

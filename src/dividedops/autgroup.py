@@ -485,8 +485,9 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     D = D_a also commutes with the lower levels of variable i, [D^p, X_r] =
     delta_ir p D^{p-1} E_ik = 0, so D^p = 0 iff p actions take 1 to 0.  The
     pairs are decided by increasing k + l, since a pair's condition reads
-    only pairs of smaller level sum; where a condition fails, the check
-    multiplies the images.
+    only pairs of smaller level sum, so the conditions hold up to the
+    lowest sum of a pair that fails; where they fail, the check multiplies
+    the images.
     """
     report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
@@ -538,40 +539,34 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     at_one = {(i, k): rows[i][k].act(constant) for i, k in levels
               if spans and all(brackets[i, k, j] for j in range(n))}
     commute = {}  # (a, b), a before b in levels: do the two level images commute
-    # (level a, variable j): the lowest level of j that a fails to commute
-    # with; pairs of one level a go by increasing level of j, so the first
-    # failure found is the lowest
-    fails: dict = {}
+    lowest_failing_sum = 2 * prec  # every pair of smaller level sum commutes
     pairs = list(combinations(levels, 2))
     for a, b in sorted(pairs, key=lambda ab: ab[0][1] + ab[1][1]):
         (i, k), (j, l) = a, b
-        da, db = rows[i][k], rows[j][l]
         # a commutes with the levels of j below l, and b with those of i below k
-        if (a in at_one and b in at_one and fails.get((a, j), l) >= l
-                and fails.get((b, i), k) >= k):
-            ok = da.act(at_one[b]) == db.act(at_one[a])
+        if a in at_one and b in at_one and k + l <= lowest_failing_sum:
+            ok = rows[i][k].act(at_one[b]) == rows[j][l].act(at_one[a])
         else:
-            ok = da * db == db * da
+            ok = rows[i][k] * rows[j][l] == rows[j][l] * rows[i][k]
         commute[a, b] = ok
         if not ok:
-            fails.setdefault((a, j), l)
-            fails.setdefault((b, i), k)
+            lowest_failing_sum = min(lowest_failing_sum, k + l)
     for (i, k), (j, l) in pairs:
         report.add(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", commute[(i, k), (j, l)])
     for i, k in levels:
         for j in range(n):
             report.add(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", brackets[i, k, j])
     for i, k in levels:
-        dik = rows[i][k]
-        if (i, k) in at_one and fails.get(((i, k), i), k) >= k:
+        # the level commutes with those of i below k, pairs of sum below 2k
+        if (i, k) in at_one and 2 * k <= lowest_failing_sum:
             f = at_one[i, k]
             for _ in range(pp - 1):
                 if not f:
                     break
-                f = dik.act(f)
+                f = rows[i][k].act(f)
             nilpotent = not f
         else:
-            nilpotent = (dik ** pp).is_zero()
+            nilpotent = (rows[i][k] ** pp).is_zero()
         report.add(f"p-th power d[{i + 1}]^[p^{k}]", nilpotent)
     return report
 

@@ -18,22 +18,12 @@ class Check(_Value):
         return f"{tag} {self.name}{suffix}"
 
 
-_NAME, _PASSED, _DETAIL = Check._setters  # the slots that CheckReport.add sets
-
-
 class CheckReport(_Value):
     __slots__ = ("title", "checks")  # str, list[Check]
     _defaults = {"checks": list}  # a list, so a report is unhashable
 
     def add(self, name: str, passed: bool, detail: str = ""):
-        # the slots set directly, not through _Value.__init__'s generic
-        # loop: a report adds one Check per relation, and Check validates
-        # nothing
-        check = object.__new__(Check)
-        _NAME(check, name)
-        _PASSED(check, passed)
-        _DETAIL(check, detail)
-        self.checks.append(check)
+        self.checks.append(Check(name, passed, detail))
 
     def tally(self, name: str, instances: Iterable[tuple[bool, Callable[[], str]]], unit: str):
         """One check over every `(holds, label)` instance, in order: its detail
