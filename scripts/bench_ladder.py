@@ -6,7 +6,7 @@ monomial automorphism x_j -> x^(A e_j), are timed through five steps:
 building them (`FactoredAut.to_images`), `factorize`,
 `validate_generator_images`, and their JSON boundary, `write`
 (`images_to_dict` and `dumps`) and `read` (`loads` and
-`images_from_dict`).  A is [[1,1],[0,1]] at n = 2 and
+`images_from_dict`).  A is [[1]] at n = 1, [[1,1],[0,1]] at n = 2 and
 [[1,1,0],[0,1,1],[0,0,1]] at n = 3; s is drawn from a seeded
 random.Random.  The run records the images' term count per shape, so the
 boundary's cost per term can be read off.  Every cell is the minimum
@@ -47,7 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SHAPES = ((2, 2, 5), (2, 2, 6), (2, 2, 7), (2, 2, 8), (2, 2, 9), (2, 2, 10), (2, 2, 11),
           (3, 2, 4), (3, 2, 5), (3, 2, 6), (3, 2, 7), (5, 2, 4), (7, 2, 3), (2, 3, 4), (2, 3, 6),
-          (2, 3, 7), (17, 2, 2))
+          (2, 3, 7), (17, 2, 2), (17, 1, 3), (101, 1, 2), (17, 3, 1))
 STEPS = ("build", "factorize", "validate", "write", "read")
 
 
@@ -143,7 +143,7 @@ def main():
     if args.out:
         path = Path(args.out)
         data = json.loads(path.read_text()) if path.exists() else {
-            "steps": list(STEPS), "matrices": {n: matrix(n) for n in (2, 3)}, "runs": {}}
+            "steps": list(STEPS), "matrices": {n: matrix(n) for n in (1, 2, 3)}, "runs": {}}
         data["runs"][args.label] = run
         path.write_text(json.dumps(data, indent=2) + "\n")
     else:

@@ -15,36 +15,35 @@ conjugation by the unit x^s for any integer representative of s: a roll
 of theta-tables, theta -> theta + s, or one operator product;
 `monomial_apply` is the zero shift.
 
-`theta.expansion` finds and caches the Mahler coefficients of a part;
-`theta` alone knows the table format and the rules that pick between a
-bit or byte table with one inverse Mahler transform and Newton differences,
-and between a roll and the product for a shift (`theta.roll_digits`).
+`theta` alone knows the table format and the one rule that decides where
+tables are used.  The closed form, `shift_apply`, validation and the
+certificate of `factorize` ask it (`theta.expansion`, `theta.roll_digits`,
+`theta.validation_tables`, `theta.table_certificate`), and this module
+only keeps validation's tables on the images.
 
 `GeneratorImages` presents an automorphism by finitely many images.  It
 acts only once factored: `apply_images` is `factorize(g).apply`, and one
 helper maps a `FactoredAut` over images, which composes automorphisms and
 builds `FactoredAut.to_images` from the identity.  Images that present no
 automorphism fail `factorize`, so they never act.  The factorization of
-images is read off the x images (tau)
-and the level images: the order-0 part of the image of d_i^[p^k] under
-the shift t is C(t_i, p^k) x_i^{-p^k}, and C(t_i, p^k) is digit k of
-t_i by Lucas' theorem; tau keeps order-0 parts, so `extract_digits`
-(tau = 1) and `factorize` read the digits of t = A^{-1} s off them, then
-certify the reading by comparing every level image with the closed form:
-on the theta-tables that validation kept of the same images, or else by
-rebuilding the level with `FactoredAut.apply`.
+images is read off the x images (tau) and the level images: the order-0
+part of the image of d_i^[p^k] under the shift t is C(t_i, p^k)
+x_i^{-p^k}, and C(t_i, p^k) is digit k of t_i by Lucas' theorem; tau
+keeps order-0 parts, so `extract_digits` (tau = 1) and `factorize` read
+the digits of t = A^{-1} s off them, then certify the reading by
+comparing every level image with the closed form: on the theta-tables
+that validation kept of the same images, or else by rebuilding the level
+with `FactoredAut.apply`.
 
 `validate_generator_images` checks the defining relations of the level
-images on theta-tables (`theta.ThetaTable`), a faithful image of the
-operators in which a product is a roll and a pointwise product instead
-of a Leibniz expansion, when theta's table rule admits the x and level
-images; otherwise on `DiffOp`s, where sparse operators stay cheap.  It
-keeps the tables on the images, for its next call and for the
-certificate of `factorize`.  It multiplies each level image by each x
-image for the brackets; once those pass and the x images are monomials
-on a unimodular matrix, Jacobi's identity leaves the commutators and
-the p-th powers to the module action, acting on 1, so valid images
-cost O(n * precision) products, not one per pair of levels.
+images on theta-tables where theta's rule admits them, and on `DiffOp`s
+otherwise, with the same report.  It keeps the tables on the images, for
+its next call and for the certificate of `factorize`.  It multiplies
+each level image by each x image for the brackets; once those pass and
+the x images are monomials on a unimodular matrix, Jacobi's identity
+leaves the commutators and the p-th powers to the module action, acting
+on 1, so valid images cost O(n * precision) products, not one per pair
+of levels.
 """
 
 from __future__ import annotations
@@ -168,18 +167,17 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     to cover the p-adic length of every divided index in `op`.  An
     operand of order 0 comes back as it is: x^-t commutes with it.
 
-    With at least ROLL_PARTS parts and p <= 16, where `theta.roll_digits`
-    finds it cheaper, each theta-table of op rolls by t (`theta.roll_shift`:
-    x^-t x^gamma c(theta) x^t = x^gamma c(theta + t)).  Otherwise x^-t op,
-    which only shifts the coefficients, is wrapped, not rebuilt, and the
-    one product by x^t, (f x^-t) d^[beta] x^t = f sum_j C(t, j) x^-j
-    d^[beta - j], runs the Leibniz loop of `DiffOp.__mul__`.
+    With at least ROLL_PARTS parts, op's theta-tables roll by t where
+    `theta.roll_digits` finds that cheaper (`theta.roll_shift`).
+    Otherwise x^-t op, which only shifts the coefficients, is wrapped, not
+    rebuilt, and the one product by x^t, (f x^-t) d^[beta] x^t = f sum_j
+    C(t, j) x^-j d^[beta - j], runs the Leibniz loop of `DiffOp.__mul__`.
     """
     _check_shift_operand(s, op)
     if op.is_laurent():
         return op
     t = tuple(c.to_int() for c in s.components)
-    if len(op.parts) >= ROLL_PARTS and s.p.p <= 16:
+    if len(op.parts) >= ROLL_PARTS:
         from .theta import roll_digits, roll_shift
 
         digits = roll_digits(op, t)
@@ -355,7 +353,7 @@ class GeneratorImages(_Value):
     """A truncated presentation of an automorphism: images of x_i, of
     x_i^{-1}, and of the divided-power levels d_i^[p^k] for k < precision."""
 
-    # _tables: (K, x tables, level tables, one), what validation converted
+    # _tables: (K, x tables, level tables, one), from theta.validation_tables
     __slots__ = ("p", "n", "precision", "x_images", "xinv_images", "d_images", "_tables")
 
     def _validate(self):
@@ -465,13 +463,13 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     has vanishing p-th power.
 
     The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
-    level relations run on theta-tables (`theta.ThetaTable`) when the x
-    and level images fit `theta.tables_fit`, and on `DiffOp`s otherwise;
-    the tables are a faithful image of the operators, so both give the
-    same report.  The tables are converted once and kept on g, where
-    `factorize` also reads them.  E_ik = prod_{l<k} (d_i^[p^l])^{p-1} /
-    (p-1)!, one running product per variable, and the brackets multiply
-    each level image by each x image: O(n * n * precision) products.
+    level relations run on theta-tables where theta's rule admits them
+    (`theta.validation_tables`, converted once and kept on g for
+    `factorize`), and on `DiffOp`s otherwise, with the same report: the
+    tables are a faithful image of the operators.  E_ik = prod_{l<k}
+    (d_i^[p^l])^{p-1} / (p-1)!, one running product per variable, and the
+    brackets multiply each level image by each x image: O(n * n *
+    precision) products.
 
     The commutators and the p-th powers are decided by the module action
     where it suffices.  Let the x images X_j be monomials lambda_j x^(a_j)
@@ -508,16 +506,12 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
         spans = int_det([x.to_laurent().unit_decompose()[1] for x in xs]) in (1, -1)
     except (MismatchError, NotAUnit):  # positive order, or not one term
         spans = False
-    digits = index_digits([beta for op in (*xs, *sum(rows, ())) for beta in op.parts], pp)
-    from .theta import ThetaTable, tables_fit
+    from .theta import validation_tables
 
-    if tables_fit(pp, n, digits):
-        if g._tables is None:
-            _assign(g, "_tables", (
-                digits, [ThetaTable.from_diffop(x, digits) for x in xs],
-                [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
-                ThetaTable.from_diffop(one, digits)))
-        _, xs, rows, one = g._tables
+    kept = validation_tables(xs, rows, one, g._tables)
+    if kept is not None:
+        _assign(g, "_tables", kept)
+        _, xs, rows, one = kept
     below = {}  # E_ik, the image of d_i^[p^k - 1]
     inv_fact = _inverse_factorial(pp - 1, pp)
     for i in range(n):
@@ -622,10 +616,7 @@ class FactoredAut(_Value):
         (`theta.expansion`, which also picks its engine) with the rows of
         A^{-1} that it reads, those of the nonzero beta_i; the terms are
         summed per output index with no intermediate operator.  At tau = 1
-        it is `shift_apply`, which rolls theta-tables where
-        `theta.roll_digits` finds the Leibniz loop of its one product by
-        x^s (about five contributions per output term on shift images at
-        p = 2) dearer."""
+        it is `shift_apply`."""
         if self._ainv_and_t is None:
             ainv = () if self.tau.is_identity() else self.tau.inverse_matrix
             s = [c.to_int() for c in self.shift.components]
@@ -651,30 +642,6 @@ class FactoredAut(_Value):
         return _map_images(self, GeneratorImages.identity(self.p, self.n, self.precision))
 
 
-def _table_certificate(g: GeneratorImages, tau: MonomialAut, t, unit):
-    """Whether the kept table of the image of level (i, k) is the closed
-    form's, {gamma: lambda C((A^{-1} m)_i + t_i, p^k)} for (lambda, gamma)
-    = unit[i, k]; both operators have every index below p^K, so equal
-    tables mean equal operators.  None when validation kept no tables of
-    g, or p > 16, K < precision or `theta.tables_fit` refuses them now."""
-    if g._tables is None:
-        return None
-    from .theta import ThetaTable, binomial_table, tables_fit
-
-    digits, _, rows, _ = g._tables
-    pp, n = g.p.p, g.n
-    if pp > 16 or digits < g.precision or not tables_fit(pp, n, digits):
-        return None
-    ainv = tau.inverse_matrix
-
-    def certified(i: int, k: int) -> bool:
-        scale, exps = unit[i, k]
-        table = binomial_table(ainv[i], pp ** k, pp, t[i], digits)
-        return rows[i][k] == ThetaTable(pp, n, pp ** digits, {exps: table}).scale(scale)
-
-    return certified
-
-
 def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
     """Read g = (shift s) after tau off the order-0 parts of the level
     images, then certify it level by level, lowest first.
@@ -684,9 +651,9 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
     lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.  The
     certificate compares each level image with the closed form on
     d_i^[p^k], x^{-p^k A e_i} lambda_i^{-1} C((A^{-1} theta)_i + t_i,
-    p^k), on the tables validation kept (`_table_certificate`), or else,
-    and to word an error, rebuilt by `FactoredAut.apply`; the x images are
-    never conjugated.
+    p^k), on the tables validation kept (`theta.table_certificate`), or
+    else, and to word an error, rebuilt by `FactoredAut.apply`; the x
+    images are never conjugated.
     """
     p, n, prec = g.p, g.n, g.precision
     pp, zero = p.p, (0,) * n
@@ -700,7 +667,11 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
             digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
     t = ShiftVector.from_digits(digits, p)
     aut = FactoredAut(matrix_shift(tau.matrix, t), tau)
-    certified = _table_certificate(g, tau, [c.to_int() for c in t.components], unit)
+    certified = None
+    if g._tables is not None:  # validation kept tables of g
+        from .theta import table_certificate
+
+        certified = table_certificate(g._tables, tau, [c.to_int() for c in t.components], unit)
     for i, k in levels:
         if certified is not None and certified(i, k):
             continue

@@ -33,7 +33,8 @@ from p and the cell count) does the pointwise work.  There are three:
   into one byte per cell, u << 4 | v, and `bytes.translate` with a
   256-byte map per operation (product, sum, difference, scaling) takes it
   to the result, so pointwise loops run in C.
-- p > 16: a table is a list of ints, with comprehensions.
+- p > PACKED = 16: a table is a list of ints, with comprehensions; the
+  rule below keeps such tables to validation in one variable.
 
 Byte and list tables convert by Kronecker passes (`_kronecker_tables`),
 written once for both; `binomial_row`, the row C(y, b), is the conversion
@@ -44,26 +45,24 @@ slice before), which feeds the AND or the pairing of the product
 directly.  The masks, whole-table ints, are cached in one `_Masks`
 dict bounded in bytes, MASK_BYTES = 2 MB as sys.getsizeof counts them:
 a roll's mask per axis shape, and the whole sequence of one `mahler` per
-(p, cells), fetched by one lookup per call.  The largest such sequence
-within TABLE_CELLS, p = 13 on 13^4 cells, takes 1.27 MB; aut_roundtrip
-and op_algebra use about 64 kB and 61 kB of masks, which stay resident.
-A kernel's two accessors, `cell` and `items`, read one cell and list the
+(p, cells), fetched by one lookup per call (sizes in the README).  A
+kernel's two accessors, `cell` and `items`, read one cell and list the
 nonzero cells whatever the table holds; `ThetaTable.act` reads one cell
-per gamma and term, x^gamma c(theta) x^m = c(m) x^(m + gamma).  An array
-library would cost more to import than these tables take to multiply.
+per gamma and term, x^gamma c(theta) x^m = c(m) x^(m + gamma).
 
-A table has p^(nK) cells however sparse the operator, so tables are used
-only up to TABLE_CELLS cells, by one rule (`tables_fit` of K =
-`scalars.index_digits`) that `validate_generator_images`, `expansion`
-and `roll_digits` ask.  `expansion` finds and caches the Mahler
-coefficients of the closed form of `autgroup.FactoredAut.apply`: for
-p <= 16 on a bit or byte table, tabulated from slices of one row of p^K
-cells and taken through the inverse Pascal matrix (`mahler`: one base-p
-digit of the cell index per pass, p - 1 masked big-int steps per pass);
-otherwise by Newton differences.  One helper gathers each factor,
-C(ell . m + t, b), from the row C(y, b) (`binomial_table`); factorize's
-certificate compares the level images' tables, kept by validation, with
-the same gathered tables.
+This module alone decides where tables are used, by one rule
+(`tables_fit` of K = `scalars.index_digits`) that validation
+(`validation_tables`), `expansion`, `roll_digits` and factorize's
+certificate (`table_certificate`) ask: at most TABLE_CELLS cells, as a
+table has p^(nK) cells however sparse the operator; above p = PACKED, where
+no kernel transforms, rolls or gathers, list tables only for validation's
+products in one variable (at n >= 2 its `DiffOp` path is faster).
+`expansion` finds and caches the Mahler coefficients of the closed form
+of `autgroup.FactoredAut.apply` on a table gathered from slices of one
+row of p^K cells and taken through `mahler` (one base-p digit of the cell
+index per pass, p - 1 masked big-int steps per pass), or else by Newton
+differences.  `binomial_table` gathers each factor, C(ell . m + t, b),
+from the row C(y, b), for it and for the certificate.
 
 A shift by t is a roll alone, x^-t x^gamma c(theta) x^t = x^gamma
 c(theta + t): `roll_shift` rolls each table by t and reads its Mahler
@@ -79,7 +78,7 @@ from __future__ import annotations
 
 import re
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import chain, islice
 from math import prod
 from operator import add, and_, getitem, mul, sub, xor
@@ -91,14 +90,17 @@ from .laurent import LaurentPoly
 from .scalars import _digits_mod, _lucas, _pascal_column, check_index_digits, index_digits
 
 TABLE_CELLS = 2 ** 16  # the most cells, p^(nK), of a table; read at call time
+PACKED = 16  # the largest p whose cells are bits or bytes: two residues fill one byte
 
 _NONZERO = re.compile(rb"[^\x00]")  # the nonzero cells of a byte table
 _ONES = re.compile("1")  # the set cells of a bit table, written in binary
 
 
-def tables_fit(p: int, n: int, digits: int) -> bool:
-    """Whether tables of period p^digits in n variables fit TABLE_CELLS."""
-    return p ** (n * digits) <= TABLE_CELLS
+def tables_fit(p: int, n: int, digits: int, packed: bool) -> bool:
+    """The table rule of the module docstring: whether tables of period
+    p^digits in n variables are used, by a caller that needs bit or byte
+    cells (`packed`: a transform, a roll or a gathered row) or products only."""
+    return (p <= PACKED or n == 1 and not packed) and p ** (n * digits) <= TABLE_CELLS
 
 
 def _list_cells(p: int) -> SimpleNamespace:
@@ -167,7 +169,7 @@ def _cells(p: int, count: int) -> SimpleNamespace:
     is told its cell count."""
     if p == 2:
         return _bit_cells(count)
-    return _byte_cells(p) if p <= 16 else _list_cells(p)
+    return _byte_cells(p) if p <= PACKED else _list_cells(p)
 
 
 def _roll(table, shift, size: int, join):
@@ -387,12 +389,11 @@ def linear_table(row: bytes, ell, t: int) -> bytes:
 def expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
               t: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Nonzero pairs (j, c_j mod p) with prod_i C((ainv m)_i + t_i, beta_i)
-    equal to sum_j c_j C(m, j) as functions of m in Z^n.  With K =
-    `index_digits` of beta, they are read off a bit or byte table
-    (`_table_expansion`) when p <= 16 and p^(nK) cells fit, and taken by
-    Newton differences (`_theta_expansion`) otherwise."""
+    equal to sum_j c_j C(m, j) as functions of m in Z^n: read off a table
+    (`_table_expansion`) where the rule admits one for K = `index_digits`
+    of beta, and taken by Newton differences (`_theta_expansion`) otherwise."""
     digits = index_digits([beta], p)
-    if p <= 16 and tables_fit(p, len(beta), digits):
+    if tables_fit(p, len(beta), digits, packed=True):
         return _table_expansion(ainv, beta, p, t, digits)
     return _theta_expansion(ainv, beta, p, t)
 
@@ -435,8 +436,8 @@ def _theta_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
 
 def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p: int,
                      t: tuple[int, ...], digits: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The pairs of `expansion`, read off a theta-table of period p^digits,
-    p <= 16; needs every entry of beta below p^digits.
+    """The pairs of `expansion`, read off a bit or byte table of period
+    p^digits; needs every entry of beta below p^digits.
 
     Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n
     (`binomial_table`); their pointwise product goes through one inverse
@@ -444,12 +445,8 @@ def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
     row-major order of j."""
     if not any(beta):
         return (((0,) * len(beta), 1),)
-    cells = _cells(p, p ** (digits * len(beta)))
-    table = None
-    for row, b, ti in zip(ainv, beta, t):
-        if b:
-            factor = binomial_table(row, b, p, ti, digits)
-            table = factor if table is None else cells.mul(table, factor)
+    table = reduce(_cells(p, p ** (digits * len(beta))).mul, [
+        binomial_table(row, b, p, ti, digits) for row, b, ti in zip(ainv, beta, t) if b])
     return tuple(_mahler_pairs(table, p, len(beta), p ** digits))
 
 
@@ -472,13 +469,13 @@ def _mahler_pairs(table, p: int, n: int, size: int) -> list:
 
 def roll_digits(op: DiffOp, t) -> int:
     """K, the period digits of the tables on which `roll_shift` finds
-    x^-t op x^t (p <= 16, op of positive order), or 0 where they do not
-    fit or cost more than the Leibniz loop, by the rule of the module
-    docstring; the j_i of a nonzero C(t_i, j_i) have every digit at most
-    t_i's (mod p^K), which bounds the loop's contributions."""
+    x^-t op x^t (op of positive order), or 0 where the table rule refuses
+    them or they cost more than the Leibniz loop, by the model of the
+    module docstring; the j_i of a nonzero C(t_i, j_i) have every digit
+    at most t_i's (mod p^K), which bounds the loop's contributions."""
     p, n = op.p.p, op.n
     digits = index_digits(op.parts, p)
-    if not tables_fit(p, n, digits):
+    if not tables_fit(p, n, digits, packed=True):
         return 0
     boxes = [prod(r + 1 for r in _digits_mod(d, p, digits)) for d in t]
     terms = [len(f.terms) for f in op.parts.values()]
@@ -506,6 +503,38 @@ def roll_shift(op: DiffOp, t, digits: int) -> DiffOp:
         for j, a in _mahler_pairs(c, p, op.n, size):
             parts.setdefault(j, {})[tuple(map(add, gamma, j))] = a
     return op._from_terms(parts)
+
+
+def validation_tables(xs, rows, one, kept):
+    """(K, x tables, level tables, table of one) on which validation
+    multiplies the x images xs, the level images rows and the operator one:
+    `kept`, converted by an earlier call, or new ones with K =
+    `index_digits` of every index; None where the rule refuses tables."""
+    digits = index_digits([beta for op in (*xs, *chain(*rows)) for beta in op.parts], one.p.p)
+    if not tables_fit(one.p.p, one.n, digits, packed=False):
+        return None
+    return kept or (digits, [ThetaTable.from_diffop(x, digits) for x in xs],
+                    [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
+                    ThetaTable.from_diffop(one, digits))
+
+
+def table_certificate(kept, tau, t, unit):
+    """Whether the kept table (`validation_tables`) of the image of level
+    (i, k) is the closed form's, {gamma: lambda C((A^{-1} m)_i + t_i, p^k)}
+    for (lambda, gamma) = unit[i, k], A tau's matrix; both operators have
+    every index below p^K, so equal tables mean equal operators.  None
+    where K is below the precision or the rule refuses the gathered rows."""
+    digits, _, rows, _ = kept
+    p, n = rows[0][0].p, rows[0][0].n
+    if digits < len(rows[0]) or not tables_fit(p, n, digits, packed=True):
+        return None
+
+    def certified(i: int, k: int) -> bool:
+        scale, exps = unit[i, k]
+        table = binomial_table(tau.inverse_matrix[i], p ** k, p, t[i], digits)
+        return rows[i][k] == ThetaTable(p, n, p ** digits, {exps: table}).scale(scale)
+
+    return certified
 
 
 class ThetaTable:

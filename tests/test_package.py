@@ -1,9 +1,11 @@
 """The package namespace: names load from their home modules on first use,
 and each command loads only the modules on its own path."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +149,36 @@ def test_shift_commands_skip_the_tables(tmp_path):
     (tmp_path / "aut.json").write_text(dumps(images_to_dict(twisted.to_images())))
     assert "theta" in loaded_modules("factor", str(tmp_path / "aut.json"), "--p", "3",
                                      "--n", "2", "--precision", "3")
+
+
+def names_and_numbers(path: Path) -> tuple[set[str], set[str], set]:
+    """The names a module reads or imports, those it imports from `theta`,
+    and its numeric constants (docstrings and comments excluded)."""
+    names, from_theta, numbers = set(), set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+            if node.module == "theta":
+                from_theta.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            numbers.add(node.value)
+    return names, from_theta, numbers
+
+
+def test_theta_alone_decides_where_tables_are_used():
+    # theta's rule answers for the cell budget and for the kernels, which
+    # pack cells only up to theta.PACKED; autgroup asks its entry points
+    package = Path(dividedops.__file__).parent
+    for path in package.glob("*.py"):
+        names, _, _ = names_and_numbers(path)
+        if path.stem != "theta":
+            assert not names & {"TABLE_CELLS", "PACKED"}, path.name
+    names, from_theta, numbers = names_and_numbers(package / "autgroup.py")
+    assert from_theta <= {"expansion", "roll_digits", "roll_shift", "validation_tables",
+                          "table_certificate"}
+    assert not names & {"ThetaTable", "binomial_table", "tables_fit"}
+    assert 16 not in numbers

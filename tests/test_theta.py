@@ -606,6 +606,7 @@ def test_long_index_in_an_x_image_sizes_the_tables(monkeypatch):
 
 @pytest.mark.parametrize("p, cell_type", [(2, int), (13, bytes), (17, list)])
 def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
+    n = 1 if p > 16 else 2  # list tables serve one variable only
     made = []
     original = ThetaTable.from_diffop
 
@@ -613,14 +614,28 @@ def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
         made.append(original(op, digits))
         return made[-1]
 
-    g = shift_generator_images(ShiftVector.from_ints([p - 2, 5], p, 1))
+    g = shift_generator_images(ShiftVector.from_ints([p - 2, 5][:n], p, 1))
     with monkeypatch.context() as m:
         m.setattr(ThetaTable, "from_diffop", staticmethod(spy))
         assert validate_generator_images(g).passed
     assert made and all(type(t) is cell_type for table in made for t in table.tables.values())
-    bad = with_level(g, 1, 0, g.d_images[1][0] + DiffOp.partial(p, 2, 1, 2))
+    bad = with_level(g, n - 1, 0, g.d_images[n - 1][0] + DiffOp.partial(p, n, 1, 2))
     table, sparse = both_reports(bad, monkeypatch)
     assert table == sparse and not all(ok for _, ok in table)
+
+
+@pytest.mark.parametrize("p", [17, 101])
+def test_list_tables_serve_one_variable(monkeypatch, p):
+    # p^2 cells fit the budget, but at n = 2 validation runs faster on
+    # DiffOps than on list tables, so it converts nothing
+    assert p ** 2 <= theta.TABLE_CELLS
+    calls = conversions(monkeypatch)
+    g = shift_generator_images(ShiftVector.from_ints([p - 2, 5], p, 1))
+    assert validate_generator_images(g).passed
+    bad = with_level(g, 1, 0, g.d_images[1][0] + DiffOp.partial(p, 2, 1, 2))
+    assert "bracket [d[2]^[p^0], x[1]]" in [c.name for c in
+                                            validate_generator_images(bad).failures()]
+    assert not calls and g._tables is None
 
 
 # -- shifts: a roll of the tables -----------------------------------------------
@@ -729,6 +744,44 @@ def test_the_rule_sends_single_levels_and_large_tables_to_the_loop(monkeypatch):
     monkeypatch.undo()
     wide = DiffOp(2, 1, {(2 ** 16 + b,): LaurentPoly.monomial(2, 1, (b,)) for b in range(40)})
     assert theta.roll_digits(wide, (2 ** 17 - 1,)) == 0
+
+
+def sparse_op(rng, p, n, digits, parts) -> DiffOp:
+    """`parts` one-term parts with indices below p^digits, each on a
+    gamma near 0, so that most parts have a table of their own."""
+    terms = {}
+    while len(terms) < parts:
+        beta = tuple(rng.randrange(p ** digits) for _ in range(n))
+        terms[beta] = LaurentPoly.monomial(
+            p, n, tuple(b + rng.randint(-3, 3) for b in beta), rng.randrange(1, p))
+    return DiffOp(p, n, terms)
+
+
+@pytest.mark.parametrize("p, n, digits, parts", [(13, 2, 2, 64), (3, 2, 5, 32)])
+def test_the_rule_sends_sparse_operators_of_many_gamma_to_the_loop(p, n, digits, parts):
+    # the tables fit, but the roll converts and rolls a table per gamma,
+    # some 25-40 of them: on these inputs it took 35-65 ms against 0.4-0.8
+    # ms for the loop (2-core x86 Linux, Python 3.11), so the cost model,
+    # not the fit alone, must answer
+    assert theta.tables_fit(p, n, digits, packed=True)
+    rng = random.Random(f"sparse:{p}:{n}:{digits}")
+    for _ in range(4):
+        op = sparse_op(rng, p, n, digits, parts)
+        t = tuple(sum(rng.randrange(2) * p ** k for k in range(digits)) for _ in range(n))
+        assert theta.roll_digits(op, t) == 0, t
+
+
+def test_the_rule_sends_list_cells_to_the_loop():
+    # no kernel above p = 16 rolls a table: the loop, though the cost model
+    # alone would roll these 40 parts on tables of 17^2 cells
+    rng = random.Random(1)
+    betas = set()
+    while len(betas) < 40:
+        betas.add(rng.randrange(100, 289))
+    op = DiffOp(17, 1, {(b,): LaurentPoly.monomial(17, 1, (b,)) for b in betas})
+    t = (288,)
+    assert theta.roll_digits(op, t) == 0
+    assert shift_apply(ShiftVector.from_ints(t, 17, 2), op) == conjugate(op, t)
 
 
 def test_products_by_a_monomial_roll_where_the_rule_says(monkeypatch):
