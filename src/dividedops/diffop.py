@@ -20,26 +20,37 @@ shift delta - j), then adds coefficient * f_beta * x^shift once per
 nonzero pair; `scalars._leibniz_terms` lists only the j whose two
 binomials are both nonzero, straight from the base-p digits: per variable
 a walk down the digits whose only state is the carry of
-j_i + (beta_i - j_i) = beta_i (one interval of j_i when beta_i < p, the
-digit box of delta_i when eps_i cannot carry).  Powers of an order-0
-operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the base-p digits
-of the exponent; other powers square and multiply.
+j_i + (beta_i - j_i) = beta_i (the digit box of delta_i when eps_i cannot
+carry).  When the last variable's (b, d, e) has b < p its j is one run,
+max(0, b + 1 + (e mod p) - p) <= j <= min(b, d mod p), whose outputs
+b - j + e are consecutive, whose shifts d - j lie on the line
+d - e - b = shift - output, and whose coefficients
+C(d mod p, j) C(b - j + (e mod p), e mod p) are products of four slices of
+the digit tables.  A run of at least RUN summands whose right term shares
+delta - eps and e // p with another (so that runs can meet) is added as
+one slice into a dense row per (other variables' output and shift, line,
+e // p), and the rows are folded into the coefficients once per part;
+other runs, b >= p and every product at p < RUN take the walk.  Powers of
+an order-0 operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the
+base-p digits of the exponent; other powers square and multiply.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product as iproduct
-from operator import add
+from operator import add, sub
 from typing import Callable
 
 from .errors import InconsistentAction, MismatchError
 from .laurent import LaurentPoly, term_string
-from .scalars import Prime, _leibniz_terms, _lucas, as_prime
+from .scalars import Prime, _digit_binom_table, _leibniz_terms, _lucas, as_prime
 
 MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
 REPLAY_PROBES = 8  # random monomials normal_form_from_action replays after solving
+RUN = 8  # the shortest run of the last variable summed as a slice, see the README
 
 
 class DiffOp:
@@ -219,15 +230,40 @@ class DiffOp:
         pp = self.p.p
         right = [(eps, delta, cg) for eps, g in other._parts.items()
                  for delta, cg in g.terms.items()]
+        shared = ()  # the right terms (eps, delta) whose line another right term shares
+        if RUN < pp and len(right) > 1 and any(RUN <= b[-1] + 1 <= pp for b in self._parts):
+            # a row pays only where runs meet, which needs two right terms of one
+            # delta - eps and last e // p; asked only where a left part can run
+            lines = [(tuple(map(sub, delta, eps)), eps[-1] // pp) for eps, delta, _ in right]
+            count = Counter(lines)
+            shared = {(eps, delta) for (eps, delta, _), line in zip(right, lines)
+                      if count[line] > 1}
         acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+        rows: dict[tuple, list] = {}
         for beta, f in self._parts.items():
             # the right factor's scalar contributions, one coefficient per
             # (output index, shift); f_beta is then walked once per pair
             coeffs: dict[tuple, int] = {}
+            ranged = shared and RUN <= beta[-1] + 1 <= pp  # b < p: the last j is one run
             for eps, delta, cg in right:
+                if ranged:
+                    b, d, e = beta[-1], delta[-1], eps[-1]
+                    lo, hi = max(0, b + 1 + e % pp - pp), min(b, d % pp)
+                    if hi - lo >= RUN - 1 and (eps, delta) in shared:
+                        for out, shift, c in _leibniz_terms(beta[:-1], delta[:-1], eps[:-1], pp):
+                            _add_run(rows, (out, shift, d - e - b, e // pp),
+                                     b, d, e, lo, hi, cg * c, pp)
+                        continue
                 for newbeta, shift, c in _leibniz_terms(beta, delta, eps, pp):
                     pair = (newbeta, shift)
                     coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
+            if rows:
+                for (out, shift, line, _), (base, row) in rows.items():
+                    for m, c in enumerate(row, base):
+                        if c % pp:
+                            pair = (out + (m,), shift + (m + line,))
+                            coeffs[pair] = (coeffs.get(pair, 0) + c) % pp
+                rows.clear()
             _add_into(acc, coeffs.items(), f.terms.items(), pp)
         return self._from_terms(acc)
 
@@ -302,6 +338,29 @@ def _add_into(acc: dict, pairs, terms, p: int):
                 bucket[key] = s
             else:
                 bucket.pop(key, None)
+
+
+def _add_run(rows: dict, key, b: int, d: int, e: int, lo: int, hi: int, c: int, p: int):
+    """Add c C(d, j) C(b - j + e, e) at output index b - j + e of the row
+    rows[key] = [its first index, its values] for j = lo..hi, growing the
+    row at either end: one Leibniz pair's run in the last variable, whose
+    b < p makes both binomials those of the lowest digits of d and e."""
+    fact, inv = _digit_binom_table(p)
+    d, f = d % p, e % p
+    start = b - hi + e  # the run's lowest output index
+    row = rows.setdefault(key, [start, []])
+    if start < row[0]:
+        row[1][:0] = [0] * (row[0] - start)
+        row[0] = start
+    first, vals = row
+    a, z = start - first, start - first + hi - lo + 1
+    vals += [0] * (z - len(vals))
+    # j descending; C(d, j) C(b - j + f, f) is
+    # fact[d] inv[f] * inv[j] inv[d - j] fact[b - j + f] inv[b - j]
+    k = c * fact[d] * inv[f] % p
+    vals[a:z] = [v + k * w * x * y * u for v, w, x, y, u in zip(
+        vals[a:z], inv[hi:lo - 1 if lo else None:-1], inv[d - hi:d - lo + 1],
+        fact[b - hi + f:b - lo + f + 1], inv[b - hi:b - lo + 1])]
 
 
 def power(base, k: int, one: Callable):

@@ -4,10 +4,20 @@ oracle, normal-form recovery from black-box actions."""
 import gc
 import random
 import tracemalloc
+from operator import add
 
 import pytest
 
-from dividedops.diffop import DiffOp, normal_form_from_action, power
+from dividedops import diffop, eval_operator
+from dividedops.autgroup import (
+    FactoredAut,
+    MonomialAut,
+    ShiftVector,
+    factorize,
+    monomial_generator_images,
+    shift_compose_images,
+)
+from dividedops.diffop import RUN, DiffOp, normal_form_from_action, power
 from dividedops.errors import InconsistentAction, InsufficientPrecision, MismatchError
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import binom_int_mod_p
@@ -15,8 +25,10 @@ from dividedops.scalars import binom_int_mod_p
 from helpers import (
     divided_image_from_levels,
     leibniz_product,
+    rand_gl,
     rand_nonzero_poly,
     rand_op,
+    rand_padic,
     rand_poly,
 )
 
@@ -155,6 +167,112 @@ def test_mul_matches_leibniz_reference(p):
             assert a * b == leibniz_product(a, b), (a, b)
 
 
+@pytest.fixture
+def run_lengths(monkeypatch):
+    """The length of every run that products sum as a slice of a row."""
+    lengths = []
+    add_run = diffop._add_run
+
+    def spy(rows, key, b, dd, e, lo, hi, c, pp):
+        lengths.append(hi - lo + 1)
+        add_run(rows, key, b, dd, e, lo, hi, c, pp)
+
+    monkeypatch.setattr(diffop, "_add_run", spy)
+    return lengths
+
+
+def _run_cases(p, k):
+    """(b, d, e) in the last variable whose Leibniz terms are one run of
+    RUN - 1, RUN or p consecutive j, with k higher digits in e or d: all of
+    j = 0..b, or cut from below by the carry cap of e's lowest digit, or
+    from above by d's lowest digit."""
+    cases = []
+    for length in (RUN - 1, RUN, p):
+        cases.append((length - 1, -1 - 2 * k * p, k * p))
+        cases.append((p - 1, (k + 1) * p + p - 1, k * p + p - length))
+        cases.append((p - 1, length - 1 + k * p, 0))
+    return cases
+
+
+def _run_length(b, d, e, p):
+    return min(b, d % p) - max(0, b + 1 + e % p - p) + 1
+
+
+@pytest.mark.parametrize("p", (11, 13, 101, 1009, 65521))
+def test_mul_sums_runs_as_the_reference(p, run_lengths):
+    # each case pairs one left part and one right term on a run, and a
+    # second part of small indices adds the cross pairs; the reference walks
+    # every j <= b and every combination of the other variables' j, so at
+    # p = 65521 each case runs at one n (a Latin square of case kinds and
+    # n), the other indices are 0 or 1 and the cross pairs stay short
+    rng = random.Random(f"runs:{p}")
+    small = (0, 1) if p == 65521 else (0, 1, 2, 3) + ((p - 1, p + 1) if p < 100 else ())
+    shifts = range(-3, 4) if p < 100 else range(4)
+    terms = 2 if p < 65521 else 1
+    for j, (b, dl, e) in enumerate(_run_cases(p, rng.choice((0, 1, 3)))):
+        assert _run_length(b, dl, e, p) in (RUN - 1, RUN, p)
+        for n in (1, 2, 3) if p < 65521 else (1 + (j // 3 + j) % 3,):
+            a = DiffOp(p, n, [
+                ([rng.choice(small) for _ in range(n - 1)] + [b],
+                 rand_nonzero_poly(rng, p, n, max_terms=terms)),
+                ([rng.choice(small) for _ in range(n)],
+                 rand_nonzero_poly(rng, p, n, max_terms=terms))])
+            # the second right term shares the first one's line, delta - eps
+            # in every variable and the last e // p, so rows take the runs
+            eps = [rng.choice(small) for _ in range(n - 1)] + [e]
+            delta = [rng.choice(shifts) for _ in range(n - 1)] + [dl]
+            t = [rng.choice((0, 1, 2)) for _ in range(n - 1)] + [1]
+            right = DiffOp(p, n, [
+                (eps, LaurentPoly.monomial(p, n, delta, rng.randint(1, p - 1))),
+                (list(map(add, eps, t)),
+                 LaurentPoly.monomial(p, n, list(map(add, delta, t)), rng.randint(1, p - 1)))])
+            prod = a * right
+            assert prod == leibniz_product(a, right), (p, n, b, dl, e)
+            mono = LaurentPoly.monomial(p, n, [rng.randint(-2 * p, 2 * p) for _ in range(n)])
+            assert prod.act(mono) == a.act(right.act(mono))
+    assert min(run_lengths) >= RUN and RUN in run_lengths and p in run_lengths
+
+
+def test_small_primes_build_no_row(monkeypatch):
+    # a run is at most b + 1 <= p long, so below RUN every product walks:
+    # shift images at aut_roundtrip's primes never reach the run path
+    def refuse(*args):
+        raise AssertionError("a row was built")
+
+    products = []
+    mul = DiffOp.__mul__
+
+    def count(a, b):
+        products.append(a.p.p)
+        return mul(a, b)
+
+    monkeypatch.setattr(diffop, "_add_run", refuse)
+    monkeypatch.setattr(DiffOp, "__mul__", count)
+    rng = random.Random("no rows")
+    for p, n, prec in ((2, 2, 5), (5, 2, 2)):
+        tau = MonomialAut.create(rand_gl(rng, n), [rng.randint(1, p - 1) for _ in range(n)], p)
+        s = ShiftVector(tuple(rand_padic(rng, p, prec) for _ in range(n)))
+        images = shift_compose_images(s, monomial_generator_images(tau, prec))
+        assert factorize(images) == FactoredAut(s, tau)
+    assert set(products) == {2, 5}
+    for p in (2, 3, 5, 7):
+        for n in (1, 2, 3):
+            for _ in range(6):
+                a, b = rand_op(rng, p, n, max_order=3 * p), rand_op(rng, p, n, max_order=3 * p)
+                assert a * b == leibniz_product(a, b)
+
+
+def test_mul_op_algebra_pair_cancels_to_zero():
+    # a seeded op_algebra product at p = 101: 40 left parts times 105 right
+    # terms make 203,234 nonzero summands, all in runs, and they all cancel
+    p = 101
+    a = eval_operator("(59*x1^-1*d1[38] + 62*x1^-3*d1[16])*(9*x1^2*d1[64] + 11*x1^-1*d1[59])", p, 1)
+    b = eval_operator("(75*d1[60] + 56*x1^1*d1[43])*(48*x1^-2*d1[13] + 43*x1^3*d1[63])", p, 1)
+    assert (a * b).is_zero() and leibniz_product(a, b).is_zero()
+    mono = LaurentPoly.monomial(p, 1, (7,))
+    assert a.act(b.act(mono)).is_zero()
+
+
 def retained_bytes(products) -> int:
     """Bytes still traced after running `products` and dropping its results."""
     gc.collect()
@@ -194,6 +312,58 @@ def test_long_survivor_lists_are_not_kept():
             assert len((d(p, 1, 1, b) * x(p, 1, 1, -1)).parts) == b + 1
 
     assert retained_bytes(products) < 2_000_000
+
+
+def test_rows_grow_at_either_end():
+    # four right terms of d1^[20] on the line d - e - b = 10, each a run of
+    # 21: the second starts below the first, the third ends above both, the
+    # fourth lies in the next block of p outputs
+    p = 101
+    a = DiffOp(p, 1, {(20,): LaurentPoly(p, 1, {(0,): 3, (-2,): 5})})
+    b = DiffOp(p, 1, [((e,), LaurentPoly.monomial(p, 1, (e + 30,), c))
+                      for e, c in ((10, 1), (5, 2), (15, 3), (10 + p, 4))])
+    assert a * b == leibniz_product(a, b)
+
+
+def test_long_runs_are_summed_and_not_kept(run_lengths):
+    # d1^[b] (x1^-1 + d1) at b = 60,000: x1^-1 and d1 share the line
+    # delta - eps = -1, so x1^-1's run of all b + 1 terms, each the closed
+    # form (-1)^j x1^(-1-j) d1^[b-j], is summed in a row, and the row dies
+    # with the product; d1 adds (b + 1) d1^[b+1]
+    p = 65521
+    right = x(p, 1, 1, -1) + d(p, 1, 1)
+    d(p, 1, 1) * right  # the binomial tables of p, kept on purpose
+    run_lengths.clear()
+    b0 = 60000
+    assert d(p, 1, 1, b0) * right == leibniz_product(d(p, 1, 1, b0), right)
+    for b in range(b0, b0 + 10):
+        parts = dict((d(p, 1, 1, b) * right).parts)
+        assert parts.pop((b + 1,)).terms == {(0,): (b + 1) % p}
+        assert len(parts) == b + 1
+        assert all(f.terms == {(-1 - b + k,): 1 if (b - k) % 2 == 0 else p - 1}
+                   for (k,), f in parts.items())
+
+    def products():
+        for b in range(b0, b0 + 10):
+            assert len((d(p, 1, 1, b) * right).parts) == b + 2
+
+    assert retained_bytes(products) < 2_000_000
+    assert run_lengths == [b0 + 1] + 2 * [b + 1 for b in range(b0, b0 + 10)]
+
+
+def test_runs_alone_in_their_row_walk(run_lengths):
+    # a right term that shares its line with no other right term fills its
+    # rows alone, where the walk is cheaper: products by one monomial (the
+    # shift's (x^-s D) x^s), right terms on distinct lines, and a long-run
+    # term beside two short-run terms that share a line never build a row
+    p = 101
+    a = DiffOp(p, 2, {(1, 60): LaurentPoly(p, 2, {(0, 0): 3, (-2, 1): 5}), (0, 40): LaurentPoly.one(p, 2)})
+    for right in (x(p, 2, 2, 100) * x(p, 2, 1, 3),
+                  x(p, 2, 2, -1) + x(p, 2, 2, 80) * d(p, 2, 2, 2),
+                  x(p, 2, 2, 70) + x(p, 2, 1, 1) * x(p, 2, 2, 71) * d(p, 2, 2, 1),
+                  x(p, 2, 2, 5) + x(p, 2, 2, 6) * d(p, 2, 2, 1) + x(p, 2, 1, 3) * x(p, 2, 2, 100)):
+        assert a * right == leibniz_product(a, right)
+    assert run_lengths == []
 
 
 def test_mul_cancels_to_zero():
