@@ -14,9 +14,9 @@ over --repeat runs, measured in a fresh child process that imports this
 checkout's src/; the caches of the closed form (`theta.expansion`, both
 engines, and the rows of `theta.binomial_row`) are cleared before each
 run, so build and factorize pay for their expansions as a first call
-does, and each run gets a fresh copy of the images, so validate converts
-its tables as a first call does (validation keeps its theta-tables on
-the images it checked); a full garbage collection runs just before each
+does, and each run gets a fresh copy of the images, so validate and
+factorize certify them as a first call does (both keep the certified
+factorization on the images); a full garbage collection runs just before each
 timed run, so no collection falls due inside one from the setup.  A
 child that has not finished within --cap seconds (its import and
 inputs included) is stopped, and the cell records the minimum of the

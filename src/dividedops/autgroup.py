@@ -16,10 +16,9 @@ of theta-tables, theta -> theta + s, or one operator product;
 `monomial_apply` is the zero shift.
 
 `theta` alone knows the table format and the one rule that decides where
-tables are used.  The closed form, `shift_apply`, validation and the
-certificate of `factorize` ask it (`theta.expansion`, `theta.roll_digits`,
-`theta.validation_tables`, `theta.table_certificate`), and this module
-only keeps validation's tables on the images.
+tables are used.  The closed form, `shift_apply` and validation ask it
+(`theta.expansion`, `theta.roll_digits`, `theta.validation_tables`), and
+no table is kept in this module's values.
 
 `GeneratorImages` presents an automorphism by finitely many images.  It
 acts only once factored: `apply_images` is `factorize(g).apply`, and one
@@ -31,19 +30,18 @@ part of the image of d_i^[p^k] under the shift t is C(t_i, p^k)
 x_i^{-p^k}, and C(t_i, p^k) is digit k of t_i by Lucas' theorem; tau
 keeps order-0 parts, so `extract_digits` (tau = 1) and `factorize` read
 the digits of t = A^{-1} s off them, then certify the reading by
-comparing every level image with the closed form: on the theta-tables
-that validation kept of the same images, or else by rebuilding the level
-with `FactoredAut.apply`.
+rebuilding every level image with `FactoredAut.apply`.  `factorize` keeps
+the certified factorization on the images.
 
-`validate_generator_images` checks the defining relations of the level
-images on theta-tables where theta's rule admits them, and on `DiffOp`s
-otherwise, with the same report.  It keeps the tables on the images, for
-its next call and for the certificate of `factorize`.  It multiplies
-each level image by each x image for the brackets; once those pass and
-the x images are monomials on a unimodular matrix, Jacobi's identity
-leaves the commutators and the p-th powers to the module action, acting
-on 1, so valid images cost O(n * precision) products, not one per pair
-of levels.
+`validate_generator_images` certifies first: images that factor are
+those of an automorphism, which preserves every defining relation, so
+they pass every check with no product of images.  Only images that the
+certificate rejects have their relations decided, on theta-tables where
+theta's rule admits them and on `DiffOp`s otherwise, with the same
+report.  That multiplies each level image by each x image for the
+brackets; once those pass and the x images are monomials on a unimodular
+matrix, Jacobi's identity leaves the commutators and the p-th powers to
+the module action, acting on 1.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from itertools import combinations
 
 from .diffop import DiffOp, _add_into
 from .errors import (
+    InvalidAutomorphism,
     MismatchError,
     NotAUnit,
     NotGL,
@@ -353,8 +352,8 @@ class GeneratorImages(_Value):
     """A truncated presentation of an automorphism: images of x_i, of
     x_i^{-1}, and of the divided-power levels d_i^[p^k] for k < precision."""
 
-    # _tables: (K, x tables, level tables, one), from theta.validation_tables
-    __slots__ = ("p", "n", "precision", "x_images", "xinv_images", "d_images", "_tables")
+    # _factored: the FactoredAut that factorize certified
+    __slots__ = ("p", "n", "precision", "x_images", "xinv_images", "d_images", "_factored")
 
     def _validate(self):
         _assign(self, "p", as_prime(self.p))
@@ -462,14 +461,41 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     delta_ij times E_ik, the image of d_i^[p^k - 1]; and every level image
     has vanishing p-th power.
 
+    The images are certified first, as `factorize` does and with its memo
+    (`_certify`, not the public name).  Images that factor are those of the
+    automorphism shift s after tau, which preserves every relation, so every
+    check passes with no table and no product of images.  Images that the
+    certificate rejects have each relation decided (`_decide_relations`),
+    which words every failure; the report's names and order are the same.
+    """
+    n, prec = g.n, g.precision
+    levels = [(i, k) for i in range(n) for k in range(prec)]
+    names = ([f"unit x[{i + 1}]" for i in range(n)]
+             + [f"commute x[{i + 1}] x[{j + 1}]" for i, j in combinations(range(n), 2)]
+             + [f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]"
+                for (i, k), (j, l) in combinations(levels, 2)]
+             + [f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]" for i, k in levels for j in range(n)]
+             + [f"p-th power d[{i + 1}]^[p^{k}]" for i, k in levels])
+    try:
+        _certify(g)
+        verdicts = [True] * len(names)
+    except InvalidAutomorphism:
+        verdicts = _decide_relations(g, levels)
+    report = CheckReport("generator image relations")
+    for name, ok in zip(names, verdicts, strict=True):
+        report.add(name, ok)
+    return report
+
+
+def _decide_relations(g: GeneratorImages, levels: list) -> list[bool]:
+    """The verdicts of `validate_generator_images`, in its report's order.
+
     The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
     level relations run on theta-tables where theta's rule admits them
-    (`theta.validation_tables`, converted once and kept on g for
-    `factorize`), and on `DiffOp`s otherwise, with the same report: the
-    tables are a faithful image of the operators.  E_ik = prod_{l<k}
-    (d_i^[p^l])^{p-1} / (p-1)!, one running product per variable, and the
-    brackets multiply each level image by each x image: O(n * n *
-    precision) products.
+    (`theta.validation_tables`), and on `DiffOp`s otherwise, with the same
+    verdicts: the tables are a faithful image of the operators.  E_ik =
+    prod_{l<k} (d_i^[p^l])^{p-1} / (p-1)!, one running product per
+    variable, and the brackets multiply each level image by each x image.
 
     The commutators and the p-th powers are decided by the module action
     where it suffices.  Let the x images X_j be monomials lambda_j x^(a_j)
@@ -487,31 +513,21 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     lowest sum of a pair that fails; where they fail, the check multiplies
     the images.
     """
-    report = CheckReport("generator image relations")
     p, n, prec = g.p, g.n, g.precision
     pp = p.p
     one = DiffOp.one(p, n)
-    for i in range(n):
-        ok = (
-            g.x_images[i] * g.xinv_images[i] == one
-            and g.xinv_images[i] * g.x_images[i] == one
-        )
-        report.add(f"unit x[{i + 1}]", ok)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ok = g.x_images[i] * g.x_images[j] == g.x_images[j] * g.x_images[i]
-            report.add(f"commute x[{i + 1}] x[{j + 1}]", ok)
-    xs, rows = g.x_images, g.d_images
+    xs, xinvs, rows = g.x_images, g.xinv_images, g.d_images
+    verdicts = [x * xinv == one and xinv * x == one for x, xinv in zip(xs, xinvs)]
+    verdicts += [xs[i] * xs[j] == xs[j] * xs[i] for i, j in combinations(range(n), 2)]
     try:  # are the x images monomials on a unimodular matrix
         spans = int_det([x.to_laurent().unit_decompose()[1] for x in xs]) in (1, -1)
     except (MismatchError, NotAUnit):  # positive order, or not one term
         spans = False
     from .theta import validation_tables
 
-    kept = validation_tables(xs, rows, one, g._tables)
-    if kept is not None:
-        _assign(g, "_tables", kept)
-        _, xs, rows, one = kept
+    tables = validation_tables(xs, rows, one)
+    if tables is not None:
+        xs, rows, one = tables
     below = {}  # E_ik, the image of d_i^[p^k - 1]
     inv_fact = _inverse_factorial(pp - 1, pp)
     for i in range(n):
@@ -521,7 +537,6 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
             if k + 1 < prec:
                 step = (rows[i][k] ** (pp - 1)).scale(inv_fact)
                 running = step if k == 0 else running * step
-    levels = [(i, k) for i in range(n) for k in range(prec)]
     brackets = {}
     for i, k in levels:
         dik = rows[i][k]
@@ -545,11 +560,8 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
         commute[a, b] = ok
         if not ok:
             lowest_failing_sum = min(lowest_failing_sum, k + l)
-    for (i, k), (j, l) in pairs:
-        report.add(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", commute[(i, k), (j, l)])
-    for i, k in levels:
-        for j in range(n):
-            report.add(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", brackets[i, k, j])
+    verdicts += [commute[ab] for ab in pairs]
+    verdicts += [brackets[i, k, j] for i, k in levels for j in range(n)]
     for i, k in levels:
         # the level commutes with those of i below k, pairs of sum below 2k
         if (i, k) in at_one and 2 * k <= lowest_failing_sum:
@@ -558,11 +570,10 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
                 if not f:
                     break
                 f = rows[i][k].act(f)
-            nilpotent = not f
+            verdicts.append(not f)
         else:
-            nilpotent = (rows[i][k] ** pp).is_zero()
-        report.add(f"p-th power d[{i + 1}]^[p^{k}]", nilpotent)
-    return report
+            verdicts.append((rows[i][k] ** pp).is_zero())
+    return verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -651,9 +662,10 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
     lambda_i^{-1} x^{-p^k A e_i}; a missing coefficient reads as 0.  The
     certificate compares each level image with the closed form on
     d_i^[p^k], x^{-p^k A e_i} lambda_i^{-1} C((A^{-1} theta)_i + t_i,
-    p^k), on the tables validation kept (`theta.table_certificate`), or
-    else, and to word an error, rebuilt by `FactoredAut.apply`; the x
-    images are never conjugated.
+    p^k), rebuilt by `FactoredAut.apply`, and words the first difference;
+    the x images are never conjugated.  The images of one automorphism
+    satisfy every defining relation, so a set that passes needs no
+    relation checked (`validate_generator_images`).
     """
     p, n, prec = g.p, g.n, g.precision
     pp, zero = p.p, (0,) * n
@@ -667,14 +679,7 @@ def _read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
             digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, pp) % pp
     t = ShiftVector.from_digits(digits, p)
     aut = FactoredAut(matrix_shift(tau.matrix, t), tau)
-    certified = None
-    if g._tables is not None:  # validation kept tables of g
-        from .theta import table_certificate
-
-        certified = table_certificate(g._tables, tau, [c.to_int() for c in t.components], unit)
     for i, k in levels:
-        if certified is not None and certified(i, k):
-            continue
         image, rebuilt = g.d_images[i][k], aut.apply(DiffOp.partial(p, n, i + 1, pp ** k))
         if image == rebuilt:
             continue
@@ -699,7 +704,15 @@ def extract_digits(g: GeneratorImages) -> ShiftVector:
     return _read_shift(g, MonomialAut.identity(g.p, g.n)).shift
 
 
+def _certify(g: GeneratorImages) -> FactoredAut:
+    """`_read_shift` at the x images' tau, certified once per images and
+    kept on them (`GeneratorImages._factored`)."""
+    if g._factored is None:
+        _assign(g, "_factored", _read_shift(g, g.restriction()))
+    return g._factored
+
+
 def factorize(g: GeneratorImages) -> FactoredAut:
     """Factor generator images into a shift and the monomial automorphism
-    read off from the x images."""
-    return _read_shift(g, g.restriction())
+    read off from the x images; a validated set was certified already."""
+    return _certify(g)

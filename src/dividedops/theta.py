@@ -1,7 +1,7 @@
 """Operators as theta-tables, the representation in which
-`validate_generator_images` multiplies generator images, the closed form
-of `autgroup.FactoredAut` is tabulated and `autgroup.shift_apply` rolls
-a shift.
+`validate_generator_images` multiplies the generator images that its
+certificate rejects, the closed form of `autgroup.FactoredAut` is
+tabulated and `autgroup.shift_apply` rolls a shift.
 
 With theta_i = x_i d_i every divided power is d^[beta] = x^{-beta}
 C(theta, beta), so an operator is a finite sum sum_gamma x^gamma
@@ -52,17 +52,17 @@ per gamma and term, x^gamma c(theta) x^m = c(m) x^(m + gamma).
 
 This module alone decides where tables are used, by one rule
 (`tables_fit` of K = `scalars.index_digits`) that validation
-(`validation_tables`), `expansion`, `roll_digits` and factorize's
-certificate (`table_certificate`) ask: at most TABLE_CELLS cells, as a
-table has p^(nK) cells however sparse the operator; above p = PACKED, where
-no kernel transforms, rolls or gathers, list tables only for validation's
-products in one variable (at n >= 2 its `DiffOp` path is faster).
-`expansion` finds and caches the Mahler coefficients of the closed form
-of `autgroup.FactoredAut.apply` on a table gathered from slices of one
-row of p^K cells and taken through `mahler` (one base-p digit of the cell
-index per pass, p - 1 masked big-int steps per pass), or else by Newton
-differences.  `binomial_table` gathers each factor, C(ell . m + t, b),
-from the row C(y, b), for it and for the certificate.
+(`validation_tables`), `expansion` and `roll_digits` ask: at most
+TABLE_CELLS cells, as a table has p^(nK) cells however sparse the
+operator; above p = PACKED, where no kernel transforms, rolls or gathers,
+list tables only for validation's products in one variable (at n >= 2 its
+`DiffOp` path is faster).  `expansion` finds and caches the Mahler
+coefficients of the closed form of `autgroup.FactoredAut.apply` on a
+table whose factors C(ell . m + t, b) are gathered from slices of the row
+C(y, b) of p^K cells and taken through `mahler` (one base-p digit of the
+cell index per pass, p - 1 masked big-int steps per pass), or else by
+Newton differences.  Validation multiplies its tables and keeps none;
+every other caller gets operators back.
 
 A shift by t is a roll alone, x^-t x^gamma c(theta) x^t = x^gamma
 c(theta + t): `roll_shift` rolls each table by t and reads its Mahler
@@ -348,7 +348,7 @@ def _bit_tables(terms: dict, count: int) -> dict:
     return {gamma: mahler(t, 2, count) for gamma, t in tables.items()}
 
 
-@lru_cache(maxsize=64)  # rows of at most TABLE_CELLS cells; certificates reuse b = p^k
+@lru_cache(maxsize=64)  # rows of at most TABLE_CELLS cells; level images reuse b = p^k
 def binomial_row(b: int, p: int, digits: int) -> bytes:
     """C(y, b) mod p for y < p^digits, p <= 16, as one row: the table of
     d^[b] in no variables, converted by its kernel, and at p = 2 written in
@@ -439,24 +439,18 @@ def _table_expansion(ainv: tuple[tuple[int, ...], ...], beta: tuple[int, ...], p
     """The pairs of `expansion`, read off a bit or byte table of period
     p^digits; needs every entry of beta below p^digits.
 
-    Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n
-    (`binomial_table`); their pointwise product goes through one inverse
-    Mahler transform (`mahler`), and its nonzero cells are the c_j, in
-    row-major order of j."""
+    Each factor C(ell_i m + t_i, beta_i) is a table on (Z/p^digits)^n,
+    gathered from the row C(y, beta_i) (`linear_table` of `binomial_row`)
+    and at p = 2 read as a bit table; their pointwise product goes through
+    one inverse Mahler transform (`mahler`), and its nonzero cells are the
+    c_j, in row-major order of j."""
     if not any(beta):
         return (((0,) * len(beta), 1),)
-    table = reduce(_cells(p, p ** (digits * len(beta))).mul, [
-        binomial_table(row, b, p, ti, digits) for row, b, ti in zip(ainv, beta, t) if b])
+    factors = [linear_table(binomial_row(b, p, digits), row, ti)
+               for row, b, ti in zip(ainv, beta, t) if b]
+    table = reduce(_cells(p, p ** (digits * len(beta))).mul,
+                   [int(f, 2) for f in factors] if p == 2 else factors)
     return tuple(_mahler_pairs(table, p, len(beta), p ** digits))
-
-
-def binomial_table(ell, b: int, p: int, t: int, digits: int):
-    """The table of m -> C(ell . m + t, b) mod p on (Z/p^digits)^n, p <= 16
-    and b < p^digits, in its kernel's format: gathered from the row C(y, b),
-    y < p^digits (`linear_table` of `binomial_row`), and at p = 2 read as
-    a bit table."""
-    table = linear_table(binomial_row(b, p, digits), ell, t)
-    return int(table, 2) if p == 2 else table
 
 
 def _mahler_pairs(table, p: int, n: int, size: int) -> list:
@@ -505,36 +499,16 @@ def roll_shift(op: DiffOp, t, digits: int) -> DiffOp:
     return op._from_terms(parts)
 
 
-def validation_tables(xs, rows, one, kept):
-    """(K, x tables, level tables, table of one) on which validation
-    multiplies the x images xs, the level images rows and the operator one:
-    `kept`, converted by an earlier call, or new ones with K =
+def validation_tables(xs, rows, one):
+    """(x tables, level tables, table of one) on which validation multiplies
+    the x images xs, the level images rows and the operator one, with K =
     `index_digits` of every index; None where the rule refuses tables."""
     digits = index_digits([beta for op in (*xs, *chain(*rows)) for beta in op.parts], one.p.p)
     if not tables_fit(one.p.p, one.n, digits, packed=False):
         return None
-    return kept or (digits, [ThetaTable.from_diffop(x, digits) for x in xs],
-                    [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
-                    ThetaTable.from_diffop(one, digits))
-
-
-def table_certificate(kept, tau, t, unit):
-    """Whether the kept table (`validation_tables`) of the image of level
-    (i, k) is the closed form's, {gamma: lambda C((A^{-1} m)_i + t_i, p^k)}
-    for (lambda, gamma) = unit[i, k], A tau's matrix; both operators have
-    every index below p^K, so equal tables mean equal operators.  None
-    where K is below the precision or the rule refuses the gathered rows."""
-    digits, _, rows, _ = kept
-    p, n = rows[0][0].p, rows[0][0].n
-    if digits < len(rows[0]) or not tables_fit(p, n, digits, packed=True):
-        return None
-
-    def certified(i: int, k: int) -> bool:
-        scale, exps = unit[i, k]
-        table = binomial_table(tau.inverse_matrix[i], p ** k, p, t[i], digits)
-        return rows[i][k] == ThetaTable(p, n, p ** digits, {exps: table}).scale(scale)
-
-    return certified
+    return ([ThetaTable.from_diffop(x, digits) for x in xs],
+            [[ThetaTable.from_diffop(d, digits) for d in row] for row in rows],
+            ThetaTable.from_diffop(one, digits))
 
 
 class ThetaTable:

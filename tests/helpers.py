@@ -90,7 +90,10 @@ def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:
               x^{gamma + delta - j} d^[beta - j + eps],
 
     walking every term of a's coefficient for every Leibniz term: the
-    reference that DiffOp.__mul__ is tested against."""
+    reference that DiffOp.__mul__ is tested against.  Each variable's j
+    are kept where C(delta_i, j_i) C(beta_i - j_i + eps_i, eps_i) is
+    nonzero before the variables are paired, so every combination is a
+    term of the product, p being prime."""
     assert a.p == b.p and a.n == b.n
     pp = a.p.p
     n = a.n
@@ -98,16 +101,14 @@ def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:
     for beta, f in a.parts.items():
         for eps, g in b.parts.items():
             for delta, cg in g.terms.items():
-                choices = [_nonzero_binoms(delta[i], beta[i], pp) for i in range(n)]
+                choices = [[(j, cj) for j, c in _nonzero_binoms(delta[i], beta[i], pp)
+                            if (cj := c * _lucas(beta[i] - j + eps[i], eps[i], pp) % pp)]
+                           for i in range(n)]
                 for combo in iproduct(*choices):
                     cj = cg
                     for _, c in combo:
                         cj = cj * c % pp
                     newbeta = tuple(beta[i] - combo[i][0] + eps[i] for i in range(n))
-                    for i in range(n):
-                        cj = cj * _lucas(newbeta[i], eps[i], pp) % pp
-                    if cj == 0:
-                        continue
                     shift = tuple(delta[i] - combo[i][0] for i in range(n))
                     bucket = acc.setdefault(newbeta, {})
                     for gam, cf in f.terms.items():
@@ -395,6 +396,19 @@ def subprocess_env() -> dict:
     """Environment for a child Python that imports this checkout's sources."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def conversions(monkeypatch) -> list:
+    """Record the digit count of every table conversion."""
+    calls = []
+    original = theta.ThetaTable.from_diffop
+
+    def spy(op, digits):
+        calls.append(digits)
+        return original(op, digits)
+
+    monkeypatch.setattr(theta.ThetaTable, "from_diffop", staticmethod(spy))
+    return calls
 
 
 @contextmanager

@@ -37,6 +37,7 @@ from dividedops.laurent import LaurentPoly
 from dividedops.scalars import PadicInt, Prime, binom_padic
 
 from helpers import (
+    conversions,
     generic_apply_images,
     generic_compose_images,
     leibniz_product,
@@ -852,34 +853,19 @@ def test_closed_form_and_certificate_build_no_intermediate_operator(monkeypatch)
 
 def perturbed_messages(g, monkeypatch) -> tuple[str, str, str]:
     """factorize's NotSigmaForm message three ways: with the closed form
-    rebuilt on tables; validated first, where the level tables that
-    validation kept are compared first, and one of them must differ; and
-    with Newton differences alone (no table anywhere).  The cache is
-    cleared first, so the table side computes its own expansions."""
+    rebuilt on tables; validated first, whose certificate rejects the
+    images and keeps nothing on them; and with Newton differences alone
+    (no table anywhere).  The cache is cleared first, so the table side
+    computes its own expansions."""
     theta.expansion.cache_clear()
     with pytest.raises(NotSigmaForm) as tables:
         factorize(g)
-    verdicts = []
-    certificate = theta.table_certificate
-
-    def recorded(*args):
-        certified = certificate(*args)
-
-        def verdict(i, k):
-            verdicts.append(certified(i, k))
-            return verdicts[-1]
-
-        return verdict
-
-    with monkeypatch.context() as m:
-        m.setattr(theta, "table_certificate", recorded)
-        validate_generator_images(g)
-        with pytest.raises(NotSigmaForm) as validated:
-            factorize(g)
-    assert verdicts and verdicts[-1] is False
+    validate_generator_images(g)
+    assert g._factored is None
+    with pytest.raises(NotSigmaForm) as validated:
+        factorize(g)
     with tables_off(monkeypatch) as m:
         m.setattr(theta, "_table_expansion", None)  # a table call would raise
-        m.setattr(theta, "binomial_table", None)
         with pytest.raises(NotSigmaForm) as diffops:
             factorize(g)
     return str(tables.value), str(validated.value), str(diffops.value)
@@ -916,8 +902,8 @@ def test_factorize_messages_are_the_diffop_certificates(monkeypatch, i, k):
 
 
 def refuse_rebuilds(monkeypatch):
-    """Make `FactoredAut.apply` raise, so that factorize can certify only
-    on the tables that validation kept."""
+    """Make `FactoredAut.apply` raise, so that images can be factored or
+    validated only by the factorization kept on them."""
     def refused(self, op):
         raise AssertionError("a level image was rebuilt")
 
@@ -936,47 +922,47 @@ def test_validation_first_or_last_factors_the_same(monkeypatch, p, n):
         first, last, alone = fac.to_images(), fac.to_images(), fac.to_images()
         assert factorize(alone) == fac
         assert factorize(last) == fac
-        assert validate_generator_images(last).passed
-        assert validate_generator_images(first).passed
         with monkeypatch.context() as m:
-            if p <= 16:
-                refuse_rebuilds(m)
-            else:  # validation kept list tables, which the certificate declines
-                assert first._tables is not None
-                m.setattr(theta, "binomial_table", None)  # a certificate on them would raise
-            assert factorize(first) == fac
+            calls = conversions(m)
+            assert validate_generator_images(first).passed
+            assert not calls  # certified images make no table
+        with monkeypatch.context() as m:
+            refuse_rebuilds(m)  # each set was certified once, by the first of the two calls
+            assert validate_generator_images(last).passed
+            assert factorize(first) == fac and factorize(first) is first._factored
 
 
-def test_validation_converts_its_tables_once(monkeypatch):
+def test_certified_images_convert_no_table(monkeypatch):
     g = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], 3),
                     MonomialAut.create(((2, 1), (1, 1)), (2, 1), 3)).to_images()
-    assert validate_generator_images(g).passed
     monkeypatch.setattr(theta.ThetaTable, "from_diffop", None)  # a conversion would raise
     assert validate_generator_images(g).passed
+    assert validate_generator_images(g).passed
 
 
-def test_levels_beyond_the_kept_period_are_rebuilt():
-    # every index of these images has one digit, so validation keeps tables
-    # of period p; there C(y, p) reads as C(y, 0), and the unit x^-p at the
-    # second level would pass for the closed form of d^[p] under the shift 3
+def test_every_level_is_rebuilt_against_the_closed_form():
+    # every index of these images has one digit; on tables of period p,
+    # C(y, p) reads as C(y, 0), so the unit x^-p at the second level would
+    # pass there for the closed form of d^[p] under the shift 3.  The
+    # certificate rebuilds every level as an operator and rejects it
     p = 3
     ident = GeneratorImages.identity(p, 1, 2)
     g = with_image(ident, 0, 1, mono(p, 1, (-p,)))
-    validate_generator_images(g)
-    assert g._tables[0] == 1
+    assert not validate_generator_images(g).passed and g._factored is None
     with pytest.raises(NotSigmaForm, match=r"d1\^\[3\] has positive order"):
         factorize(g)
 
 
-def test_kept_tables_are_ignored_once_tables_off(monkeypatch):
+def test_the_kept_factorization_holds_no_table(monkeypatch):
     fac = FactoredAut(sv([[2, 0, 1], [1, 2, 2]], 3),
                       MonomialAut.create(((2, 1), (1, 1)), (2, 1), 3))
     g = fac.to_images()
     assert validate_generator_images(g).passed
     with tables_off(monkeypatch) as m:
-        for name in ("__eq__", "__mul__", "__sub__", "is_zero"):
-            m.setattr(theta.ThetaTable, name, None)  # any use of a kept table would raise
-        m.setattr(theta, "binomial_table", None)
+        for name in ("from_diffop", "__eq__", "__mul__", "__sub__", "is_zero"):
+            m.setattr(theta.ThetaTable, name, None)  # any use of a table would raise
+        m.setattr(theta, "_table_expansion", None)
+        refuse_rebuilds(m)
         assert factorize(g) == fac
         assert validate_generator_images(g).passed
 

@@ -171,14 +171,14 @@ def names_and_numbers(path: Path) -> tuple[set[str], set[str], set]:
 
 def test_theta_alone_decides_where_tables_are_used():
     # theta's rule answers for the cell budget and for the kernels, which
-    # pack cells only up to theta.PACKED; autgroup asks its entry points
+    # pack cells only up to theta.PACKED; autgroup asks its entry points,
+    # and the one certificate is the rebuild by the closed form
     package = Path(dividedops.__file__).parent
     for path in package.glob("*.py"):
         names, _, _ = names_and_numbers(path)
         if path.stem != "theta":
             assert not names & {"TABLE_CELLS", "PACKED"}, path.name
     names, from_theta, numbers = names_and_numbers(package / "autgroup.py")
-    assert from_theta <= {"expansion", "roll_digits", "roll_shift", "validation_tables",
-                          "table_certificate"}
-    assert not names & {"ThetaTable", "binomial_table", "tables_fit"}
+    assert from_theta <= {"expansion", "roll_digits", "roll_shift", "validation_tables"}
+    assert not names & {"ThetaTable", "binomial_row", "tables_fit", "table_certificate"}
     assert 16 not in numbers

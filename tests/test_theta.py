@@ -1,6 +1,7 @@
 """Theta-tables: checked against the module action and DiffOp.__mul__, and
 validate_generator_images checked to report the same on tables as on
-DiffOps."""
+DiffOps, and as the reference relations, whether its certificate accepts
+the images or their relations are decided."""
 
 import copy
 import math
@@ -17,6 +18,7 @@ from dividedops.autgroup import (
     GeneratorImages,
     MonomialAut,
     ShiftVector,
+    matrix_shift,
     shift_apply,
     shift_compose_images,
     shift_generator_images,
@@ -25,15 +27,16 @@ from dividedops.autgroup import (
 from dividedops.diffop import DiffOp, normal_form_from_action
 from dividedops.interchange import dumps, images_from_dict, images_to_dict, loads
 from dividedops.laurent import LaurentPoly
-from dividedops.scalars import padic_length
+from dividedops.scalars import index_digits, padic_length
 from dividedops.theta import ThetaTable
 
 from helpers import (
     ROOT,
+    conversions,
     monomial_compose_images,
     rand_gl,
-    rand_op,
     rand_nonzero_poly,
+    rand_op,
     rand_padic,
     rand_poly,
     reference_relations,
@@ -353,28 +356,25 @@ def test_bit_cells_match_list_cells(n):
 # -- validate_generator_images on both paths ----------------------------------
 
 
-def conversions(monkeypatch) -> list:
-    """Record the digit count of every table conversion."""
-    calls = []
-    original = ThetaTable.from_diffop
-
-    def spy(op, digits):
-        calls.append(digits)
-        return original(op, digits)
-
-    monkeypatch.setattr(ThetaTable, "from_diffop", staticmethod(spy))
-    return calls
+def table_path(g: GeneratorImages) -> bool:
+    """Whether theta's rule admits tables for deciding the relations of g."""
+    ops = (*g.x_images, *(d for row in g.d_images for d in row))
+    digits = index_digits([beta for op in ops for beta in op.parts], g.p.p)
+    return theta.tables_fit(g.p.p, g.n, digits, packed=False)
 
 
 def both_reports(g, monkeypatch):
-    """(name, passed) lists of the table path and of the DiffOp path."""
+    """(name, passed) lists of the table path and of the DiffOp path, each
+    validated on a fresh copy of g: certified images convert no table, and
+    the others convert theirs where theta's rule admits them."""
     with monkeypatch.context() as m:
         calls = conversions(m)
-        table = [(c.name, c.passed) for c in validate_generator_images(g).checks]
-        assert calls, "expected the table path"
+        fresh = copy.copy(g)
+        table = [(c.name, c.passed) for c in validate_generator_images(fresh).checks]
+        assert bool(calls) == (fresh._factored is None and table_path(g))
     with tables_off(monkeypatch) as m:
         calls = conversions(m)
-        sparse = [(c.name, c.passed) for c in validate_generator_images(g).checks]
+        sparse = [(c.name, c.passed) for c in validate_generator_images(copy.copy(g)).checks]
         assert not calls
     return table, sparse
 
@@ -441,11 +441,14 @@ def with_x(g: GeneratorImages, x: DiffOp, xinv: DiffOp) -> GeneratorImages:
                            (xinv, *g.xinv_images[1:]), g.d_images)
 
 
-def perturbations(rng, g: GeneratorImages) -> dict:
-    """Five ways to break valid images g, by name."""
+def perturbations(rng, g: GeneratorImages, level=None) -> dict:
+    """Five ways to break valid images g, by name; the two that add to a
+    level image add to `level`, if given."""
     p, n, prec = g.p.p, g.n, g.precision
     ds, (x, *_), (xinv, *_) = g.d_images, g.x_images, g.xinv_images
     i, k, top = rng.randrange(n), rng.randrange(prec), prec - 1
+    if level is not None:
+        k = top = level
     # the top level feeds no bracket, so its own brackets still pass
     laurent = DiffOp.from_laurent(rand_nonzero_poly(rng, p, n, max_terms=2, span=2))
     bump = rand_op(rng, p, n, max_parts=2, max_order=2, span=2, max_terms=3)
@@ -499,21 +502,75 @@ def counted_products(m, cls, counts) -> list:
 
 @pytest.mark.parametrize("p, n, prec", [(2, 2, 5), (2, 3, 4), (2, 1, 6)])
 def test_valid_images_make_linearly_many_products(monkeypatch, p, n, prec):
-    # at p = 2 with L = n * prec levels: the brackets multiply each level
-    # image by each x image both ways, 2 n L products, and the running
-    # products of the images of d_i^[p^k - 1] make fewer than L more; no
-    # commutator or p-th power is multiplied out (148 products at (2, 2, 5)
-    # when every pair was)
+    # valid images are certified by rebuilding each level by the closed
+    # form, on both paths: no level image is multiplied and no table is
+    # converted
     g = valid_images(random.Random(f"count:{p}:{n}:{prec}"), p, n, prec)
-    bound = 2 * n * n * prec + n * prec
-    with monkeypatch.context() as m:
-        tables = counted_products(m, ThetaTable, lambda a, b: True)
-        assert validate_generator_images(copy.copy(g)).passed
-    with tables_off(monkeypatch) as m:
-        # the unit and x checks multiply Laurent polynomials, not level images
-        ops = counted_products(m, DiffOp, lambda a, b: not (a.is_laurent() and b.is_laurent()))
-        assert validate_generator_images(copy.copy(g)).passed
-    assert len(tables) == len(ops) <= bound
+    images = {id(d) for row in g.d_images for d in row}
+    for path in (monkeypatch.context, lambda: tables_off(monkeypatch)):
+        with path() as m:
+            tables = counted_products(m, ThetaTable, lambda a, b: True)
+            ops = counted_products(m, DiffOp, lambda a, b: id(a) in images or id(b) in images)
+            calls = conversions(m)
+            assert validate_generator_images(copy.copy(g)).passed
+        assert not tables and not ops and not calls
+
+
+def trusting_read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
+    """`autgroup._read_shift` with its level comparison left out: the
+    digits are read off the order-0 parts, and nothing is certified."""
+    p, n, prec = g.p.p, g.n, g.precision
+    digits = [[0] * prec for _ in range(n)]
+    for i in range(n):
+        for k in range(prec):
+            scale, exps = tau.apply_exponents(tuple(-p ** k if j == i else 0 for j in range(n)))
+            order0 = g.d_images[i][k].parts.get((0,) * n)
+            if order0 is not None:
+                digits[i][k] = order0.terms.get(exps, 0) * pow(scale, -1, p) % p
+    return FactoredAut(matrix_shift(tau.matrix, ShiftVector.from_digits(digits, g.p)), tau)
+
+
+def test_the_oracle_catches_a_certificate_that_compares_nothing(monkeypatch):
+    # validation trusts its certificate, so a certificate that reads the
+    # digits and compares no level passes every perturbation that keeps the
+    # x images; the reference relations must see it on these shapes
+    monkeypatch.setattr(autgroup, "_read_shift", trusting_read_shift)
+    wrong = 0
+    for p, n, prec in ORACLE_SHAPES:
+        rng = random.Random(f"oracle:{p}:{n}:{prec}")
+        g = valid_images(rng, p, n, prec)
+        for bad in perturbations(rng, g).values():
+            report = [(c.name, c.passed) for c in validate_generator_images(bad).checks]
+            if report != reference_relations(bad):
+                assert all(ok for _, ok in report)
+                wrong += 1
+    assert wrong >= len(ORACLE_SHAPES)
+
+
+@pytest.mark.parametrize("p, n, prec, shift", [(17, 1, 3, [307]), (101, 1, 2, [103]),
+                                               (17, 2, 2, [18, 35])])
+def test_reports_above_16_equal_the_reference_relations(monkeypatch, p, n, prec, shift):
+    # sparse level images (shift digits at most 2, A of zeros and ones, here
+    # 1 and the swap, tau's scalars other than 1) keep the reference's p-th
+    # powers small.  Valid images
+    # certify with no table; perturbed ones convert list tables at n = 1
+    # and run on DiffOps at n = 2, read from JSON as well.  A doubled level
+    # keeps its p-th power; a Laurent term added to a level makes the
+    # reference's p-th power take over a minute at p = 101, so it is added
+    # at p = 17 only
+    rng = random.Random(f"above 16:{p}:{n}:{prec}")
+    tau = MonomialAut.create(rand_gl(rng, n, 0, 1), [rng.randint(2, p - 1) for _ in range(n)], p)
+    g = FactoredAut(ShiftVector.from_ints(shift, p, prec), tau).to_images()
+    kinds = perturbations(rng, g, level=0)
+    sets = {"valid": g, "doubled": with_level(g, n - 1, prec - 1, g.d_images[n - 1][-1].scale(2))}
+    sets.update((name, kinds[name]) for name in ("swap", "square", "sum", "laurent")[:3 + (p < 100)])
+    for name, bad in sets.items():
+        reference = reference_relations(bad)
+        assert all(ok for _, ok in reference) == (name == "valid")
+        assert table_path(bad) == (n == 1)
+        for read in (bad, via_json(bad)):
+            table, sparse = both_reports(read, monkeypatch)
+            assert table == sparse == reference, (name, p, n, prec)
 
 
 def test_nonzero_pth_power_fails_on_both_paths(monkeypatch):
@@ -554,10 +611,16 @@ def test_wrong_bracket_on_both_paths(monkeypatch):
     (3, 2, 3, [17, 25]),
 ])
 def test_shift_images_validate_on_tables(monkeypatch, p, n, prec, values):
+    # the images are certified with no table; doubling the top level breaks
+    # its bracket with x_1, and the relations are decided on tables
     g = shift_generator_images(ShiftVector.from_ints(values, p, prec))
     calls = conversions(monkeypatch)
     rep = validate_generator_images(g)
     assert rep.passed, rep.failures()
+    assert not calls
+    bad = with_level(g, 0, prec - 1, g.d_images[0][prec - 1].scale(2))
+    assert [c.name for c in validate_generator_images(bad).failures()] == [
+        f"bracket [d[1]^[p^{prec - 1}], x[1]]"]
     assert calls and p ** (n * calls[0]) <= theta.TABLE_CELLS
 
 
@@ -615,13 +678,15 @@ def test_cells_are_bytes_up_to_16_and_lists_above(monkeypatch, p, cell_type):
         return made[-1]
 
     g = shift_generator_images(ShiftVector.from_ints([p - 2, 5][:n], p, 1))
+    bad = with_level(g, n - 1, 0, g.d_images[n - 1][0] + DiffOp.partial(p, n, 1, 2))
     with monkeypatch.context() as m:
         m.setattr(ThetaTable, "from_diffop", staticmethod(spy))
         assert validate_generator_images(g).passed
+        assert not made  # certified
+        assert not validate_generator_images(bad).passed
     assert made and all(type(t) is cell_type for table in made for t in table.tables.values())
-    bad = with_level(g, n - 1, 0, g.d_images[n - 1][0] + DiffOp.partial(p, n, 1, 2))
     table, sparse = both_reports(bad, monkeypatch)
-    assert table == sparse and not all(ok for _, ok in table)
+    assert table == sparse == reference_relations(bad) and not all(ok for _, ok in table)
 
 
 @pytest.mark.parametrize("p", [17, 101])
@@ -635,7 +700,7 @@ def test_list_tables_serve_one_variable(monkeypatch, p):
     bad = with_level(g, 1, 0, g.d_images[1][0] + DiffOp.partial(p, 2, 1, 2))
     assert "bracket [d[2]^[p^0], x[1]]" in [c.name for c in
                                             validate_generator_images(bad).failures()]
-    assert not calls and g._tables is None
+    assert not calls
 
 
 # -- shifts: a roll of the tables -----------------------------------------------

@@ -132,13 +132,13 @@ def test_memos_stay_out_of_the_value():
     aut = twisted()
     g = aut.to_images()
     assert validate_generator_images(g).passed
-    assert g._tables is not None and aut._ainv_and_t and aut.tau._inverse is not None
+    assert g._factored == aut and aut._ainv_and_t and aut.tau._inverse is not None
     plain = twisted().to_images()  # equal images, never validated
-    assert plain._tables is None
+    assert plain._factored is None
     assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
     for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
-        assert twin == g and twin._tables is None
+        assert twin == g and twin._factored is None
     assert copy.copy(aut)._ainv_and_t is None and copy.copy(aut.tau)._inverse is None
     assert twisted() == aut and hash(twisted()) == hash(aut)
     with pytest.raises(AttributeError):
-        g._tables = None
+        g._factored = None
