@@ -466,29 +466,37 @@ def validate_generator_images(g: GeneratorImages) -> CheckReport:
     automorphism shift s after tau, which preserves every relation, so every
     check passes with no table and no product of images.  Images that the
     certificate rejects have each relation decided (`_decide_relations`),
-    which words every failure; the report's names and order are the same.
+    which words every failure.  Both reports list the checks of `_relations`,
+    in its order.
     """
-    n, prec = g.n, g.precision
-    levels = [(i, k) for i in range(n) for k in range(prec)]
-    names = ([f"unit x[{i + 1}]" for i in range(n)]
-             + [f"commute x[{i + 1}] x[{j + 1}]" for i, j in combinations(range(n), 2)]
-             + [f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]"
-                for (i, k), (j, l) in combinations(levels, 2)]
-             + [f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]" for i, k in levels for j in range(n)]
-             + [f"p-th power d[{i + 1}]^[p^{k}]" for i, k in levels])
+    levels = [(i, k) for i in range(g.n) for k in range(g.precision)]
     try:
         _certify(g)
-        verdicts = [True] * len(names)
+        verdicts = None
     except InvalidAutomorphism:
         verdicts = _decide_relations(g, levels)
     report = CheckReport("generator image relations")
-    for name, ok in zip(names, verdicts, strict=True):
-        report.add(name, ok)
+    for name, key in _relations(g.n, levels):
+        report.add(name, verdicts is None or verdicts[key])
     return report
 
 
-def _decide_relations(g: GeneratorImages, levels: list) -> list[bool]:
-    """The verdicts of `validate_generator_images`, in its report's order.
+def _relations(n: int, levels: list) -> list[tuple[str, tuple]]:
+    """The checks of `validate_generator_images` in report order, each a
+    name and the key of its verdict in `_decide_relations`."""
+    return ([(f"unit x[{i + 1}]", ("unit", i)) for i in range(n)]
+            + [(f"commute x[{i + 1}] x[{j + 1}]", ("x", i, j))
+               for i, j in combinations(range(n), 2)]
+            + [(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]", ("commute", (i, k), (j, l)))
+               for (i, k), (j, l) in combinations(levels, 2)]
+            + [(f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]", ("bracket", i, k, j))
+               for i, k in levels for j in range(n)]
+            + [(f"p-th power d[{i + 1}]^[p^{k}]", ("power", i, k)) for i, k in levels])
+
+
+def _decide_relations(g: GeneratorImages, levels: list) -> dict[tuple, bool]:
+    """The verdicts of `validate_generator_images`, by their keys in
+    `_relations`.
 
     The unit and x checks multiply Laurent polynomials as `DiffOp`s.  The
     level relations run on theta-tables where theta's rule admits them
@@ -517,8 +525,10 @@ def _decide_relations(g: GeneratorImages, levels: list) -> list[bool]:
     pp = p.p
     one = DiffOp.one(p, n)
     xs, xinvs, rows = g.x_images, g.xinv_images, g.d_images
-    verdicts = [x * xinv == one and xinv * x == one for x, xinv in zip(xs, xinvs)]
-    verdicts += [xs[i] * xs[j] == xs[j] * xs[i] for i, j in combinations(range(n), 2)]
+    verdicts = {("unit", i): x * xinv == one and xinv * x == one
+                for i, (x, xinv) in enumerate(zip(xs, xinvs))}
+    verdicts.update((("x", i, j), xs[i] * xs[j] == xs[j] * xs[i])
+                    for i, j in combinations(range(n), 2))
     try:  # are the x images monomials on a unimodular matrix
         spans = int_det([x.to_laurent().unit_decompose()[1] for x in xs]) in (1, -1)
     except (MismatchError, NotAUnit):  # positive order, or not one term
@@ -537,31 +547,26 @@ def _decide_relations(g: GeneratorImages, levels: list) -> list[bool]:
             if k + 1 < prec:
                 step = (rows[i][k] ** (pp - 1)).scale(inv_fact)
                 running = step if k == 0 else running * step
-    brackets = {}
     for i, k in levels:
         dik = rows[i][k]
         for j in range(n):
             com = dik * xs[j] - xs[j] * dik
-            brackets[i, k, j] = com == below[i, k] if i == j else com.is_zero()
+            verdicts["bracket", i, k, j] = com == below[i, k] if i == j else com.is_zero()
     # the levels whose relations the module action may decide, with their image of 1
     constant = LaurentPoly.one(p, n)
     at_one = {(i, k): rows[i][k].act(constant) for i, k in levels
-              if spans and all(brackets[i, k, j] for j in range(n))}
-    commute = {}  # (a, b), a before b in levels: do the two level images commute
+              if spans and all(verdicts["bracket", i, k, j] for j in range(n))}
     lowest_failing_sum = 2 * prec  # every pair of smaller level sum commutes
-    pairs = list(combinations(levels, 2))
-    for a, b in sorted(pairs, key=lambda ab: ab[0][1] + ab[1][1]):
+    for a, b in sorted(combinations(levels, 2), key=lambda ab: ab[0][1] + ab[1][1]):
         (i, k), (j, l) = a, b
         # a commutes with the levels of j below l, and b with those of i below k
         if a in at_one and b in at_one and k + l <= lowest_failing_sum:
             ok = rows[i][k].act(at_one[b]) == rows[j][l].act(at_one[a])
         else:
             ok = rows[i][k] * rows[j][l] == rows[j][l] * rows[i][k]
-        commute[a, b] = ok
+        verdicts["commute", a, b] = ok
         if not ok:
             lowest_failing_sum = min(lowest_failing_sum, k + l)
-    verdicts += [commute[ab] for ab in pairs]
-    verdicts += [brackets[i, k, j] for i, k in levels for j in range(n)]
     for i, k in levels:
         # the level commutes with those of i below k, pairs of sum below 2k
         if (i, k) in at_one and 2 * k <= lowest_failing_sum:
@@ -570,9 +575,9 @@ def _decide_relations(g: GeneratorImages, levels: list) -> list[bool]:
                 if not f:
                     break
                 f = rows[i][k].act(f)
-            verdicts.append(not f)
+            verdicts["power", i, k] = not f
         else:
-            verdicts.append((rows[i][k] ** pp).is_zero())
+            verdicts["power", i, k] = (rows[i][k] ** pp).is_zero()
     return verdicts
 
 

@@ -504,16 +504,29 @@ def counted_products(m, cls, counts) -> list:
 def test_valid_images_make_linearly_many_products(monkeypatch, p, n, prec):
     # valid images are certified by rebuilding each level by the closed
     # form, on both paths: no level image is multiplied and no table is
-    # converted
+    # converted.  Deciding their relations anyway, at p = 2 with L = n *
+    # prec levels: the brackets multiply each level image by each x image
+    # both ways, 2 n L products, and the running products of the images of
+    # d_i^[p^k - 1] make fewer than L more; the module action decides every
+    # commutator and p-th power (148 products at (2, 2, 5) when every pair
+    # was multiplied)
     g = valid_images(random.Random(f"count:{p}:{n}:{prec}"), p, n, prec)
     images = {id(d) for row in g.d_images for d in row}
+    levels = [(i, k) for i in range(n) for k in range(prec)]
+    decided = []
     for path in (monkeypatch.context, lambda: tables_off(monkeypatch)):
         with path() as m:
             tables = counted_products(m, ThetaTable, lambda a, b: True)
             ops = counted_products(m, DiffOp, lambda a, b: id(a) in images or id(b) in images)
             calls = conversions(m)
             assert validate_generator_images(copy.copy(g)).passed
-        assert not tables and not ops and not calls
+            assert not tables and not ops and not calls
+            # the unit and x checks multiply Laurent polynomials, not level images
+            ops = counted_products(m, DiffOp, lambda a, b: not (a.is_laurent() and b.is_laurent()))
+            assert all(autgroup._decide_relations(copy.copy(g), levels).values())
+            decided.append(len(tables) + len(ops))
+    assert decided[0] == decided[1] <= 2 * n * n * prec + n * prec
+    assert decided[0] >= 2 * n * n * prec
 
 
 def trusting_read_shift(g: GeneratorImages, tau: MonomialAut) -> FactoredAut:
@@ -563,7 +576,8 @@ def test_reports_above_16_equal_the_reference_relations(monkeypatch, p, n, prec,
     g = FactoredAut(ShiftVector.from_ints(shift, p, prec), tau).to_images()
     kinds = perturbations(rng, g, level=0)
     sets = {"valid": g, "doubled": with_level(g, n - 1, prec - 1, g.d_images[n - 1][-1].scale(2))}
-    sets.update((name, kinds[name]) for name in ("swap", "square", "sum", "laurent")[:3 + (p < 100)])
+    names = ("swap", "square", "sum", "laurent")[:3 + (p < 100)]
+    sets.update((name, kinds[name]) for name in names)
     for name, bad in sets.items():
         reference = reference_relations(bad)
         assert all(ok for _, ok in reference) == (name == "valid")
