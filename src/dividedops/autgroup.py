@@ -11,13 +11,14 @@ So the shift s after tau acts by one closed form, `FactoredAut.apply`:
 
 t = A^{-1} s, the product expanded as sum_j c_j x^j d^[j] by its Mahler
 coefficients, with no operator product.  At tau = 1 it is `shift_apply`,
-conjugation by the unit x^s for any integer representative of s: a roll
-of theta-tables, theta -> theta + s, or one operator product;
+conjugation by the unit x^s for any integer representative of s: one
+operator product by x^s, which `DiffOp.__mul__` takes as a roll of
+theta-tables, theta -> theta + s, where theta's rule finds that cheaper;
 `monomial_apply` is the zero shift.
 
 `theta` alone knows the table format and the one rule that decides where
-tables are used.  The closed form, `shift_apply` and validation ask it
-(`theta.expansion`, `theta.roll_digits`, `theta.validation_tables`), and
+tables are used.  The closed form and validation ask it
+(`theta.expansion`, `theta.validation_tables`), as does the product, and
 no table is kept in this module's values.
 
 `GeneratorImages` presents an automorphism by finitely many images.  It
@@ -73,10 +74,8 @@ from .scalars import (
     padic_length,
 )
 
-# theta is imported where tables are used, validation, the closed form at
-# tau != 1 and the shift of at least ROLL_PARTS parts, so that shift-only
-# commands (sigma, build-sigma, extract) skip it
-ROLL_PARTS = 8  # fewer parts rarely repay a table's fixed cost: the rule is not asked
+# theta is imported where tables are used, validation and the closed form at
+# tau != 1, so that the shifts of sigma, build-sigma and extract skip it
 
 # ---------------------------------------------------------------------------
 # shift automorphisms
@@ -166,22 +165,15 @@ def shift_apply(s: ShiftVector, op: DiffOp) -> DiffOp:
     to cover the p-adic length of every divided index in `op`.  An
     operand of order 0 comes back as it is: x^-t commutes with it.
 
-    With at least ROLL_PARTS parts, op's theta-tables roll by t where
-    `theta.roll_digits` finds that cheaper (`theta.roll_shift`).
-    Otherwise x^-t op, which only shifts the coefficients, is wrapped, not
-    rebuilt, and the one product by x^t, (f x^-t) d^[beta] x^t = f sum_j
-    C(t, j) x^-j d^[beta - j], runs the Leibniz loop of `DiffOp.__mul__`.
+    x^-t op, which only shifts the coefficients, is wrapped, not rebuilt,
+    and the shift is the one product by x^t, (f x^-t) d^[beta] x^t =
+    f sum_j C(t, j) x^-j d^[beta - j]: by `DiffOp.__mul__`, which rolls
+    the theta-tables of x^-t op by t where theta's rule finds that cheaper.
     """
     _check_shift_operand(s, op)
     if op.is_laurent():
         return op
     t = tuple(c.to_int() for c in s.components)
-    if len(op.parts) >= ROLL_PARTS:
-        from .theta import roll_digits, roll_shift
-
-        digits = roll_digits(op, t)
-        if digits:
-            return roll_shift(op, t, digits)
     minus_t = tuple(-v for v in t)
     left = op._wrap({beta: f.times_monomial(1, minus_t) for beta, f in op.parts.items()})
     return left * DiffOp.monomial(s.p, s.n, t)

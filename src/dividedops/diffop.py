@@ -12,9 +12,11 @@ products back into it with the rule
 
 where C(delta, j) may have negative upper entries.  The rule is a
 consequence of the commutation relations; the test suite certifies it
-against the module action, which is the ground truth.
+against the module action, which is the ground truth.  `DiffOp.__mul__`
+runs the loop below (`leibniz`) unless its left factor has TABLE_PARTS
+parts or more and `theta.product_digits` finds theta-tables cheaper.
 
-The product sums, for each left part f_beta, the right factor's scalar
+The loop sums, for each left part f_beta, the right factor's scalar
 contributions into one coefficient per (output index beta - j + eps,
 shift delta - j), then adds coefficient * f_beta * x^shift once per
 nonzero pair; `scalars._leibniz_terms` lists only the j whose two
@@ -29,7 +31,7 @@ C(d mod p, j) C(b - j + (e mod p), e mod p) are products of four slices of
 the digit tables.  A run of at least RUN summands whose right term shares
 delta - eps and e // p with another (so that runs can meet) is added as
 one slice into a dense row per (other variables' output and shift, line,
-e // p), and the rows are folded into the coefficients once per part;
+e // p), whose entries are walked beside the coefficients once per part;
 other runs, b >= p and every product at p < RUN take the walk.  Powers of
 an order-0 operator f use the Frobenius, f^(p^r) = f(x^(p^r)), on the
 base-p digits of the exponent; other powers square and multiply.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from operator import add, sub
 from typing import Callable
 
@@ -51,6 +53,7 @@ MonomialAction = Callable[[tuple[int, ...]], LaurentPoly]
 
 REPLAY_PROBES = 8  # random monomials normal_form_from_action replays after solving
 RUN = 8  # the shortest run of the last variable summed as a slice, see the README
+TABLE_PARTS = 8  # the fewest left parts for which theta's rule is asked, see the README
 
 
 class DiffOp:
@@ -225,47 +228,13 @@ class DiffOp:
     # -- multiplication ------------------------------------------------------
 
     def __mul__(self, other: "DiffOp") -> "DiffOp":
-        """The product by the Leibniz rule of the module docstring."""
+        """`theta.table_product` past TABLE_PARTS where theta's rule says so, else `leibniz`."""
         self._check(other)
-        pp = self.p.p
-        right = [(eps, delta, cg) for eps, g in other._parts.items()
-                 for delta, cg in g.terms.items()]
-        shared = ()  # the right terms (eps, delta) whose line another right term shares
-        if RUN < pp and len(right) > 1 and any(RUN <= b[-1] + 1 <= pp for b in self._parts):
-            # a row pays only where runs meet, which needs two right terms of one
-            # delta - eps and last e // p; asked only where a left part can run
-            lines = [(tuple(map(sub, delta, eps)), eps[-1] // pp) for eps, delta, _ in right]
-            count = Counter(lines)
-            shared = {(eps, delta) for (eps, delta, _), line in zip(right, lines)
-                      if count[line] > 1}
-        acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        rows: dict[tuple, list] = {}
-        for beta, f in self._parts.items():
-            # the right factor's scalar contributions, one coefficient per
-            # (output index, shift); f_beta is then walked once per pair
-            coeffs: dict[tuple, int] = {}
-            ranged = shared and RUN <= beta[-1] + 1 <= pp  # b < p: the last j is one run
-            for eps, delta, cg in right:
-                if ranged:
-                    b, d, e = beta[-1], delta[-1], eps[-1]
-                    lo, hi = max(0, b + 1 + e % pp - pp), min(b, d % pp)
-                    if hi - lo >= RUN - 1 and (eps, delta) in shared:
-                        for out, shift, c in _leibniz_terms(beta[:-1], delta[:-1], eps[:-1], pp):
-                            _add_run(rows, (out, shift, d - e - b, e // pp),
-                                     b, d, e, lo, hi, cg * c, pp)
-                        continue
-                for newbeta, shift, c in _leibniz_terms(beta, delta, eps, pp):
-                    pair = (newbeta, shift)
-                    coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
-            if rows:
-                for (out, shift, line, _), (base, row) in rows.items():
-                    for m, c in enumerate(row, base):
-                        if c % pp:
-                            pair = (out + (m,), shift + (m + line,))
-                            coeffs[pair] = (coeffs.get(pair, 0) + c) % pp
-                rows.clear()
-            _add_into(acc, coeffs.items(), f.terms.items(), pp)
-        return self._from_terms(acc)
+        if len(self._parts) >= TABLE_PARTS:
+            from .theta import product_digits, table_product
+            if digits := product_digits(self, other):
+                return table_product(self, other, digits)
+        return leibniz(self, other)
 
     def _from_terms(self, acc: dict) -> "DiffOp":
         """The operator of acc = {beta: {exps: residue}}, residues nonzero."""
@@ -324,10 +293,54 @@ class DiffOp:
         return lambda exps: self.act_monomial(tuple(exps))
 
 
+def leibniz(left: DiffOp, right: DiffOp) -> DiffOp:
+    """left * right by the Leibniz loop of the module docstring."""
+    pp = left.p.p
+    right_terms = [(eps, delta, cg) for eps, g in right._parts.items()
+                   for delta, cg in g.terms.items()]
+    shared = ()  # the right terms (eps, delta) whose line another right term shares
+    if RUN < pp and len(right_terms) > 1 and any(RUN <= b[-1] + 1 <= pp for b in left._parts):
+        # a row pays only where runs meet, which needs two right terms of one
+        # delta - eps and last e // p; asked only where a left part can run
+        lines = [(tuple(map(sub, delta, eps)), eps[-1] // pp) for eps, delta, _ in right_terms]
+        count = Counter(lines)
+        shared = {(eps, delta) for (eps, delta, _), line in zip(right_terms, lines)
+                  if count[line] > 1}
+    acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    rows: dict[tuple, list] = {}
+    for beta, f in left._parts.items():
+        # the right factor's scalar contributions, one coefficient per
+        # (output index, shift); f_beta is then walked once per pair
+        coeffs: dict[tuple, int] = {}
+        ranged = shared and RUN <= beta[-1] + 1 <= pp  # b < p: the last j is one run
+        for eps, delta, cg in right_terms:
+            if ranged:
+                b, d, e = beta[-1], delta[-1], eps[-1]
+                lo, hi = max(0, b + 1 + e % pp - pp), min(b, d % pp)
+                if hi - lo >= RUN - 1 and (eps, delta) in shared:
+                    for out, shift, c in _leibniz_terms(beta[:-1], delta[:-1], eps[:-1], pp):
+                        _add_run(rows, (out, shift, d - e - b, e // pp),
+                                 b, d, e, lo, hi, cg * c, pp)
+                    continue
+            for newbeta, shift, c in _leibniz_terms(beta, delta, eps, pp):
+                pair = (newbeta, shift)
+                coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
+        pairs = coeffs.items()
+        if rows:  # each row's entries, unreduced, go beside coeffs
+            pairs = chain(pairs, *[
+                zip(zip([out + (m,) for m in ms], [shift + (m + line,) for m in ms]), row)
+                for (out, shift, line, _), (base, row) in rows.items()
+                for ms in [range(base, base + len(row))]])
+            rows.clear()
+        _add_into(acc, pairs, f.terms.items(), pp)
+    return left._from_terms(acc)
+
+
 def _add_into(acc: dict, pairs, terms, p: int):
     """acc[beta] += c x^shift f mod p for each ((beta, shift), c) of pairs,
     f given by its `terms` (exponents, residue); a zero sum drops its term."""
     for (beta, shift), c in pairs:
+        c %= p
         if not c:
             continue
         bucket = acc.setdefault(beta, {})

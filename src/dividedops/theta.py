@@ -1,7 +1,7 @@
-"""Operators as theta-tables, the representation in which
-`validate_generator_images` multiplies the generator images that its
-certificate rejects, the closed form of `autgroup.FactoredAut` is
-tabulated and `autgroup.shift_apply` rolls a shift.
+"""Operators as theta-tables, on which `DiffOp.__mul__` multiplies where
+this module's rule finds them cheaper (a shift among its products),
+validation multiplies the images its certificate rejects and the closed
+form of `autgroup.FactoredAut` is tabulated.
 
 With theta_i = x_i d_i every divided power is d^[beta] = x^{-beta}
 C(theta, beta), so an operator is a finite sum sum_gamma x^gamma
@@ -16,9 +16,7 @@ are faithful: equal tables mean equal operators.  `from_diffop` applies
 that Kronecker power one base-p digit of the index at a time.  A product
 is a roll and a pointwise product,
 
-    (x^a f(theta)) (x^b g(theta)) = x^{a + b} f(theta + b) g(theta),
-
-which replaces the Leibniz expansion of `DiffOp.__mul__`.
+    (x^a f(theta)) (x^b g(theta)) = x^{a + b} f(theta + b) g(theta).
 
 Cells are residues in row-major order, and a kernel (`_cells`, picked
 from p and the cell count) does the pointwise work.  There are three:
@@ -52,7 +50,7 @@ per gamma and term, x^gamma c(theta) x^m = c(m) x^(m + gamma).
 
 This module alone decides where tables are used, by one rule
 (`tables_fit` of K = `scalars.index_digits`) that validation
-(`validation_tables`), `expansion` and `roll_digits` ask: at most
+(`validation_tables`), `expansion` and `product_digits` ask: at most
 TABLE_CELLS cells, as a table has p^(nK) cells however sparse the
 operator; above p = PACKED, where no kernel transforms, rolls or gathers,
 list tables only for validation's products in one variable (at n >= 2 its
@@ -64,22 +62,21 @@ cell index per pass, p - 1 masked big-int steps per pass), or else by
 Newton differences.  Validation multiplies its tables and keeps none;
 every other caller gets operators back.
 
-A shift by t is a roll alone, x^-t x^gamma c(theta) x^t = x^gamma
-c(theta + t): `roll_shift` rolls each table by t and reads its Mahler
-coefficients a_j back as the terms a_j x^(gamma + j) d^[j].
-`autgroup.shift_apply` takes it where `roll_digits` finds it cheaper than
-the Leibniz loop of (x^-t op) x^t, in Leibniz contributions (a j of a
-part, about 0.3 us): 10, plus 4 per term beyond one a part, plus n K
-passes over p^(nK) cells for each gamma (at least the terms of one part),
-against the loop's terms * prod_i min(beta_i + 1, prod_r (t_ir + 1)).
+`DiffOp.__mul__` asks `product_digits` for a left factor of
+`diffop.TABLE_PARTS` parts or more (K from both factors' indices), and
+`table_product` multiplies; a right factor c x^t has no table, and rolls
+those of c * left by t, a shift.  The rule weighs the Leibniz loop's
+contributions, bounded by digit boxes, against the tables' conversions,
+rolled products and read-backs (the model and its fit are in the README).
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, product, starmap
 from math import prod
 from operator import add, and_, getitem, mul, sub, xor
 from types import SimpleNamespace
@@ -461,42 +458,80 @@ def _mahler_pairs(table, p: int, n: int, size: int) -> list:
             for index, c in _cells(p, count).items(mahler(table, p, count))]
 
 
-def roll_digits(op: DiffOp, t) -> int:
-    """K, the period digits of the tables on which `roll_shift` finds
-    x^-t op x^t (op of positive order), or 0 where the table rule refuses
-    them or they cost more than the Leibniz loop, by the model of the
-    module docstring; the j_i of a nonzero C(t_i, j_i) have every digit
-    at most t_i's (mod p^K), which bounds the loop's contributions."""
-    p, n = op.p.p, op.n
-    digits = index_digits(op.parts, p)
+def product_digits(left: DiffOp, right: DiffOp) -> int:
+    """K, the period digits of the tables on which `table_product` finds
+    left * right, or 0 where the table rule refuses them or they cost more
+    than the Leibniz loop, in Leibniz contributions (the README's model)."""
+    p, n = left.p.p, left.n
+    digits = index_digits(chain(left.parts, right.parts), p)
     if not tables_fit(p, n, digits, packed=True):
         return 0
-    boxes = [prod(r + 1 for r in _digits_mod(d, p, digits)) for d in t]
-    terms = [len(f.terms) for f in op.parts.values()]
-    contributions = 0
-    for beta, count in zip(op.parts, terms):
-        for b, box in zip(beta, boxes):
-            count *= b + 1 if b < box else box
-        contributions += count
+    # per right term and variable: the j of a nonzero C(delta, j) lie in the digit
+    # box of delta, the beta - j that add to eps with no carry in that of -1 - eps
+    boxes = Counter(tuple(min(_digit_box(d, p, digits), _digit_box(-1 - e, p, digits))
+                          for d, e in zip(delta, eps))
+                    for eps, g in right.parts.items() for delta in g.terms)
+
+    def contributions(beta, f) -> int:
+        sizes = [b + 1 for b in beta]
+        return len(f.terms) * sum(times * prod(map(min, sizes, box))
+                                  for box, times in boxes.items())
+
+    running = accumulate(starmap(contributions, left.parts.items()))
+    monomial = _monomial(right) is not None
     cells = p ** (n * digits)  # a pass costs one bit a cell at p = 2, p - 1 bytes above
     per_pass = 2 + cells / 3000 if p == 2 else (p - 1) * (6 + cells / 150)
-    table = 10 + 4 * (sum(terms) - len(terms)) + max(terms) * n * digits * per_pass
-    return digits if contributions > table else 0
+    fixed = 10 + 4 * (sum(len(f.terms) for f in chain(left.parts.values(), right.parts.values()))
+                      - len(left.parts) - len(right.parts))
+
+    def table(gl: int, gr: int, gout: int) -> float:
+        gr *= not monomial  # a monomial has no table to convert or roll by
+        return (fixed + (gl + gr + gout) * n * digits * per_pass / 2
+                + 4 * gl * gr * per_pass / (p - 1))
+
+    bound = table(1, 1, 1)  # a lower bound: the gamma are counted only past it
+    first = next((c for c in running if c > bound), None)
+    if first is None:
+        return 0
+    gl, gr = ({tuple(map(sub, exps, beta)) for beta, f in op.parts.items() for exps in f.terms}
+              for op in (left, right))
+    gout = gl if monomial else {tuple(map(add, a, b)) for a, b in product(gl, gr)}
+    bound = table(len(gl), len(gr), len(gout))
+    return digits if first > bound or any(c > bound for c in running) else 0
 
 
-def roll_shift(op: DiffOp, t, digits: int) -> DiffOp:
-    """x^-t op x^t on theta-tables of period p^digits, p <= 16: each table
-    rolls by t, and its Mahler coefficients a_j are the terms
-    a_j x^(gamma + j) of part j (see the module docstring)."""
-    table = ThetaTable.from_diffop(op, digits)
-    p, size, count = table.p, table.size, table.size ** op.n
+@lru_cache(maxsize=4096)
+def _digit_box(m: int, p: int, digits: int) -> int:
+    """prod_r (m_r + 1) over the lowest `digits` base-p digits m_r of m."""
+    return prod(r + 1 for r in _digits_mod(m, p, digits))
+
+
+def _monomial(op: DiffOp):
+    """(t, c) where op is c x^t, else None."""
+    f = op.parts.get((0,) * op.n)
+    return next(iter(f.terms.items())) if len(op.parts) == 1 and f and len(f.terms) == 1 else None
+
+
+def table_product(left: DiffOp, right: DiffOp, digits: int) -> DiffOp:
+    """left * right on theta-tables of period p^digits, p <= 16, read back
+    by their Mahler coefficients; c x^t on the right rolls the tables of c
+    left by t, (x^a f(theta)) x^t = x^(a + t) f(theta + t)."""
+    table = ThetaTable.from_diffop(left, digits)
+    p, n, size = table.p, left.n, table.size
+    monomial = _monomial(right)
+    if monomial is None:
+        tables = (table * ThetaTable.from_diffop(right, digits)).tables
+    else:
+        t, c = monomial
+        count = size ** n
+        tables = {tuple(map(add, gamma, t)): _int_roll(f, t, size, count, count, 1) if p == 2
+                  else _byte_roll(f, t, size).to_bytes(count, "big")
+                  for gamma, f in (table.scale(c) if c != 1 else table).tables.items()}
     parts: dict[tuple[int, ...], dict] = {}
-    for gamma, c in table.tables.items():
-        c = (_int_roll(c, t, size, count, count, 1) if p == 2
-             else _byte_roll(c, t, size).to_bytes(count, "big"))
-        for j, a in _mahler_pairs(c, p, op.n, size):
+    for gamma, f in tables.items():
+        for j, a in _mahler_pairs(f, p, n, size):
             parts.setdefault(j, {})[tuple(map(add, gamma, j))] = a
-    return op._from_terms(parts)
+    return left._from_terms(parts)
 
 
 def validation_tables(xs, rows, one):

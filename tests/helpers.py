@@ -13,7 +13,7 @@ from itertools import product as iproduct
 from pathlib import Path
 
 from dividedops import interchange, theta
-from dividedops.diffop import DiffOp
+from dividedops.diffop import DiffOp, leibniz
 from dividedops.errors import InsufficientPrecision, MismatchError, ParseError
 from dividedops.expr import MAX_NESTING, BinOp, Num, Partial, Pow, Var
 from dividedops.laurent import LaurentPoly
@@ -115,6 +115,19 @@ def leibniz_product(a: DiffOp, b: DiffOp) -> DiffOp:
                         key = tuple(gam[i] + shift[i] for i in range(n))
                         bucket[key] = (bucket.get(key, 0) + cf * cj) % pp
     return DiffOp(a.p, n, {beta: LaurentPoly(a.p, n, terms) for beta, terms in acc.items()})
+
+
+def leibniz_power(op: DiffOp, k: int) -> DiffOp:
+    """op^k by repeated squaring in the Leibniz loop alone, whatever engine
+    DiffOp.__mul__ would pick: the oracles that check the tables use it."""
+    result, base = DiffOp.one(op.p, op.n), op
+    while k:
+        if k & 1:
+            result = leibniz(result, base)
+        k >>= 1
+        if k:
+            base = leibniz(base, base)
+    return result
 
 
 def reference_parse(text: str):
@@ -294,8 +307,8 @@ def divided_image_from_levels(levels, j: int) -> DiffOp:
     while j:
         jk = j % p.p
         if jk:
-            factor = (levels[k] ** jk).scale(_inverse_factorial(jk, p.p))
-            result = result * factor
+            factor = leibniz_power(levels[k], jk).scale(_inverse_factorial(jk, p.p))
+            result = leibniz(result, factor)
         j //= p.p
         k += 1
     return result
@@ -315,7 +328,7 @@ def generic_apply_images(g, op: DiffOp) -> DiffOp:
         term = DiffOp.from_laurent(tau.apply_laurent(f))
         for i in range(g.n):
             if beta[i]:
-                term = term * divided_image_from_levels(g.d_images[i], beta[i])
+                term = leibniz(term, divided_image_from_levels(g.d_images[i], beta[i]))
         result = result + term
     return result
 
@@ -336,28 +349,30 @@ def generic_compose_images(g, h):
 def reference_relations(g) -> list[tuple[str, bool]]:
     """(name, passed) of every defining relation of the images g, with the
     names and in the order of `validate_generator_images`, each decided by
-    full products of `DiffOp`s: every pair of level images multiplied both
-    ways, every bracket against the image of d_i^[p^k - 1] assembled by
+    full products of `DiffOp`s in the Leibniz loop: every pair of level
+    images multiplied both ways, every bracket against the image of d_i^[p^k - 1] assembled by
     `divided_image_from_levels`, and every p-th power taken.  The oracle of
     validation's module-action shortcut and of its theta-tables."""
     p, n, prec = g.p, g.n, g.precision
     xs, xinv, ds = g.x_images, g.xinv_images, g.d_images
     one = DiffOp.one(p, n)
-    rows = [(f"unit x[{i + 1}]", xs[i] * xinv[i] == one and xinv[i] * xs[i] == one)
+    rows = [(f"unit x[{i + 1}]",
+             leibniz(xs[i], xinv[i]) == one and leibniz(xinv[i], xs[i]) == one)
             for i in range(n)]
-    rows += [(f"commute x[{i + 1}] x[{j + 1}]", xs[i] * xs[j] == xs[j] * xs[i])
+    rows += [(f"commute x[{i + 1}] x[{j + 1}]", leibniz(xs[i], xs[j]) == leibniz(xs[j], xs[i]))
              for i in range(n) for j in range(i + 1, n)]
     levels = [(i, k) for i in range(n) for k in range(prec)]
     rows += [(f"commute d[{i + 1}]^[p^{k}] d[{j + 1}]^[p^{l}]",
-              ds[i][k] * ds[j][l] == ds[j][l] * ds[i][k])
+              leibniz(ds[i][k], ds[j][l]) == leibniz(ds[j][l], ds[i][k]))
              for a, (i, k) in enumerate(levels) for j, l in levels[a + 1:]]
     for i, k in levels:
         below = divided_image_from_levels(ds[i], p.p ** k - 1)
         for j in range(n):
-            com = ds[i][k] * xs[j] - xs[j] * ds[i][k]
+            com = leibniz(ds[i][k], xs[j]) - leibniz(xs[j], ds[i][k])
             rows.append((f"bracket [d[{i + 1}]^[p^{k}], x[{j + 1}]]",
                          com == below if i == j else com.is_zero()))
-    rows += [(f"p-th power d[{i + 1}]^[p^{k}]", (ds[i][k] ** p.p).is_zero()) for i, k in levels]
+    rows += [(f"p-th power d[{i + 1}]^[p^{k}]", leibniz_power(ds[i][k], p.p).is_zero())
+             for i, k in levels]
     return rows
 
 

@@ -25,7 +25,7 @@ from dividedops.autgroup import (
     shift_generator_images,
     validate_generator_images,
 )
-from dividedops.diffop import DiffOp, normal_form_from_action
+from dividedops.diffop import TABLE_PARTS, DiffOp, normal_form_from_action
 from dividedops.errors import (
     InsufficientPrecision,
     NotAUnit,
@@ -134,15 +134,16 @@ def wide_op(rng, p, n, digits, parts=10) -> DiffOp:
 @pytest.mark.parametrize("p, n, digits", [(2, 1, 5), (2, 2, 4), (3, 1, 3), (3, 2, 2),
                                           (5, 1, 2), (5, 2, 1), (7, 1, 2), (13, 1, 2)])
 def test_rolled_shift_is_conjugation_by_any_representative(p, n, digits, monkeypatch):
-    # operands of at least ROLL_PARTS parts, shifted by digits near p - 1,
+    # operands of at least TABLE_PARTS parts, shifted by digits near p - 1,
     # roll their theta-tables; the module action is the oracle, as above
     rolls = []
-    original = theta.roll_shift
-    monkeypatch.setattr(theta, "roll_shift", lambda op, t, k: rolls.append(k) or original(op, t, k))
+    original = theta.table_product
+    monkeypatch.setattr(theta, "table_product",
+                        lambda left, right, k: rolls.append(k) or original(left, right, k))
     rng = random.Random(f"rolled:{p}:{n}:{digits}")
     for _ in range(3):
         op = wide_op(rng, p, n, digits)
-        assert len(op.parts) >= autgroup.ROLL_PARTS
+        assert len(op.parts) >= TABLE_PARTS
         s = ShiftVector.from_digits(
             [[rng.choice((p - 1, p - 1, rng.randrange(p))) for _ in range(digits)]
              for _ in range(n)], p)

@@ -113,20 +113,25 @@ def test_star_import_binds_every_public_name():
     assert namespace["DiffOp"] is sys.modules["dividedops.diffop"].DiffOp
 
 
-def test_the_product_never_loads_theta():
-    # an operator of 8 parts at p = 3 times x^5: the product is the Leibniz
-    # rule alone, whatever a table would cost
+def test_products_below_the_gate_never_load_theta():
+    # a left factor of fewer than TABLE_PARTS parts takes the Leibniz loop
+    # and never imports theta; one of TABLE_PARTS parts at p = 3 times x^5
+    # asks theta's rule, and equals the Leibniz answer whichever engine runs
     code = """
 import sys
-from dividedops.diffop import DiffOp
+from dividedops.diffop import TABLE_PARTS, DiffOp, leibniz
 from dividedops.laurent import LaurentPoly
-op = DiffOp(3, 1, {(b,): LaurentPoly.one(3, 1) for b in range(1, 9)})
-assert len(op.parts) == 8 and op * DiffOp.monomial(3, 1, (5,))
+right = DiffOp.monomial(3, 1, (5,))
+small = DiffOp(3, 1, {(b,): LaurentPoly.one(3, 1) for b in range(1, TABLE_PARTS)})
+assert small * right == leibniz(small, right) and small * small
+print("dividedops.theta" in sys.modules)
+op = DiffOp(3, 1, {(b,): LaurentPoly.one(3, 1) for b in range(1, TABLE_PARTS + 1)})
+assert len(op.parts) == 8 and op * right == leibniz(op, right)
 print("dividedops.theta" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=subprocess_env())
-    assert out.stdout == "False\n"
+    assert out.stdout == "False\nTrue\n"
 
 
 def test_shift_commands_skip_the_tables(tmp_path):
@@ -171,14 +176,17 @@ def names_and_numbers(path: Path) -> tuple[set[str], set[str], set]:
 
 def test_theta_alone_decides_where_tables_are_used():
     # theta's rule answers for the cell budget and for the kernels, which
-    # pack cells only up to theta.PACKED; autgroup asks its entry points,
-    # and the one certificate is the rebuild by the closed form
+    # pack cells only up to theta.PACKED; autgroup and the product ask its
+    # entry points, and the one certificate is the rebuild by the closed form
     package = Path(dividedops.__file__).parent
     for path in package.glob("*.py"):
         names, _, _ = names_and_numbers(path)
         if path.stem != "theta":
             assert not names & {"TABLE_CELLS", "PACKED"}, path.name
     names, from_theta, numbers = names_and_numbers(package / "autgroup.py")
-    assert from_theta <= {"expansion", "roll_digits", "roll_shift", "validation_tables"}
+    assert from_theta <= {"expansion", "validation_tables"}
     assert not names & {"ThetaTable", "binomial_row", "tables_fit", "table_certificate"}
     assert 16 not in numbers
+    # the product asks the rule and takes its engine, nothing more
+    _, from_theta, _ = names_and_numbers(package / "diffop.py")
+    assert from_theta == {"product_digits", "table_product"}

@@ -24,7 +24,7 @@ from dividedops.autgroup import (
     shift_generator_images,
     validate_generator_images,
 )
-from dividedops.diffop import DiffOp, normal_form_from_action
+from dividedops.diffop import TABLE_PARTS, DiffOp, leibniz, normal_form_from_action
 from dividedops.interchange import dumps, images_from_dict, images_to_dict, loads
 from dividedops.laurent import LaurentPoly
 from dividedops.scalars import index_digits, padic_length
@@ -33,6 +33,7 @@ from dividedops.theta import ThetaTable
 from helpers import (
     ROOT,
     conversions,
+    leibniz_product,
     monomial_compose_images,
     rand_gl,
     rand_nonzero_poly,
@@ -128,13 +129,13 @@ def test_table_arithmetic_is_operator_arithmetic(p, n):
     rng = random.Random(f"product:{p}:{n}")
     ops = rand_ops(rng, p, n, 10)
     for a, b in zip(ops, ops[1:]):
-        prod = a * b
-        k = digits_for(a, b, prod, a ** 2)
+        prod = leibniz(a, b)
+        k = digits_for(a, b, prod, leibniz(a, a))
         ta, tb = ThetaTable.from_diffop(a, k), ThetaTable.from_diffop(b, k)
         assert ta * tb == ThetaTable.from_diffop(prod, k), (a, b)
         assert ta - tb == ThetaTable.from_diffop(a - b, k)
         assert ta.scale(p - 1) == ThetaTable.from_diffop(a.scale(p - 1), k)
-        assert ta ** 2 == ThetaTable.from_diffop(a ** 2, k)
+        assert ta ** 2 == ThetaTable.from_diffop(leibniz(a, a), k)
         assert ta ** 0 == ThetaTable.from_diffop(DiffOp.one(p, n), k)
         assert (ta - ta).is_zero() and (ta * tb - ThetaTable.from_diffop(prod, k)).is_zero()
 
@@ -717,7 +718,7 @@ def test_list_tables_serve_one_variable(monkeypatch, p):
     assert not calls
 
 
-# -- shifts: a roll of the tables -----------------------------------------------
+# -- shifts: the product by a monomial, a roll of the tables ---------------------
 
 # perfbench's aut_roundtrip shapes (p, n, precision)
 AUT_SHAPES = ((2, 2, 5), (2, 2, 4), (3, 2, 3), (2, 3, 3), (5, 2, 2))
@@ -746,14 +747,28 @@ def rand_delta(rng, p, n, digits) -> tuple[int, ...]:
 
 
 def conjugate(op: DiffOp, t) -> DiffOp:
-    """x^-t op x^t by two Leibniz products."""
-    return (DiffOp.monomial(op.p, op.n, tuple(-v for v in t)) * op
-            * DiffOp.monomial(op.p, op.n, t))
+    """x^-t op x^t by two products of the Leibniz loop."""
+    return leibniz(shifted(op, t), DiffOp.monomial(op.p, op.n, t))
+
+
+def shifted(op: DiffOp, t) -> DiffOp:
+    """x^-t op, the left factor of the product by x^t that shifts op by t."""
+    return leibniz(DiffOp.monomial(op.p, op.n, tuple(-v for v in t)), op)
+
+
+def roll(op: DiffOp, t, digits: int) -> DiffOp:
+    """x^-t op x^t as the table product by the monomial x^t: a roll."""
+    return theta.table_product(shifted(op, t), DiffOp.monomial(op.p, op.n, t), digits)
+
+
+def roll_rule(op: DiffOp, t) -> int:
+    """The rule's answer for the product that shifts op by t."""
+    return theta.product_digits(shifted(op, t), DiffOp.monomial(op.p, op.n, t))
 
 
 def roll_and_loop(op: DiffOp, t, digits: int) -> tuple[DiffOp, DiffOp]:
-    """x^-t op x^t by `theta.roll_shift` and by the Leibniz loop."""
-    return theta.roll_shift(op, t, digits), conjugate(op, t)
+    """x^-t op x^t by the roll of the tables and by the Leibniz loop."""
+    return roll(op, t, digits), conjugate(op, t)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
@@ -772,7 +787,7 @@ def test_roll_is_the_leibniz_loop(p, n):
         rolled, loop = roll_and_loop(op, delta, digits)
         assert rolled.parts == loop.parts, (op, delta)
         if digits < top:  # a longer period is the same shift
-            assert theta.roll_shift(op, delta, top) == loop
+            assert roll(op, delta, top) == loop
 
 
 @pytest.mark.parametrize("p, n", ((2, 2), (3, 2), (5, 1), (7, 3), (13, 1)))
@@ -785,7 +800,7 @@ def test_roll_cancels_back_to_a_short_operator(p, n):
         small = rand_gamma_op(rng, p, n, digits, gammas=2, terms=3)
         delta = rand_delta(rng, p, n, digits)
         minus = tuple(-v for v in delta)
-        op = theta.roll_shift(small, minus, digits)
+        op = roll(small, minus, digits)
         assert op == conjugate(small, minus)
         rolled, loop = roll_and_loop(op, delta, digits)
         assert rolled == loop == small
@@ -811,18 +826,18 @@ def test_the_rule_sends_single_levels_and_large_tables_to_the_loop(monkeypatch):
     for p, n, digits in ((3, 2, 5), (5, 2, 3), (2, 2, 7)):
         level = DiffOp.partial(p, n, 1, p ** (digits - 1))
         for t in [(p ** digits - 1,) * n] + [rand_delta(rng, p, n, digits) for _ in range(4)]:
-            assert theta.roll_digits(level, t) == 0, (p, n, digits, t)
+            assert roll_rule(level, t) == 0, (p, n, digits, t)
     # the top level image at (2,2,5) shifted by all-ones digits rolls ...
     images = shift_generator_images(ShiftVector.from_ints([13, 22], 2, 5))
     top, t = images.d_images[0][4], (31, 31)
-    assert theta.roll_digits(top, t) == 5
+    assert roll_rule(top, t) == 5
     # ... unless its tables are over the budget, or the operator is one
     # long index, whose tables never fit
     monkeypatch.setattr(theta, "TABLE_CELLS", 2 ** 9)
-    assert theta.roll_digits(top, t) == 0
+    assert roll_rule(top, t) == 0
     monkeypatch.undo()
     wide = DiffOp(2, 1, {(2 ** 16 + b,): LaurentPoly.monomial(2, 1, (b,)) for b in range(40)})
-    assert theta.roll_digits(wide, (2 ** 17 - 1,)) == 0
+    assert roll_rule(wide, (2 ** 17 - 1,)) == 0
 
 
 def sparse_op(rng, p, n, digits, parts) -> DiffOp:
@@ -847,7 +862,7 @@ def test_the_rule_sends_sparse_operators_of_many_gamma_to_the_loop(p, n, digits,
     for _ in range(4):
         op = sparse_op(rng, p, n, digits, parts)
         t = tuple(sum(rng.randrange(2) * p ** k for k in range(digits)) for _ in range(n))
-        assert theta.roll_digits(op, t) == 0, t
+        assert roll_rule(op, t) == 0, t
 
 
 def test_the_rule_sends_list_cells_to_the_loop():
@@ -859,19 +874,19 @@ def test_the_rule_sends_list_cells_to_the_loop():
         betas.add(rng.randrange(100, 289))
     op = DiffOp(17, 1, {(b,): LaurentPoly.monomial(17, 1, (b,)) for b in betas})
     t = (288,)
-    assert theta.roll_digits(op, t) == 0
+    assert roll_rule(op, t) == 0
     assert shift_apply(ShiftVector.from_ints(t, 17, 2), op) == conjugate(op, t)
 
 
 def test_products_by_a_monomial_roll_where_the_rule_says(monkeypatch):
     calls = []
-    original = theta.roll_shift
+    original = theta.table_product
 
-    def spy(op, t, digits):
+    def spy(left, right, digits):
         calls.append(digits)
-        return original(op, t, digits)
+        return original(left, right, digits)
 
-    monkeypatch.setattr(theta, "roll_shift", spy)
+    monkeypatch.setattr(theta, "table_product", spy)
     images = shift_generator_images(ShiftVector.from_ints([13, 22], 2, 5))
     top = images.d_images[0][4]
     s = ShiftVector.from_ints([31, 31], 2, 5)
@@ -879,8 +894,66 @@ def test_products_by_a_monomial_roll_where_the_rule_says(monkeypatch):
     # a Laurent operator, an operator of few parts, and p > 16 take the loop
     s17 = ShiftVector.from_ints([288], 17, 2)
     wide17 = shift_generator_images(ShiftVector.from_ints([16], 17, 2)).d_images[0][1]
-    assert len(wide17.parts) >= autgroup.ROLL_PARTS
+    assert len(wide17.parts) >= TABLE_PARTS
     for s, op in ((s, DiffOp.monomial(2, 2, (3, 1))), (s, images.d_images[0][0]), (s17, wide17)):
         t = tuple(c.to_int() for c in s.components)
         assert shift_apply(s, op) == conjugate(op, t)
     assert calls == [5]
+
+
+# -- products: the table engine of DiffOp.__mul__ --------------------------------
+
+
+def zero_product(rng, p, n, digits) -> tuple[DiffOp, DiffOp]:
+    """Nonzero factors whose product is 0: every left index ends in the
+    digit p - 1 in the first variable, so d^[beta] d_1^[1] = (beta_1 + 1)
+    d^[beta + e_1] vanishes mod p, and x^gamma d^[beta] d_1 has nothing to
+    move past."""
+    size = p ** digits
+    return DiffOp(p, n, {(rng.randrange(size // p) * p + p - 1,) + tuple(
+        rng.randrange(size) for _ in range(n - 1)): rand_nonzero_poly(rng, p, n)
+        for _ in range(TABLE_PARTS)}), DiffOp.partial(p, n, 1)
+
+
+def cancelling_product(rng, p, n, digits) -> tuple[DiffOp, DiffOp]:
+    """(x^t P x^-t) (x^t d^[eps]) = x^t P d^[eps] for a short P: the left
+    factor has many terms, the product few."""
+    t = rand_delta(rng, p, n, digits)
+    small = rand_gamma_op(rng, p, n, digits, gammas=2, terms=3)
+    left = conjugate(small, tuple(-v for v in t))
+    eps = tuple(rng.randrange(p) for _ in range(n))
+    return left, DiffOp(p, n, {eps: LaurentPoly.monomial(p, n, t, rng.randrange(1, p))})
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_table_products_are_leibniz_products(p, n):
+    # general right factors, monomials c x^t, zero products, products that
+    # cancel to a short result, and factors of different index lengths, all
+    # on tables: the reference product and the module action are the oracles
+    rng = random.Random(f"table products:{p}:{n}")
+    top = table_digits(p, n)
+    cases = []
+    for _ in range(3):
+        kl, kr = rng.randint(1, top), rng.randint(1, top)
+        left = rand_gamma_op(rng, p, n, kl, gammas=rng.randint(1, 3), terms=rng.randint(8, 12))
+        cases.append(("general", left, rand_gamma_op(rng, p, n, kr, gammas=rng.randint(1, 3),
+                                                     terms=rng.randint(1, 5))))
+        cases.append(("monomial", left, DiffOp.monomial(
+            p, n, rand_delta(rng, p, n, top), rng.randrange(1, p))))
+    cases.append(("zero", *zero_product(rng, p, n, top)))
+    cases.append(("cancelling", *cancelling_product(rng, p, n, top)))
+    for kind, left, right in cases:
+        digits = index_digits([*left.parts, *right.parts], p)
+        want = leibniz_product(left, right)
+        got = theta.table_product(left, right, digits)
+        assert got == want == left * right, (kind, left, right)
+        if kind == "zero":
+            assert left and right and not got
+        if kind == "cancelling":
+            assert sum(len(f.terms) for f in got.parts.values()) <= 3
+        for _ in range(3):
+            mono = LaurentPoly.monomial(p, n, [rng.randint(-3 * p, 3 * p) for _ in range(n)])
+            assert got.act(mono) == left.act(right.act(mono)), kind
+    assert top == 1 or any(index_digits(left.parts, p) != index_digits(right.parts, p)
+                           for _, left, right in cases)
