@@ -147,8 +147,7 @@ class DiffOp:
 
     def is_laurent(self) -> bool:
         """True when the operator is multiplication by a Laurent polynomial."""
-        o = self.order()
-        return o is None or o == 0
+        return len(self._parts) <= 1 and not any(map(any, self._parts))
 
     def to_laurent(self) -> LaurentPoly:
         if self.is_zero():

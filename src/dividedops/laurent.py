@@ -8,6 +8,7 @@ polynomial must not be modified.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, Iterator
 
 from .errors import MismatchError, NotAUnit, NumberTooLong
@@ -182,16 +183,13 @@ class LaurentPoly:
 
     def times_monomial(self, coeff: int, shift: tuple[int, ...]) -> "LaurentPoly":
         """Multiply by coeff * x^shift in one pass."""
-        coeff %= self.p.p
+        pp = self.p.p
+        coeff %= pp
         if coeff == 0:
             return self._wrap({})
-        pp = self.p.p
-        out = {}
-        for e, c in self._terms.items():
-            v = c * coeff % pp
-            if v:
-                out[tuple(a + b for a, b in zip(e, shift))] = v
-        return self._wrap(out)
+        # residues stay nonzero: p is prime
+        return self._wrap({tuple(map(add, e, shift)): c * coeff % pp
+                           for e, c in self._terms.items()})
 
     def _wrap(self, terms: dict) -> "LaurentPoly":
         f = LaurentPoly.__new__(LaurentPoly)

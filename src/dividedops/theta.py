@@ -76,7 +76,7 @@ import re
 import sys
 from collections import Counter
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, islice, product, starmap
+from itertools import accumulate, chain, islice, product
 from math import prod
 from operator import add, and_, getitem, mul, sub, xor
 from types import SimpleNamespace
@@ -471,18 +471,14 @@ def product_digits(left: DiffOp, right: DiffOp) -> int:
     boxes = Counter(tuple(min(_digit_box(d, p, digits), _digit_box(-1 - e, p, digits))
                           for d, e in zip(delta, eps))
                     for eps, g in right.parts.items() for delta in g.terms)
-
-    def contributions(beta, f) -> int:
-        sizes = [b + 1 for b in beta]
-        return len(f.terms) * sum(times * prod(map(min, sizes, box))
-                                  for box, times in boxes.items())
-
-    running = accumulate(starmap(contributions, left.parts.items()))
+    terms, plus = [len(f.terms) for f in left.parts.values()], (1).__add__
+    running = accumulate(count * sum([times * prod(map(min, map(plus, beta), box))
+                                      for box, times in boxes.items()])
+                         for beta, count in zip(left.parts, terms))
     monomial = _monomial(right) is not None
     cells = p ** (n * digits)  # a pass costs one bit a cell at p = 2, p - 1 bytes above
     per_pass = 2 + cells / 3000 if p == 2 else (p - 1) * (6 + cells / 150)
-    fixed = 10 + 4 * (sum(len(f.terms) for f in chain(left.parts.values(), right.parts.values()))
-                      - len(left.parts) - len(right.parts))
+    fixed = 10 + 4 * (sum(terms) - len(terms) + sum(boxes.values()) - len(right.parts))
 
     def table(gl: int, gr: int, gout: int) -> float:
         gr *= not monomial  # a monomial has no table to convert or roll by
@@ -572,7 +568,7 @@ class ThetaTable:
             for b in beta:
                 index = index * size + b
             for exps, c in f.terms.items():
-                terms[tuple(e - b for e, b in zip(exps, beta)), index] = c
+                terms[tuple(map(sub, exps, beta)), index] = c
         return cls(p, n, size, _cells(p, size ** n).tables(terms, n * digits))
 
     def act(self, f: LaurentPoly) -> LaurentPoly:
