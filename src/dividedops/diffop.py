@@ -325,9 +325,10 @@ def leibniz(left: DiffOp, right: DiffOp) -> DiffOp:
                 pair = (newbeta, shift)
                 coeffs[pair] = (coeffs.get(pair, 0) + cg * c) % pp
         pairs = coeffs.items()
-        if rows:  # each row's entries, unreduced, go beside coeffs
+        if rows:  # each row's entries, reduced, go beside coeffs
             pairs = chain(pairs, *[
-                zip(zip([out + (m,) for m in ms], [shift + (m + line,) for m in ms]), row)
+                zip(zip([out + (m,) for m in ms], [shift + (m + line,) for m in ms]),
+                    map(pp.__rmod__, row))
                 for (out, shift, line, _), (base, row) in rows.items()
                 for ms in [range(base, base + len(row))]])
             rows.clear()
@@ -339,7 +340,6 @@ def _add_into(acc: dict, pairs, terms, p: int):
     """acc[beta] += c x^shift f mod p for each ((beta, shift), c) of pairs,
     f given by its `terms` (exponents, residue); a zero sum drops its term."""
     for (beta, shift), c in pairs:
-        c %= p
         if not c:
             continue
         bucket = acc.setdefault(beta, {})
