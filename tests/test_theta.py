@@ -865,6 +865,18 @@ def test_the_rule_sends_sparse_operators_of_many_gamma_to_the_loop(p, n, digits,
         assert roll_rule(op, t) == 0, t
 
 
+def test_the_rule_counts_gamma_past_its_lower_bound():
+    # 64 one-term parts on about 40 gamma at (5,2,3), shifted by (62, 93):
+    # one gamma a term passes the table side, the counted gamma do not.
+    # The same indices and term counts on one gamma roll: both answers
+    # were the faster engine (82 against 113 ms, 20 against 78 ms; 2-core
+    # x86 Linux, Python 3.11)
+    rng = random.Random("sparse:5:2:3")
+    op = sparse_op(rng, 5, 2, 3, 64)
+    one_gamma = DiffOp(5, 2, {beta: LaurentPoly.monomial(5, 2, beta) for beta in op.parts})
+    assert roll_rule(op, (62, 93)) == 0 and roll_rule(one_gamma, (62, 93)) == 3
+
+
 def test_the_rule_sends_list_cells_to_the_loop():
     # no kernel above p = 16 rolls a table: the loop, though the cost model
     # alone would roll these 40 parts on tables of 17^2 cells
