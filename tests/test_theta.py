@@ -1,4 +1,4 @@
-"""Theta-tables: checked against the module action and the Leibniz loop
+"""Theta-tables: checked against the module action and the Leibniz loop, and
 validate_generator_images checked to report the same on tables as on
 DiffOps, and as the reference relations, whether its certificate accepts
 the images or their relations are decided."""
